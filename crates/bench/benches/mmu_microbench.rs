@@ -13,7 +13,10 @@ use neummu_mmu::{
     AddressTranslator, DeviceFaultConfig, MmuConfig, ResilienceConfig, Tlb, TranslationEngine,
     TranslationPathCache, UnifiedPageTableCache, WalkCache, WalkerPool,
 };
-use neummu_vmem::{MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr};
+use neummu_vmem::{
+    AddressSpace, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, PhysicalMemory,
+    SegmentOptions, VirtAddr,
+};
 
 /// Builds a page table with `pages` consecutive 4 KB mappings.
 fn streaming_table(pages: u64) -> PageTable {
@@ -91,6 +94,66 @@ fn bench_page_table(c: &mut Criterion) {
                 accesses += probe.memory_accesses();
             }
             accesses
+        })
+    });
+    group.finish();
+}
+
+/// The demand-paging path of the embedding case study: page migration and
+/// fault-then-migrate, the only vmem work that runs while a simulation is
+/// timed.
+fn bench_vmem_paging(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vmem");
+    // Each call migrates 64 huge pages NPU1 -> NPU0 and back. Contiguous
+    // allocation is bump-only, so every migration consumes fresh capacity:
+    // 64 GiB per node covers the warm-up call plus the timed calls.
+    let pages = 64u64;
+    let mut memory = PhysicalMemory::with_npus(2, 64 << 30);
+    let mut space = AddressSpace::new("bench");
+    let huge = space
+        .alloc_segment(
+            "huge",
+            pages << 21,
+            SegmentOptions::new(MemNode::Npu(1), PageSize::Size2M),
+            &mut memory,
+        )
+        .unwrap();
+    group.throughput(Throughput::Elements(2 * pages));
+    group.bench_function("migrate_page_2m", |b| {
+        b.iter(|| {
+            for dst in [MemNode::Npu(0), MemNode::Npu(1)] {
+                for page in 0..pages {
+                    let va = huge.start().add(page << 21);
+                    space.migrate_page(black_box(va), dst, &mut memory).unwrap();
+                }
+            }
+            space.stats().migrations
+        })
+    });
+    // A fresh lazy 4 KB segment per call: every page faults in on the host,
+    // then migrates to the NPU.
+    let pages = 4096u64;
+    group.throughput(Throughput::Elements(pages));
+    group.bench_function("fault_migrate_4k", |b| {
+        b.iter(|| {
+            let mut memory = PhysicalMemory::with_npus(1, 1 << 30);
+            let mut space = AddressSpace::new("bench");
+            let lazy = space
+                .alloc_segment(
+                    "lazy",
+                    pages << 12,
+                    SegmentOptions::new(MemNode::Host, PageSize::Size4K).lazy(),
+                    &mut memory,
+                )
+                .unwrap();
+            for page in 0..pages {
+                let va = lazy.start().add(page << 12);
+                space.ensure_mapped(black_box(va), &mut memory).unwrap();
+                space
+                    .migrate_page(va, MemNode::Npu(0), &mut memory)
+                    .unwrap();
+            }
+            space.stats().migrations
         })
     });
     group.finish();
@@ -365,6 +428,7 @@ criterion_group!(
     benches,
     bench_tlb,
     bench_page_table,
+    bench_vmem_paging,
     bench_oracle_translator,
     bench_walker_pool,
     bench_mmu_caches,

@@ -120,7 +120,7 @@ mod tests {
 
     #[test]
     fn writes_markdown_csv_and_json() {
-        let dir = std::env::temp_dir().join(format!("neummu-artifacts-{}", std::process::id()));
+        let dir = neummu_testdir::ScratchDir::new("artifacts");
         let mut artifacts = ExperimentArtifacts::new(&dir).unwrap();
         let mut table = ResultTable::new("demo", &["a", "b"]);
         table.push_row(&["1", "2"]);
@@ -133,14 +133,11 @@ mod tests {
         assert!(csv.starts_with("a,b"));
         let json = fs::read_to_string(dir.join("demo_raw.json")).unwrap();
         assert!(json.contains('1'));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn opening_cleans_crash_debris_and_leaves_artifacts() {
-        let dir =
-            std::env::temp_dir().join(format!("neummu-artifacts-debris-{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = neummu_testdir::ScratchDir::new("artifacts-debris");
         fs::write(dir.join("fig08.md"), "committed").unwrap();
         fs::write(
             dir.join(format!("fig08.csv{}123", neummu_store::atomic::TMP_MARKER)),
@@ -153,18 +150,15 @@ mod tests {
             "committed"
         );
         assert_eq!(fs::read_dir(artifacts.root()).unwrap().count(), 1);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn raw_file_restore_rejects_escaping_names() {
-        let dir =
-            std::env::temp_dir().join(format!("neummu-artifacts-escape-{}", std::process::id()));
+        let dir = neummu_testdir::ScratchDir::new("artifacts-escape");
         let mut artifacts = ExperimentArtifacts::new(&dir).unwrap();
         assert!(artifacts.file("../outside.md", b"x").is_err());
         assert!(artifacts.file("sub/inside.md", b"x").is_err());
         artifacts.file("inside.md", b"x").unwrap();
         assert_eq!(fs::read(dir.join("inside.md")).unwrap(), b"x");
-        fs::remove_dir_all(&dir).ok();
     }
 }

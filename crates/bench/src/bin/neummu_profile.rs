@@ -30,6 +30,7 @@
 //! `wall/` kinds excluded) — the exact byte stream CI diffs across thread
 //! counts to check trace determinism.
 
+use std::io::{BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
 
 use neummu_sim::ResultTable;
@@ -76,7 +77,7 @@ fn ms(nanos: u64) -> String {
     format!("{:.2}", nanos as f64 / 1e6)
 }
 
-fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
+fn report(options: &Options, out: &mut impl Write) -> Result<(), Box<dyn std::error::Error>> {
     // A truncated or corrupt trace (a killed `--profile-trace` run, a partial
     // copy) must die with one clear line naming the file, never a panic or a
     // silent partial report.
@@ -85,16 +86,17 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
 
     if options.dump {
         // Canonical content: what must match across thread counts.
-        print!("{}", trace.canonical_lines());
-        return Ok(());
+        write!(out, "{}", trace.canonical_lines())?;
+        return Ok(out.flush()?);
     }
 
-    println!(
+    writeln!(
+        out,
         "trace `{}`: {} events across {} kinds\n",
         options.trace_path,
         trace.events().len(),
         trace.labels().len()
-    );
+    )?;
     let kinds = kind_breakdown(&trace);
 
     let mut phases = ResultTable::new(
@@ -119,7 +121,7 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             ms(stat.span_max),
         ]);
     }
-    println!("{}", phases.to_markdown());
+    writeln!(out, "{}", phases.to_markdown())?;
 
     let mut hottest = ResultTable::new(
         "Hottest event kinds (simulated cycles)",
@@ -149,13 +151,14 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             stat.span_max.to_string(),
         ]);
     }
-    println!("{}", hottest.to_markdown());
+    writeln!(out, "{}", hottest.to_markdown())?;
     if shown < cycle_kinds.len() {
-        println!(
+        writeln!(
+            out,
             "({} more cycle kinds below the --top {} cut)\n",
             cycle_kinds.len() - shown,
             options.top
-        );
+        )?;
     }
 
     let mut tenants = ResultTable::new(
@@ -170,7 +173,7 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             tenant.span_total.to_string(),
         ]);
     }
-    println!("{}", tenants.to_markdown());
+    writeln!(out, "{}", tenants.to_markdown())?;
 
     let fault_kinds: Vec<_> = kinds
         .iter()
@@ -203,7 +206,7 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
                 stat.span_max.to_string(),
             ]);
         }
-        println!("{}", faults.to_markdown());
+        writeln!(out, "{}", faults.to_markdown())?;
     }
 
     let mut counters = ResultTable::new("Counters", &["Counter", "Value"]);
@@ -211,8 +214,8 @@ fn report(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
         let name = stat.label.strip_prefix("count/").unwrap_or(&stat.label);
         counters.push_row(&[name.to_string(), stat.payload_total.to_string()]);
     }
-    println!("{}", counters.to_markdown());
-    Ok(())
+    writeln!(out, "{}", counters.to_markdown())?;
+    Ok(out.flush()?)
 }
 
 fn main() -> ExitCode {
@@ -224,8 +227,18 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match report(&options) {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    match report(&options, &mut out) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`neummu_profile trace | head`): it has all
+        // it asked for, so stop quietly instead of reporting an error.
+        Err(error)
+            if error
+                .downcast_ref::<std::io::Error>()
+                .is_some_and(|e| e.kind() == ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(error) => {
             eprintln!("error: {error}");
             ExitCode::FAILURE

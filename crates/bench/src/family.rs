@@ -121,10 +121,8 @@ mod tests {
     use super::*;
     use std::fs;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("neummu_family_{tag}_{}", std::process::id()));
-        fs::remove_dir_all(&dir).ok();
-        dir
+    fn temp_dir(tag: &str) -> neummu_testdir::ScratchDir {
+        neummu_testdir::ScratchDir::new(&format!("family-{tag}"))
     }
 
     #[test]
@@ -158,10 +156,6 @@ mod tests {
         assert_eq!(fs::read(out_b.join("fig.csv")).unwrap(), b"c,s,v");
         // Unknown family and different scale stay unjournaled.
         assert!(!restore_family(&store, &family_key("full", "fig"), &mut resumed).unwrap());
-
-        for dir in [&out_a, &out_b, &store_dir] {
-            fs::remove_dir_all(dir).ok();
-        }
     }
 
     #[test]
@@ -178,9 +172,6 @@ mod tests {
 
         let mut resumed = ExperimentArtifacts::new(&out).unwrap();
         assert!(!restore_family(&store, &key, &mut resumed).unwrap());
-
-        fs::remove_dir_all(&out).ok();
-        fs::remove_dir_all(&store_dir).ok();
     }
 
     #[test]
@@ -195,8 +186,5 @@ mod tests {
         let mut resumed = ExperimentArtifacts::new(&out).unwrap();
         assert!(!restore_family(&store, &key, &mut resumed).unwrap());
         assert!(!out.parent().unwrap().join("escape.md").exists());
-
-        fs::remove_dir_all(&out).ok();
-        fs::remove_dir_all(&store_dir).ok();
     }
 }

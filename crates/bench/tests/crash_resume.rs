@@ -11,12 +11,10 @@ use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::time::Duration;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("neummu_crash_resume_{tag}_{}", std::process::id()));
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+use neummu_testdir::ScratchDir;
+
+fn temp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("crash-resume-{tag}"))
 }
 
 fn experiments(args: &[&str]) -> Command {
@@ -103,7 +101,6 @@ fn store_runs_match_the_storeless_baseline_cold_and_warm() {
         ]);
         assert_dirs_identical(&reference, &out, label);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// SIGKILL mid-run, then resume with the same flags: the resumed tree is
@@ -147,5 +144,4 @@ fn killed_runs_resume_to_byte_identical_artifacts() {
             );
         }
     }
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,17 +1,17 @@
 //! `neummu_profile` failure-path regression tests: a truncated, corrupted or
 //! missing trace must exit nonzero with one clear `error:` line naming the
-//! file — never a panic, never a partial report presented as complete.
+//! file — never a panic, never a partial report presented as complete. A
+//! reader that stops early (`neummu_profile trace | head`) must end the run
+//! quietly.
 
-use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "neummu_profile_errors_{tag}_{}",
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+use neummu_trace::{Event, TraceSink};
+
+use neummu_testdir::ScratchDir;
+
+fn temp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("profile-errors-{tag}"))
 }
 
 /// Runs `neummu_profile` on `trace_arg` and asserts the failure contract:
@@ -56,7 +56,6 @@ fn truncated_traces_fail_with_one_clear_line() {
         std::fs::write(&path, &golden[..cut]).unwrap();
         assert_clean_failure(path.to_str().unwrap());
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -69,7 +68,6 @@ fn corrupt_header_fails_with_one_clear_line() {
     let path = dir.join("zeroed.trace");
     std::fs::write(&path, &bytes).unwrap();
     assert_clean_failure(path.to_str().unwrap());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -77,7 +75,6 @@ fn missing_file_fails_with_one_clear_line() {
     let dir = temp_dir("missing");
     let path = dir.join("does-not-exist.trace");
     assert_clean_failure(path.to_str().unwrap());
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The intact golden trace still reports cleanly — the failure paths above
@@ -92,5 +89,43 @@ fn intact_golden_trace_still_reports() {
         .output()
         .expect("spawn neummu_profile");
     assert!(output.status.success());
-    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A reader that closes the pipe before the report is written
+/// (`neummu_profile trace --dump | head`) ends the run with a clean exit and
+/// nothing on stderr, not a "failed printing to stdout" panic.
+#[test]
+fn closed_stdout_pipe_exits_quietly() {
+    let dir = temp_dir("broken-pipe");
+    let path = dir.join("large.trace");
+    // Far more dump output than a pipe buffers, so the writer must hit the
+    // closed pipe whenever the reader goes away.
+    let sink = TraceSink::to_file(&path).unwrap();
+    let kind = sink.kind("engine/page_walk");
+    for i in 0..20_000u64 {
+        sink.emit(Event {
+            kind,
+            asid: 1,
+            start: i,
+            end: i + 7,
+            payload: 1,
+        });
+    }
+    sink.finish().unwrap();
+
+    let mut child = Command::new(env!("CARGO_BIN_EXE_neummu_profile"))
+        .args([path.to_str().unwrap(), "--dump"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn neummu_profile");
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("reap neummu_profile");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        output.status.success(),
+        "exit {:?}, stderr:\n{stderr}",
+        output.status
+    );
+    assert!(stderr.is_empty(), "unexpected stderr:\n{stderr}");
 }

@@ -24,12 +24,11 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use neummu_testdir::ScratchDir;
 use neummu_trace::{Event, TraceSink};
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("neummu_trace_e2e_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    dir
+fn temp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("trace-e2e-{tag}"))
 }
 
 fn run_experiments(args: &[&str]) {
@@ -89,7 +88,6 @@ fn trace_content_is_identical_across_thread_counts() {
             "no `{kind}` events in the trace"
         );
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The fixed synthetic event set behind `tests/golden/smoke.trace`: every
@@ -148,7 +146,6 @@ fn checked_in_smoke_trace_is_reproducible() {
          wire format changed intentionally, bump TRACE_VERSION and regenerate \
          the goldens (see the module docs)"
     );
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `neummu_profile` renders the checked-in smoke trace exactly as the
@@ -168,7 +165,6 @@ fn profile_output_matches_golden() {
     assert_eq!(tables, include_str!("golden/smoke_profile.md"));
     let dump = profile_stdout(&dir, &["smoke.trace", "--dump"]);
     assert_eq!(dump, include_str!("golden/smoke_profile.dump"));
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A trace recorded from a fault-injected run renders the device-fault
@@ -197,7 +193,6 @@ fn faulted_trace_renders_the_fault_section() {
     for kind in ["fault/stuck/recovered", "fault/dropped/hung"] {
         assert!(tables.contains(kind), "no `{kind}` row in the section");
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Regenerates `tests/golden/smoke.trace` and the two golden renderings.

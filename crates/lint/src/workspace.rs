@@ -139,8 +139,7 @@ mod tests {
 
     #[test]
     fn package_name_reads_the_package_section_only() {
-        let dir = std::env::temp_dir().join(format!("neummu_lint_ws_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
+        let dir = neummu_testdir::ScratchDir::new("lint-ws");
         let manifest = dir.join("Cargo.toml");
         fs::write(
             &manifest,
@@ -148,7 +147,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(package_name(&manifest).as_deref(), Some("demo_crate"));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,6 +9,7 @@ use neummu_lint::config::Config;
 use neummu_lint::report::Report;
 use neummu_lint::workspace::SourceFile;
 use neummu_lint::{lint_files, lint_workspace};
+use neummu_testdir::ScratchDir;
 
 fn fixture(name: &str) -> SourceFile {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -186,14 +187,12 @@ fn live_workspace_lints_clean() {
 // ---------------------------------------------------------------------------
 
 struct TempWorkspace {
-    root: PathBuf,
+    root: ScratchDir,
 }
 
 impl TempWorkspace {
     fn new(tag: &str, lib_source: &str, lint_toml: &str) -> Self {
-        let root =
-            std::env::temp_dir().join(format!("neummu_lint_it_{}_{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&root);
+        let root = ScratchDir::new(&format!("lint-it-{tag}"));
         fs::create_dir_all(root.join("src")).unwrap();
         fs::write(
             root.join("Cargo.toml"),
@@ -208,15 +207,9 @@ impl TempWorkspace {
     fn run_lint(&self) -> std::process::Output {
         Command::new(env!("CARGO_BIN_EXE_neummu_lint"))
             .args(["--workspace", "--root"])
-            .arg(&self.root)
+            .arg(self.root.path())
             .output()
             .expect("spawn neummu_lint")
-    }
-}
-
-impl Drop for TempWorkspace {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.root);
     }
 }
 

@@ -421,12 +421,7 @@ mod tests {
 
     #[test]
     fn store_backed_cache_restores_instead_of_resimulating() {
-        let dir = std::env::temp_dir().join(format!(
-            "neummu_oracle_store_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
+        let dir = neummu_testdir::ScratchDir::new("oracle-store");
         let npu = NpuConfig::tpu_like();
 
         // Cold store: the first cache simulates and commits.
@@ -464,7 +459,6 @@ mod tests {
         assert_eq!(*recomputed, *simulated);
         assert_eq!(damaged.simulations(), 1);
         assert_eq!(store.counters().recovered, 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

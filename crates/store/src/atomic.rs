@@ -94,11 +94,8 @@ pub fn clean_stale_temps(dir: impl AsRef<Path>) -> io::Result<u64> {
 mod tests {
     use super::*;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("neummu_store_atomic_{tag}_{}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        dir
+    fn temp_dir(tag: &str) -> neummu_testdir::ScratchDir {
+        neummu_testdir::ScratchDir::new(&format!("store-atomic-{tag}"))
     }
 
     #[test]
@@ -111,7 +108,6 @@ mod tests {
         assert_eq!(fs::read(&path).unwrap(), b"second-longer");
         // No temp debris after successful writes.
         assert_eq!(clean_stale_temps(&dir).unwrap(), 0);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -122,7 +118,6 @@ mod tests {
         assert_eq!(clean_stale_temps(&dir).unwrap(), 1);
         assert_eq!(fs::read(dir.join("slot.bin")).unwrap(), b"committed");
         assert_eq!(fs::read_dir(&dir).unwrap().count(), 1);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

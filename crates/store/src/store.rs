@@ -293,15 +293,10 @@ fn fnv1a64(key: &str) -> u64 {
 mod tests {
     use super::*;
     use crate::fault::FaultPoint;
+    use neummu_testdir::ScratchDir;
 
-    fn temp_store(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "neummu_store_{tag}_{}_{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        fs::remove_dir_all(&dir).ok();
-        dir
+    fn temp_store(tag: &str) -> ScratchDir {
+        ScratchDir::new(&format!("store-{tag}"))
     }
 
     #[test]
@@ -313,7 +308,6 @@ mod tests {
         assert_eq!(store.get("a").as_deref(), Some(b"payload-a".as_ref()));
         let c = store.counters();
         assert_eq!((c.hits, c.misses, c.recovered, c.commits), (1, 1, 0, 1));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -325,7 +319,6 @@ mod tests {
         }
         let store = Store::open(&dir).unwrap();
         assert_eq!(store.get("persist/key").as_deref(), Some(b"42".as_ref()));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -335,7 +328,6 @@ mod tests {
         store.put("k", b"old").unwrap();
         store.put("k", b"new-and-longer").unwrap();
         assert_eq!(store.get("k").as_deref(), Some(b"new-and-longer".as_ref()));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -350,7 +342,6 @@ mod tests {
         assert_eq!(store.counters().misses, 1);
         // The real key is still served.
         assert_eq!(store.get("real-key").as_deref(), Some(b"payload".as_ref()));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -365,7 +356,6 @@ mod tests {
         // Recompute commits again and is served.
         store.put("k", b"payload-bytes").unwrap();
         assert_eq!(store.get("k").as_deref(), Some(b"payload-bytes".as_ref()));
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -376,7 +366,6 @@ mod tests {
         assert!(store.truncate_slot("k", 30).unwrap());
         assert_eq!(store.get("k"), None);
         assert_eq!(store.counters().recovered, 1);
-        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -433,7 +422,6 @@ mod tests {
                 // And the slot can be (re)committed cleanly.
                 recovered.put("k", b"new-value").unwrap();
                 assert_eq!(recovered.get("k").as_deref(), Some(b"new-value".as_ref()));
-                fs::remove_dir_all(&dir).ok();
             }
         }
     }

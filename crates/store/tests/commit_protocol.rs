@@ -6,23 +6,15 @@
 //! committed payload or nothing — never a torn read, never another key's
 //! bytes — and a recompute-and-recommit always restores full service.
 
-use std::fs;
-use std::path::PathBuf;
-
 use proptest::collection;
 use proptest::prelude::*;
 
 use neummu_store::fault::{CommitStep, FaultPlan, FaultPoint};
 use neummu_store::{Store, StoreError};
+use neummu_testdir::ScratchDir;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "neummu_store_proptest_{tag}_{}_{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    fs::remove_dir_all(&dir).ok();
-    dir
+fn temp_dir(tag: &str) -> ScratchDir {
+    ScratchDir::new(&format!("store-proptest-{tag}"))
 }
 
 /// A deterministic key set: the vendored proptest has no string strategies,
@@ -122,8 +114,7 @@ proptest! {
             }
             prop_assert_eq!(recovered.get(key).as_deref(), Some(expected.as_slice()));
         }
-        fs::remove_dir_all(&dir).ok();
-    }
+            }
 
     /// Random bit flips and truncations over committed slots: a lookup
     /// returns the exact committed payload or falls back to recompute —
@@ -164,8 +155,7 @@ proptest! {
                 }
             }
         }
-        fs::remove_dir_all(&dir).ok();
-    }
+            }
 
     /// Committing twice (the resume overlap case: two runs both computed a
     /// key) is idempotent — the slot always serves the deterministic value.
@@ -184,8 +174,7 @@ proptest! {
             store.put(key, &payload).unwrap();
             prop_assert_eq!(store.get(key).as_deref(), Some(payload.as_slice()));
         }
-        fs::remove_dir_all(&dir).ok();
-    }
+            }
 }
 
 /// Exhaustive (non-randomized) sweep: every labeled injection point, with
@@ -232,7 +221,6 @@ fn every_injection_point_with_every_tear_offset_recovers() {
                     recovered.get("matrix-key").as_deref(),
                     Some(payload.as_ref())
                 );
-                fs::remove_dir_all(&dir).ok();
             }
         }
     }
@@ -264,6 +252,5 @@ fn seeded_fault_plans_always_recover() {
                 "seed {seed}"
             );
         }
-        fs::remove_dir_all(&dir).ok();
     }
 }

@@ -139,8 +139,8 @@ mod tests {
     use crate::{Event, TraceSink};
 
     fn demo_trace() -> Trace {
-        let path =
-            std::env::temp_dir().join(format!("neummu_trace_analyze_{}.trace", std::process::id()));
+        let dir = neummu_testdir::ScratchDir::new("trace-analyze");
+        let path = dir.join("demo.trace");
         let sink = TraceSink::to_file(&path).unwrap();
         let walk = sink.kind("engine/page_walk");
         let hit = sink.kind("engine/tlb_hit");
@@ -169,9 +169,7 @@ mod tests {
             payload: 1,
         });
         sink.finish().unwrap();
-        let trace = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        trace
+        Trace::load(&path).unwrap()
     }
 
     #[test]

@@ -202,17 +202,12 @@ use crate::analyze::EventClass;
 mod tests {
     use super::*;
     use crate::TraceSink;
-
-    fn temp_path(tag: &str) -> std::path::PathBuf {
-        std::env::temp_dir().join(format!(
-            "neummu_trace_read_{tag}_{}.trace",
-            std::process::id()
-        ))
-    }
+    use neummu_testdir::ScratchDir;
 
     #[test]
     fn file_roundtrip_preserves_labels_and_events() {
-        let path = temp_path("roundtrip");
+        let dir = ScratchDir::new("trace-read");
+        let path = dir.join("roundtrip.trace");
         let sink = TraceSink::to_file(&path).unwrap();
         let walk = sink.kind("engine/page_walk");
         let wall = sink.kind("wall/job/demo");
@@ -241,12 +236,12 @@ mod tests {
             trace.canonical_lines(),
             "engine/page_walk\t2\t100\t180\t64\n"
         );
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn unfinished_trace_is_rejected() {
-        let path = temp_path("unfinished");
+        let dir = ScratchDir::new("trace-read");
+        let path = dir.join("unfinished.trace");
         let sink = TraceSink::to_file(&path).unwrap();
         sink.emit(Event {
             kind: sink.kind("k"),
@@ -258,12 +253,12 @@ mod tests {
         // No finish(): the header page stays zeroed.
         drop(sink);
         assert!(matches!(Trace::load(&path), Err(TraceError::Format(_))));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn truncated_event_section_is_rejected() {
-        let path = temp_path("truncated");
+        let dir = ScratchDir::new("trace-read");
+        let path = dir.join("truncated.trace");
         let sink = TraceSink::to_file(&path).unwrap();
         let k = sink.kind("k");
         for i in 0..10 {
@@ -282,6 +277,5 @@ mod tests {
             Trace::from_bytes(&bytes),
             Err(TraceError::Format(_))
         ));
-        std::fs::remove_file(&path).ok();
     }
 }

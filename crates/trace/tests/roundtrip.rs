@@ -2,17 +2,10 @@
 //! global-sink path (per-thread buffers draining on thread exit).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 
+use neummu_testdir::ScratchDir;
 use neummu_trace::{Event, KindId, Trace, TraceSink, EVENT_BYTES};
 use proptest::prelude::*;
-
-fn temp_path(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "neummu_trace_prop_{tag}_{}.trace",
-        std::process::id()
-    ))
-}
 
 /// An arbitrary event over a small label universe (kind id fixed up after
 /// interning).
@@ -34,7 +27,8 @@ proptest! {
     /// table reproduces the labels in first-registration order.
     #[test]
     fn file_roundtrip_is_bit_exact(raw in proptest::collection::vec(arb_event(), 0..200)) {
-        let path = temp_path("bitexact");
+        let dir = ScratchDir::new("trace-prop");
+        let path = dir.join("bitexact.trace");
         let sink = TraceSink::to_file(&path).unwrap();
         let labels: Vec<String> = (0..8).map(|i| format!("kind/{i}")).collect();
         let kinds: Vec<KindId> = labels.iter().map(|l| sink.kind(l)).collect();
@@ -48,7 +42,6 @@ proptest! {
         prop_assert_eq!(written, raw.len() as u64);
 
         let trace = Trace::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
         prop_assert_eq!(trace.labels(), &labels[..]);
         prop_assert_eq!(trace.events(), &expected[..]);
     }
@@ -86,7 +79,8 @@ proptest! {
 /// are once-per-process).
 #[test]
 fn global_sink_collects_across_threads() {
-    let path = temp_path("global");
+    let dir = ScratchDir::new("trace-prop");
+    let path = dir.join("global.trace");
     let sink = neummu_trace::install(TraceSink::to_file(&path).unwrap())
         .expect("first install in this process");
     assert!(neummu_trace::enabled());
@@ -123,7 +117,6 @@ fn global_sink_collects_across_threads() {
     assert_eq!(written, 4 * 10_000 + 1);
 
     let trace = Trace::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
     let mut per_asid: BTreeMap<u16, u64> = BTreeMap::new();
     for event in trace.events() {
         *per_asid.entry(event.asid).or_insert(0) += 1;

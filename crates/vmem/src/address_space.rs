@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{PageSize, VirtAddr, VirtPageNum};
+use crate::addr::{PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
 use crate::error::VmemError;
 use crate::frame_alloc::PhysicalMemory;
 use crate::numa::MemNode;
@@ -252,7 +252,10 @@ impl AddressSpace {
         self.next_va = start.add(reserved);
 
         if options.population == Population::Eager {
-            self.populate_range(&segment, 0, size, memory)?;
+            for page in 0..segment.page_count() {
+                let va = start.add(page * options.page_size.bytes());
+                self.map_fresh_page(va, options, memory)?;
+            }
         }
         self.add_segment(segment.clone());
         Ok(segment)
@@ -295,26 +298,18 @@ impl AddressSpace {
         self.segment_order.push(name);
     }
 
-    fn populate_range(
+    /// Backs the unmapped page at `va` (page-aligned for the segment's page
+    /// size) with a fresh page on the segment's node.
+    fn map_fresh_page(
         &mut self,
-        segment: &Segment,
-        from_offset: u64,
-        len: u64,
+        va: VirtAddr,
+        options: SegmentOptions,
         memory: &mut PhysicalMemory,
-    ) -> Result<(), VmemError> {
-        let page_bytes = segment.options.page_size.bytes();
-        let first_page = from_offset / page_bytes;
-        let last_page = (from_offset + len - 1) / page_bytes;
-        for page in first_page..=last_page {
-            let va = segment.start.add(page * page_bytes);
-            if self.page_table.is_mapped(va) {
-                continue;
-            }
-            let pfn = memory.alloc_page(segment.options.node, segment.options.page_size)?;
-            self.page_table
-                .map(va, segment.options.page_size, pfn, segment.options.node)?;
-        }
-        Ok(())
+    ) -> Result<PhysFrameNum, VmemError> {
+        let pfn = memory.alloc_page(options.node, options.page_size)?;
+        self.page_table
+            .map(va, options.page_size, pfn, options.node)?;
+        Ok(pfn)
     }
 
     /// Looks up a segment by name.
@@ -379,14 +374,15 @@ impl AddressSpace {
         if let Ok(t) = self.page_table.translate(va) {
             return Ok(FaultOutcome::AlreadyMapped(t));
         }
-        let segment = self
+        let options = self
             .segment_containing(va)
-            .cloned()
-            .ok_or(VmemError::NotMapped { va })?;
-        let offset = va.offset_from(segment.start());
-        self.populate_range(&segment, offset, 1, memory)?;
-        let translation = self.page_table.translate(va)?;
-        let page_size = segment.options.page_size;
+            .ok_or(VmemError::NotMapped { va })?
+            .options;
+        let page_size = options.page_size;
+        // Segments are 2 MB aligned, so the page base is also the segment's
+        // page boundary.
+        let pfn = self.map_fresh_page(va.page_base(page_size), options, memory)?;
+        let translation = Translation::of(va, pfn, page_size, options.node);
         self.stats.faults += 1;
         self.stats.fault_bytes += page_size.bytes();
         Ok(FaultOutcome::Populated {
@@ -653,6 +649,38 @@ mod tests {
         // Migrating to the current node is a no-op.
         space.migrate_page(va, MemNode::Npu(0), &mut mem).unwrap();
         assert_eq!(space.stats().migrations, 1);
+    }
+
+    #[test]
+    fn migrating_a_2mb_page_frees_exactly_2mib_on_the_source() {
+        let mut mem = memory();
+        let mut space = AddressSpace::new("npu0");
+        let seg = space
+            .alloc_segment(
+                "emb2m",
+                4 << 20,
+                SegmentOptions::new(MemNode::Npu(1), PageSize::Size2M),
+                &mut mem,
+            )
+            .unwrap();
+        let free_before = mem.free_bytes(MemNode::Npu(1)).unwrap();
+        let used_before = mem.used_bytes(MemNode::Npu(1)).unwrap();
+        let old = space
+            .migrate_page(seg.addr_at(3 << 20), MemNode::Npu(0), &mut mem)
+            .unwrap();
+        assert_eq!(old.page_size, PageSize::Size2M);
+        assert_eq!(
+            mem.free_bytes(MemNode::Npu(1)).unwrap(),
+            free_before + (2 << 20)
+        );
+        assert_eq!(
+            mem.used_bytes(MemNode::Npu(1)).unwrap(),
+            used_before - (2 << 20)
+        );
+        assert_eq!(mem.used_bytes(MemNode::Npu(0)).unwrap(), 2 << 20);
+        // The freed page is reused frame by frame, highest frame first.
+        let reused = mem.alloc_frame(MemNode::Npu(1)).unwrap();
+        assert_eq!(reused.raw(), old.pfn.raw() + 511);
     }
 
     #[test]

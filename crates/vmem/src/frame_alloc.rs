@@ -5,8 +5,10 @@
 //! physical-address window and hands out 4 KB frames from it. The allocator is
 //! a simple bump-plus-free-list design: the simulator only needs frame
 //! *identities* and per-node occupancy accounting, not data contents.
-
-use std::collections::HashMap;
+//!
+//! Freed frames are kept as `(first, count)` runs, so freeing a 2 MB page is
+//! one push instead of 512, and reuse hands frames back in exactly the order a
+//! per-frame LIFO stack would.
 
 use serde::{Deserialize, Serialize};
 
@@ -17,6 +19,10 @@ use crate::numa::MemNode;
 /// Size of the physical-address window reserved per node (1 TiB), which keeps
 /// frame numbers from different nodes disjoint and easy to attribute.
 const NODE_WINDOW_BYTES: u64 = 1 << 40;
+
+/// Frames per node window. Window 0 is never assigned; the node declared at
+/// index `i` owns window `i + 1`.
+const WINDOW_FRAMES: u64 = NODE_WINDOW_BYTES >> PAGE_SHIFT_4K;
 
 /// Describes the capacity of one memory node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,8 +52,12 @@ struct NodeState {
     capacity_frames: u64,
     /// Next never-allocated frame (bump pointer, relative to `base_frame`).
     bump: u64,
-    /// Frames that were freed and can be reused (single-frame granularity).
-    free_list: Vec<u64>,
+    /// Freed frames as `(first, count)` runs relative to `base_frame`, never
+    /// empty. The last run is reused first, highest frame first: the same
+    /// sequence a stack of single frames pushed in ascending order pops.
+    free_runs: Vec<(u64, u64)>,
+    /// Total frames held in `free_runs`.
+    free_frames: u64,
     /// Currently allocated frame count.
     allocated: u64,
     /// High-water mark of allocated frames.
@@ -57,7 +67,8 @@ struct NodeState {
 /// The system's physical memory: a set of NUMA nodes with frame allocators.
 #[derive(Debug, Clone)]
 pub struct PhysicalMemory {
-    nodes: HashMap<MemNode, NodeState>,
+    /// Node states in declaration order, parallel to `node_order`.
+    nodes: Vec<NodeState>,
     node_order: Vec<MemNode>,
 }
 
@@ -70,8 +81,8 @@ impl PhysicalMemory {
     /// 1 TiB per-node window.
     #[must_use]
     pub fn new(specs: &[NodeSpec]) -> Self {
-        let mut nodes = HashMap::new();
-        let mut node_order = Vec::new();
+        let mut nodes = Vec::with_capacity(specs.len());
+        let mut node_order = Vec::with_capacity(specs.len());
         for (i, spec) in specs.iter().enumerate() {
             assert!(
                 spec.capacity_bytes <= NODE_WINDOW_BYTES,
@@ -79,19 +90,20 @@ impl PhysicalMemory {
                 spec.node,
                 spec.capacity_bytes
             );
-            let base_frame = (i as u64 + 1) * (NODE_WINDOW_BYTES >> PAGE_SHIFT_4K);
-            let prev = nodes.insert(
-                spec.node,
-                NodeState {
-                    base_frame,
-                    capacity_frames: spec.capacity_bytes >> PAGE_SHIFT_4K,
-                    bump: 0,
-                    free_list: Vec::new(),
-                    allocated: 0,
-                    peak_allocated: 0,
-                },
+            assert!(
+                !node_order.contains(&spec.node),
+                "node {} specified twice",
+                spec.node
             );
-            assert!(prev.is_none(), "node {} specified twice", spec.node);
+            nodes.push(NodeState {
+                base_frame: (i as u64 + 1) * WINDOW_FRAMES,
+                capacity_frames: spec.capacity_bytes >> PAGE_SHIFT_4K,
+                bump: 0,
+                free_runs: Vec::new(),
+                free_frames: 0,
+                allocated: 0,
+                peak_allocated: 0,
+            });
             node_order.push(spec.node);
         }
         PhysicalMemory { nodes, node_order }
@@ -115,14 +127,33 @@ impl PhysicalMemory {
         &self.node_order
     }
 
-    fn node_mut(&mut self, node: MemNode) -> Result<&mut NodeState, VmemError> {
-        self.nodes
-            .get_mut(&node)
+    /// Index of `node` in declaration order: a scan of at most a handful of
+    /// nodes, cheaper than hashing the key.
+    fn index_of(&self, node: MemNode) -> Result<usize, VmemError> {
+        self.node_order
+            .iter()
+            .position(|&n| n == node)
             .ok_or(VmemError::UnknownNode { node })
     }
 
+    fn node_mut(&mut self, node: MemNode) -> Result<&mut NodeState, VmemError> {
+        let i = self.index_of(node)?;
+        Ok(&mut self.nodes[i])
+    }
+
     fn node_ref(&self, node: MemNode) -> Result<&NodeState, VmemError> {
-        self.nodes.get(&node).ok_or(VmemError::UnknownNode { node })
+        Ok(&self.nodes[self.index_of(node)?])
+    }
+
+    /// Index of the node whose window holds `frame`.
+    fn window_of(&self, frame: u64) -> Result<usize, VmemError> {
+        (frame / WINDOW_FRAMES)
+            .checked_sub(1)
+            .filter(|&i| i < self.nodes.len() as u64)
+            .map(|i| i as usize)
+            .ok_or(VmemError::UnknownNode {
+                node: MemNode::Host,
+            })
     }
 
     /// Allocates a single 4 KB frame on `node`.
@@ -133,7 +164,13 @@ impl PhysicalMemory {
     /// [`VmemError::UnknownNode`] if the node is not configured.
     pub fn alloc_frame(&mut self, node: MemNode) -> Result<PhysFrameNum, VmemError> {
         let state = self.node_mut(node)?;
-        let frame = if let Some(f) = state.free_list.pop() {
+        let frame = if let Some(run) = state.free_runs.last_mut() {
+            run.1 -= 1;
+            let f = run.0 + run.1;
+            if run.1 == 0 {
+                state.free_runs.pop();
+            }
+            state.free_frames -= 1;
             f
         } else if state.bump < state.capacity_frames {
             let f = state.bump;
@@ -201,11 +238,7 @@ impl PhysicalMemory {
     /// Returns [`VmemError::UnknownNode`] if the frame does not belong to any
     /// configured node.
     pub fn free_frame(&mut self, frame: PhysFrameNum) -> Result<(), VmemError> {
-        let node = self.owner_of(frame)?;
-        let state = self.node_mut(node)?;
-        state.free_list.push(frame.raw() - state.base_frame);
-        state.allocated = state.allocated.saturating_sub(1);
-        Ok(())
+        self.free_run(frame.raw(), 1)
     }
 
     /// Frees all frames of one page of the given size starting at `first`.
@@ -215,9 +248,30 @@ impl PhysicalMemory {
     /// Returns [`VmemError::UnknownNode`] if a frame does not belong to any
     /// configured node.
     pub fn free_page(&mut self, first: PhysFrameNum, page_size: PageSize) -> Result<(), VmemError> {
-        let frames = page_size.bytes() >> PAGE_SHIFT_4K;
-        for i in 0..frames {
-            self.free_frame(PhysFrameNum::new(first.raw() + i))?;
+        self.free_run(first.raw(), page_size.bytes() >> PAGE_SHIFT_4K)
+    }
+
+    /// Frees `count` frames starting at `first`, one run per node window the
+    /// range touches (one in practice: allocations never straddle a window).
+    /// Frames before the first one outside every window stay freed, exactly
+    /// as if the frames had been freed one at a time in ascending order.
+    fn free_run(&mut self, first: u64, count: u64) -> Result<(), VmemError> {
+        let end = first + count;
+        let mut frame = first;
+        while frame < end {
+            let i = self.window_of(frame)?;
+            let state = &mut self.nodes[i];
+            let run_end = end.min(state.base_frame + WINDOW_FRAMES);
+            let (start, len) = (frame - state.base_frame, run_end - frame);
+            match state.free_runs.last_mut() {
+                // Extending the top run keeps the LIFO order: its new frames
+                // sit above the old ones and are handed out first.
+                Some(top) if top.0 + top.1 == start => top.1 += len,
+                _ => state.free_runs.push((start, len)),
+            }
+            state.free_frames += len;
+            state.allocated = state.allocated.saturating_sub(len);
+            frame = run_end;
         }
         Ok(())
     }
@@ -229,20 +283,7 @@ impl PhysicalMemory {
     /// Returns [`VmemError::UnknownNode`] if the frame lies outside every
     /// configured node window.
     pub fn owner_of(&self, frame: PhysFrameNum) -> Result<MemNode, VmemError> {
-        let frames_per_window = NODE_WINDOW_BYTES >> PAGE_SHIFT_4K;
-        // Walk the declaration-order node list, not the map: the windows are
-        // disjoint so at most one node matches either way, but iterating the
-        // map would be a hash-order traversal for the linter to prove benign.
-        for node in &self.node_order {
-            let state = &self.nodes[node];
-            if frame.raw() >= state.base_frame && frame.raw() < state.base_frame + frames_per_window
-            {
-                return Ok(*node);
-            }
-        }
-        Err(VmemError::UnknownNode {
-            node: MemNode::Host,
-        })
+        Ok(self.node_order[self.window_of(frame.raw())?])
     }
 
     /// Number of bytes currently allocated on `node`.
@@ -279,8 +320,7 @@ impl PhysicalMemory {
     /// Returns [`VmemError::UnknownNode`] if the node is not configured.
     pub fn free_bytes(&self, node: MemNode) -> Result<u64, VmemError> {
         let state = self.node_ref(node)?;
-        let free_frames = state.capacity_frames - state.bump + state.free_list.len() as u64;
-        Ok(free_frames << PAGE_SHIFT_4K)
+        Ok((state.capacity_frames - state.bump + state.free_frames) << PAGE_SHIFT_4K)
     }
 }
 

@@ -131,6 +131,18 @@ pub struct Translation {
     pub node: MemNode,
 }
 
+impl Translation {
+    /// The translation of `va` through a leaf mapping its page to `pfn`.
+    pub(crate) fn of(va: VirtAddr, pfn: PhysFrameNum, page_size: PageSize, node: MemNode) -> Self {
+        Translation {
+            pa: PhysAddr::new(pfn.base_addr().raw() + va.page_offset(page_size)),
+            pfn,
+            page_size,
+            node,
+        }
+    }
+}
+
 /// What a walk found at one level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkLevel {
@@ -444,8 +456,6 @@ impl PageTable {
                     node,
                     page_size,
                 }) => {
-                    let offset = va.page_offset(page_size);
-                    let pa = PhysAddr::new(pfn.base_addr().raw() + offset);
                     return WalkProbe {
                         va,
                         last_step: WalkStep {
@@ -454,12 +464,7 @@ impl PageTable {
                             index,
                             outcome: WalkLevel::Leaf { page_size },
                         },
-                        translation: Some(Translation {
-                            pa,
-                            pfn,
-                            page_size,
-                            node,
-                        }),
+                        translation: Some(Translation::of(va, pfn, page_size, node)),
                     };
                 }
                 None => {
@@ -511,17 +516,10 @@ impl PageTable {
                         index,
                         outcome: WalkLevel::Leaf { page_size },
                     });
-                    let offset = va.page_offset(page_size);
-                    let pa = PhysAddr::new(pfn.base_addr().raw() + offset);
                     return WalkPath {
                         va,
                         steps,
-                        translation: Some(Translation {
-                            pa,
-                            pfn,
-                            page_size,
-                            node,
-                        }),
+                        translation: Some(Translation::of(va, pfn, page_size, node)),
                     };
                 }
                 None => {

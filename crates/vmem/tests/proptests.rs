@@ -208,3 +208,180 @@ proptest! {
         prop_assert_eq!(after.node, MemNode::Npu(0));
     }
 }
+
+/// Frames per 1 TiB node window: the node declared at index `i` owns window
+/// `i + 1`, so its frame ids start at `(i + 1) * WINDOW_FRAMES`.
+const WINDOW_FRAMES: u64 = 1 << 28;
+
+/// One node of the per-frame reference allocator.
+struct RefNode {
+    node: MemNode,
+    capacity: u64,
+    bump: u64,
+    /// Freed frames, one entry per 4 KB frame, reused last-in first-out.
+    free: Vec<u64>,
+    allocated: u64,
+    peak: u64,
+}
+
+/// The allocator as it was before free frames were kept as runs: a bump
+/// pointer plus a per-frame LIFO free stack per node. [`PhysicalMemory`] must
+/// reproduce it exactly.
+struct RefMemory {
+    nodes: Vec<RefNode>,
+}
+
+impl RefMemory {
+    fn new(specs: &[NodeSpec]) -> Self {
+        let nodes = specs
+            .iter()
+            .map(|s| RefNode {
+                node: s.node,
+                capacity: s.capacity_bytes / 4096,
+                bump: 0,
+                free: Vec::new(),
+                allocated: 0,
+                peak: 0,
+            })
+            .collect();
+        RefMemory { nodes }
+    }
+
+    fn index(&self, node: MemNode) -> Result<usize, VmemError> {
+        self.nodes
+            .iter()
+            .position(|n| n.node == node)
+            .ok_or(VmemError::UnknownNode { node })
+    }
+
+    fn alloc(&mut self, node: MemNode, count: u64) -> Result<PhysFrameNum, VmemError> {
+        let i = self.index(node)?;
+        let n = &mut self.nodes[i];
+        let oom = VmemError::OutOfMemory {
+            node,
+            frames_requested: count,
+        };
+        let frame = if count == 1 {
+            match n.free.pop() {
+                Some(f) => f,
+                None if n.bump < n.capacity => {
+                    n.bump += 1;
+                    n.bump - 1
+                }
+                None => return Err(oom),
+            }
+        } else if n.bump + count <= n.capacity {
+            n.bump += count;
+            n.bump - count
+        } else {
+            return Err(oom);
+        };
+        n.allocated += count;
+        n.peak = n.peak.max(n.allocated);
+        Ok(PhysFrameNum::new((i as u64 + 1) * WINDOW_FRAMES + frame))
+    }
+
+    fn free(&mut self, first: PhysFrameNum, count: u64) -> Result<(), VmemError> {
+        for f in first.raw()..first.raw() + count {
+            let i = (f / WINDOW_FRAMES)
+                .checked_sub(1)
+                .filter(|&i| i < self.nodes.len() as u64)
+                .ok_or(VmemError::UnknownNode {
+                    node: MemNode::Host,
+                })? as usize;
+            let n = &mut self.nodes[i];
+            n.free.push(f - (i as u64 + 1) * WINDOW_FRAMES);
+            n.allocated = n.allocated.saturating_sub(1);
+        }
+        Ok(())
+    }
+
+    fn used_bytes(&self, node: MemNode) -> Result<u64, VmemError> {
+        Ok(self.nodes[self.index(node)?].allocated * 4096)
+    }
+
+    fn peak_bytes(&self, node: MemNode) -> Result<u64, VmemError> {
+        Ok(self.nodes[self.index(node)?].peak * 4096)
+    }
+
+    fn free_bytes(&self, node: MemNode) -> Result<u64, VmemError> {
+        let n = &self.nodes[self.index(node)?];
+        Ok((n.capacity - n.bump + n.free.len() as u64) * 4096)
+    }
+}
+
+proptest! {
+    /// The run-based allocator hands out exactly the frames, reports exactly
+    /// the occupancy and fails with exactly the errors of the per-frame
+    /// reference, over random interleavings of 4 KB and 2 MB allocations and
+    /// frees across several nodes (plus an unconfigured node and frames
+    /// outside every window). After every step, `used + free == capacity`
+    /// on each node: allocated frames plus free-list frames equal the bump
+    /// pointer.
+    #[test]
+    fn run_free_list_matches_per_frame_reference(
+        ops in prop::collection::vec((0u32..6, 0usize..4, 0usize..1 << 16), 1..160),
+    ) {
+        let specs = [
+            NodeSpec::new(MemNode::Host, (4 << 20) + 3 * 4096),
+            NodeSpec::new(MemNode::Npu(0), (2 << 20) + 4096),
+            NodeSpec::new(MemNode::Npu(1), 16 * 4096),
+        ];
+        let all_nodes = [MemNode::Host, MemNode::Npu(0), MemNode::Npu(1), MemNode::Npu(9)];
+        let mut mem = PhysicalMemory::new(&specs);
+        let mut reference = RefMemory::new(&specs);
+        // Live pages as (first frame, page size), freed at most once.
+        let mut live: Vec<(PhysFrameNum, PageSize)> = Vec::new();
+        for &(kind, node_pick, pick) in &ops {
+            let node = all_nodes[node_pick];
+            match kind {
+                0..=2 => {
+                    let (got, want) = match kind {
+                        0 => (mem.alloc_frame(node), reference.alloc(node, 1)),
+                        1 => (mem.alloc_page(node, PageSize::Size4K), reference.alloc(node, 1)),
+                        _ => (mem.alloc_page(node, PageSize::Size2M), reference.alloc(node, 512)),
+                    };
+                    prop_assert_eq!(&got, &want);
+                    if let Ok(frame) = got {
+                        let size = if kind == 2 { PageSize::Size2M } else { PageSize::Size4K };
+                        live.push((frame, size));
+                    }
+                }
+                3 | 4 if !live.is_empty() => {
+                    let (first, size) = live.swap_remove(pick % live.len());
+                    let frames = size.bytes() / 4096;
+                    let got = if kind == 3 && size == PageSize::Size4K {
+                        mem.free_frame(first)
+                    } else {
+                        mem.free_page(first, size)
+                    };
+                    prop_assert_eq!(got, reference.free(first, frames));
+                }
+                _ => {
+                    // A frame in the unassigned window 0 or past the last
+                    // node's window: rejected, nothing freed.
+                    let bogus = if pick % 2 == 0 { pick as u64 } else { 4 * WINDOW_FRAMES + pick as u64 };
+                    prop_assert_eq!(
+                        mem.free_page(PhysFrameNum::new(bogus), PageSize::Size2M),
+                        reference.free(PhysFrameNum::new(bogus), 512)
+                    );
+                    prop_assert_eq!(
+                        mem.free_frame(PhysFrameNum::new(bogus)),
+                        reference.free(PhysFrameNum::new(bogus), 1)
+                    );
+                }
+            }
+            for node in all_nodes {
+                prop_assert_eq!(mem.used_bytes(node), reference.used_bytes(node));
+                prop_assert_eq!(mem.free_bytes(node), reference.free_bytes(node));
+                prop_assert_eq!(mem.peak_bytes(node), reference.peak_bytes(node));
+                if let Ok(capacity) = mem.capacity_bytes(node) {
+                    prop_assert_eq!(
+                        mem.used_bytes(node).unwrap() + mem.free_bytes(node).unwrap(),
+                        capacity
+                    );
+                }
+            }
+        }
+    }
+}
