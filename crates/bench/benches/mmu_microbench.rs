@@ -159,6 +159,35 @@ fn bench_vmem_paging(c: &mut Criterion) {
     group.finish();
 }
 
+/// Eager segment set-up: the page-table build every dense, multi-tenant and
+/// serving simulation starts with. Each call maps one segment into a fresh
+/// address space, so every interior and leaf table is built from scratch.
+fn bench_vmem_eager_build(c: &mut Criterion) {
+    let mut group = c.benchmark_group("vmem");
+    for (name, page_size, pages) in [
+        ("alloc_segment_eager_4k", PageSize::Size4K, 16_384u64),
+        ("alloc_segment_eager_2m", PageSize::Size2M, 1_024),
+    ] {
+        group.throughput(Throughput::Elements(pages));
+        group.bench_function(name, |b| {
+            b.iter(|| {
+                let mut memory = PhysicalMemory::with_npus(1, 4 << 30);
+                let mut space = AddressSpace::new("bench");
+                space
+                    .alloc_segment(
+                        "eager",
+                        black_box(pages * page_size.bytes()),
+                        SegmentOptions::new(MemNode::Npu(0), page_size),
+                        &mut memory,
+                    )
+                    .unwrap();
+                space.page_table().stats().tables
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_oracle_translator(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle");
     group.warm_up_time(Duration::from_millis(500));
@@ -429,6 +458,7 @@ criterion_group!(
     bench_tlb,
     bench_page_table,
     bench_vmem_paging,
+    bench_vmem_eager_build,
     bench_oracle_translator,
     bench_walker_pool,
     bench_mmu_caches,

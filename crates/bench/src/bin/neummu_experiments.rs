@@ -14,7 +14,8 @@
 //!   (`table1`, `fig06`, `fig07`, `fig08`, `fig10`, `fig11`, `fig12a`,
 //!   `fig12b`, `fig13`, `fig14`, `mmu_cache`, `summary`, `largepage`,
 //!   `spatial`, `sensitivity`, `fig15`, `fig16`, `multitenant`, `serving`,
-//!   `resilience`).
+//!   `resilience`). An unknown id is an error: the run exits nonzero before
+//!   simulating anything, with one line listing the valid ids.
 //! * `--threads` sets the worker-thread count of the experiment runner
 //!   (default: the machine's available parallelism; `1` forces the serial
 //!   reference schedule). Artifacts are byte-identical for every thread
@@ -53,6 +54,31 @@ use neummu_sim::ExperimentRunner;
 use neummu_store::Store;
 use neummu_workloads::WorkloadId;
 
+/// Every experiment family id, in run order: the ids `--only` accepts and
+/// the only ids the `wants` gates may ask about.
+const FAMILIES: &[&str] = &[
+    "table1",
+    "fig06",
+    "fig07",
+    "fig08",
+    "fig10",
+    "fig11",
+    "fig12a",
+    "fig12b",
+    "fig13",
+    "fig14",
+    "mmu_cache",
+    "summary",
+    "largepage",
+    "spatial",
+    "sensitivity",
+    "fig15",
+    "fig16",
+    "multitenant",
+    "serving",
+    "resilience",
+];
+
 struct Options {
     scale: ExperimentScale,
     out_dir: String,
@@ -80,7 +106,14 @@ fn parse_args() -> Result<Options, String> {
                 let list = args
                     .next()
                     .ok_or("--only requires a comma-separated list")?;
-                only = Some(list.split(',').map(|s| s.trim().to_string()).collect());
+                let ids: BTreeSet<String> = list.split(',').map(|s| s.trim().to_string()).collect();
+                if let Some(bad) = ids.iter().find(|id| !FAMILIES.contains(&id.as_str())) {
+                    return Err(format!(
+                        "unknown experiment id `{bad}` in --only; valid ids: {}",
+                        FAMILIES.join(", ")
+                    ));
+                }
+                only = Some(ids);
             }
             "--threads" => {
                 let value = args.next().ok_or("--threads requires a count argument")?;
@@ -120,6 +153,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn wants(options: &Options, id: &str) -> bool {
+    debug_assert!(FAMILIES.contains(&id), "`{id}` is missing from FAMILIES");
     options.only.as_ref().is_none_or(|set| set.contains(id))
 }
 

@@ -243,7 +243,8 @@ impl WalkerPool {
                 .take()
                 .expect("heap entries always reference live walks");
             self.free_slots.push(entry.walk_slot);
-            if !walk.flushed {
+            // The PTS only holds walks when merging is on (see enqueue_walk).
+            if self.prmb_slots > 0 && !walk.flushed {
                 self.pts.remove(&(walk.asid, walk.page_number));
             }
             if walk.quarantine_until > 0 {
@@ -525,11 +526,14 @@ impl WalkerPool {
     /// translations never fill the TLB. Returns the number of walks
     /// discarded.
     pub fn flush_asid(&mut self, asid: Asid) -> usize {
+        let merging = self.prmb_slots > 0;
         let WalkerPool { walks, pts, .. } = self;
         let mut discarded = 0;
         for walk in walks.iter_mut().flatten() {
             if walk.asid == asid && !walk.flushed {
-                pts.remove(&(walk.asid, walk.page_number));
+                if merging {
+                    pts.remove(&(walk.asid, walk.page_number));
+                }
                 walk.mapped = false;
                 walk.flushed = true;
                 discarded += 1;

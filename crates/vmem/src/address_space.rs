@@ -11,7 +11,7 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{PageSize, PhysFrameNum, VirtAddr, VirtPageNum};
+use crate::addr::{PageSize, VirtAddr, VirtPageNum};
 use crate::error::VmemError;
 use crate::frame_alloc::PhysicalMemory;
 use crate::numa::MemNode;
@@ -218,14 +218,16 @@ impl AddressSpace {
     /// Allocates a named segment of `size` bytes.
     ///
     /// Segments are 2 MB aligned so that large-page and small-page segments
-    /// never share a 2 MB region. Eager segments are fully mapped immediately,
-    /// drawing frames from `memory`; lazy segments are mapped on first touch.
+    /// never share a 2 MB region. Eager segments are fully mapped immediately
+    /// by one [`PageTable::map_pages`] call, drawing frames from `memory`;
+    /// lazy segments are mapped on first touch.
     ///
     /// # Errors
     ///
     /// * [`VmemError::EmptySegment`] for a zero-sized request.
     /// * [`VmemError::SegmentExists`] if the name is already in use.
-    /// * Frame-allocation errors for eager segments.
+    /// * Frame-allocation errors for eager segments. The segment is not
+    ///   registered, but the pages mapped before the failing one stay mapped.
     pub fn alloc_segment(
         &mut self,
         name: impl Into<String>,
@@ -252,10 +254,13 @@ impl AddressSpace {
         self.next_va = start.add(reserved);
 
         if options.population == Population::Eager {
-            for page in 0..segment.page_count() {
-                let va = start.add(page * options.page_size.bytes());
-                self.map_fresh_page(va, options, memory)?;
-            }
+            let SegmentOptions {
+                node, page_size, ..
+            } = options;
+            self.page_table
+                .map_pages(start, page_size, segment.page_count(), node, || {
+                    memory.alloc_page(node, page_size)
+                })?;
         }
         self.add_segment(segment.clone());
         Ok(segment)
@@ -296,20 +301,6 @@ impl AddressSpace {
         self.by_base.insert(at, (segment.start.raw(), name.clone()));
         self.segments.insert(name.clone(), segment);
         self.segment_order.push(name);
-    }
-
-    /// Backs the unmapped page at `va` (page-aligned for the segment's page
-    /// size) with a fresh page on the segment's node.
-    fn map_fresh_page(
-        &mut self,
-        va: VirtAddr,
-        options: SegmentOptions,
-        memory: &mut PhysicalMemory,
-    ) -> Result<PhysFrameNum, VmemError> {
-        let pfn = memory.alloc_page(options.node, options.page_size)?;
-        self.page_table
-            .map(va, options.page_size, pfn, options.node)?;
-        Ok(pfn)
     }
 
     /// Looks up a segment by name.
@@ -374,15 +365,18 @@ impl AddressSpace {
         if let Ok(t) = self.page_table.translate(va) {
             return Ok(FaultOutcome::AlreadyMapped(t));
         }
-        let options = self
+        let SegmentOptions {
+            node, page_size, ..
+        } = self
             .segment_containing(va)
             .ok_or(VmemError::NotMapped { va })?
             .options;
-        let page_size = options.page_size;
         // Segments are 2 MB aligned, so the page base is also the segment's
         // page boundary.
-        let pfn = self.map_fresh_page(va.page_base(page_size), options, memory)?;
-        let translation = Translation::of(va, pfn, page_size, options.node);
+        let pfn = memory.alloc_page(node, page_size)?;
+        self.page_table
+            .map(va.page_base(page_size), page_size, pfn, node)?;
+        let translation = Translation::of(va, pfn, page_size, node);
         self.stats.faults += 1;
         self.stats.fault_bytes += page_size.bytes();
         Ok(FaultOutcome::Populated {
@@ -681,6 +675,31 @@ mod tests {
         // The freed page is reused frame by frame, highest frame first.
         let reused = mem.alloc_frame(MemNode::Npu(1)).unwrap();
         assert_eq!(reused.raw(), old.pfn.raw() + 511);
+    }
+
+    #[test]
+    fn eager_segment_out_of_memory_keeps_the_mapped_prefix() {
+        let mut mem = PhysicalMemory::new(&[crate::frame_alloc::NodeSpec::new(
+            MemNode::Npu(0),
+            600 * 4096,
+        )]);
+        let mut space = AddressSpace::new("npu0");
+        let err = space
+            .alloc_segment(
+                "big",
+                1000 * 4096,
+                SegmentOptions::new(MemNode::Npu(0), PageSize::Size4K),
+                &mut mem,
+            )
+            .unwrap_err();
+        assert!(matches!(err, VmemError::OutOfMemory { .. }));
+        assert!(space.segment("big").is_none());
+        // The 600 pages that got frames stay mapped, across two leaf tables.
+        assert_eq!(space.page_table().stats().leaf_4k, 600);
+        let start = VirtAddr::new(SEGMENT_BASE);
+        assert!(space.is_mapped(start.add(599 * 4096)));
+        assert!(!space.is_mapped(start.add(600 * 4096)));
+        assert_eq!(mem.free_bytes(MemNode::Npu(0)).unwrap(), 0);
     }
 
     #[test]

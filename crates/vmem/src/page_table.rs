@@ -12,6 +12,14 @@
 //! keeps the model practical even for the multi-hundred-GB embedding tables of
 //! Section V while preserving the radix-tree structure exactly.
 //!
+//! The table is built one leaf table at a time. [`PageTable::map_pages`]
+//! maps a run of pages with one descent from the root per leaf table (an L1
+//! node holds 512 4 KB entries, an L2 node 512 2 MB entries), reserves the
+//! leaf's entries once and appends them in ascending index order.
+//! [`PageTable::map`] is its one-page case, so there is one mapping
+//! implementation; a run leaves exactly the table, frames and errors that
+//! mapping its pages one at a time would.
+//!
 //! Two query paths exist. [`PageTable::walk`] records every entry access as a
 //! [`WalkPath`] — an allocating trace used by tests, inspection tooling and
 //! the MMU-cache studies. [`PageTable::probe`] performs the same traversal but
@@ -25,7 +33,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::addr::{
     PageSize, PathTag, PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum, WalkIndexLevel,
-    PAGE_SHIFT_2M, PAGE_SHIFT_4K,
+    ENTRIES_PER_TABLE, PAGE_SHIFT_2M, PAGE_SHIFT_4K,
 };
 use crate::error::VmemError;
 use crate::numa::MemNode;
@@ -93,7 +101,16 @@ impl TableNode {
     }
 
     /// Inserts `entry` at `index`; returns `false` if the index is occupied.
+    ///
+    /// Tables are built in ascending index order, so the common case appends
+    /// past the last entry; the binary-search insert only runs when the node
+    /// already holds a later index.
+    #[inline]
     fn try_insert(&mut self, index: u16, entry: Entry) -> bool {
+        if self.entries.last().is_none_or(|&(last, _)| last < index) {
+            self.entries.push((index, entry));
+            return true;
+        }
         match self.slot_of(index) {
             Ok(_) => false,
             Err(slot) => {
@@ -312,9 +329,10 @@ impl PageTable {
     }
 
     /// Stamp of the table's *mapped-ness* state: re-drawn (from a process-wide
-    /// unique source) on every successful [`PageTable::map`] and
-    /// [`PageTable::unmap`], and untouched by [`PageTable::remap`] (migration
-    /// changes the backing frame/node but not whether an address is mapped).
+    /// unique source) on every [`PageTable::map_pages`] call that maps at
+    /// least one page and every successful [`PageTable::unmap`], and
+    /// untouched by [`PageTable::remap`] (migration changes the backing
+    /// frame/node but not whether an address is mapped).
     /// A cheap, sound version stamp for mapped-ness memos: equal revisions
     /// guarantee identical `is_mapped` answers for every address — across
     /// tables too, since stamps are never reused (a clone shares its
@@ -335,7 +353,8 @@ impl PageTable {
     }
 
     /// Maps one page of the given size starting at `va` to the frame(s)
-    /// beginning at `pfn` on `node`.
+    /// beginning at `pfn` on `node`: the one-page case of
+    /// [`PageTable::map_pages`].
     ///
     /// # Errors
     ///
@@ -348,36 +367,111 @@ impl PageTable {
         pfn: PhysFrameNum,
         node: MemNode,
     ) -> Result<(), VmemError> {
+        self.map_pages(va, page_size, 1, node, || Ok(pfn))
+    }
+
+    /// Maps `count` consecutive pages of `page_size` starting at `va` on
+    /// `node`, drawing each page's first frame from `next_frame`.
+    ///
+    /// The run is built one leaf table at a time (512 4 KB entries in an L1
+    /// node, 512 2 MB entries in an L2 node): one descent from the root per
+    /// leaf table, one reservation of the leaf's entries, then appends in
+    /// ascending index order. The result is exactly that of mapping the pages
+    /// one by one, drawing each frame just before its page is mapped: the same
+    /// frames, the same interior nodes allocated in the same order (so
+    /// [`TableId`]s match), and on an error the same failing page, with every
+    /// page before it left mapped. The revision is redrawn once per call if
+    /// at least one page was mapped.
+    ///
+    /// # Errors
+    ///
+    /// * [`VmemError::MisalignedMapping`] if `va` is not aligned to
+    ///   `page_size` (checked before any frame is drawn).
+    /// * [`VmemError::AlreadyMapped`] at the first page whose entry is
+    ///   occupied or that lies under an existing larger leaf.
+    /// * Any error of `next_frame`, returned at the page it failed for.
+    pub fn map_pages(
+        &mut self,
+        va: VirtAddr,
+        page_size: PageSize,
+        count: u64,
+        node: MemNode,
+        mut next_frame: impl FnMut() -> Result<PhysFrameNum, VmemError>,
+    ) -> Result<(), VmemError> {
         if !va.is_aligned(page_size) {
             return Err(VmemError::MisalignedMapping { va, page_size });
         }
-        // Descend, allocating interior nodes, down to the level that holds the leaf.
+        let leaves = |stats: PageTableStats| stats.leaf_4k + stats.leaf_2m;
+        let before = leaves(self.stats);
+        let result = self.map_leaf_runs(va, page_size, count, node, &mut next_frame);
+        if leaves(self.stats) != before {
+            self.revision = fresh_revision();
+        }
+        result
+    }
+
+    /// The body of [`PageTable::map_pages`] for an aligned `va`.
+    fn map_leaf_runs(
+        &mut self,
+        va: VirtAddr,
+        page_size: PageSize,
+        count: u64,
+        node: MemNode,
+        next_frame: &mut impl FnMut() -> Result<PhysFrameNum, VmemError>,
+    ) -> Result<(), VmemError> {
         let leaf_level = match page_size {
             PageSize::Size4K => WalkIndexLevel::L1,
             PageSize::Size2M => WalkIndexLevel::L2,
         };
-        let mut current = Self::ROOT;
-        for level in WalkIndexLevel::WALK_ORDER {
-            let index = va.level_index(level);
-            if level == leaf_level {
-                let inserted = self.nodes[current.0 as usize].try_insert(
-                    index,
-                    Entry::Leaf {
-                        pfn,
-                        node,
-                        page_size,
-                    },
-                );
-                if !inserted {
-                    return Err(VmemError::AlreadyMapped { vpn: va.vpn() });
+        let mut page = 0;
+        while page < count {
+            let run_va = va.add(page * page_size.bytes());
+            let first_index = run_va.level_index(leaf_level);
+            let run = (count - page).min((ENTRIES_PER_TABLE - usize::from(first_index)) as u64);
+            // The first frame is drawn before the descent, as a lone `map`
+            // caller would: a failed draw allocates no interior node.
+            let mut pfn = next_frame()?;
+            let leaf = self.descend(run_va, leaf_level)?;
+            let table = &mut self.nodes[leaf.0 as usize];
+            // Exact on a fresh leaf; amortized on one that already holds
+            // entries, so one-page maps (demand paging) keep doubling.
+            table.entries.reserve(run as usize);
+            for i in 0..run {
+                if i > 0 {
+                    pfn = next_frame()?;
+                }
+                let entry = Entry::Leaf {
+                    pfn,
+                    node,
+                    page_size,
+                };
+                if !table.try_insert(first_index + i as u16, entry) {
+                    let vpn = run_va.add(i * page_size.bytes()).vpn();
+                    return Err(VmemError::AlreadyMapped { vpn });
                 }
                 match page_size {
                     PageSize::Size4K => self.stats.leaf_4k += 1,
                     PageSize::Size2M => self.stats.leaf_2m += 1,
                 }
-                self.revision = fresh_revision();
-                return Ok(());
             }
+            page += run;
+        }
+        Ok(())
+    }
+
+    /// Descends from the root to the table at `leaf_level` covering `va`,
+    /// allocating missing interior nodes on the way.
+    ///
+    /// # Errors
+    ///
+    /// [`VmemError::AlreadyMapped`] if a larger leaf already covers `va`.
+    fn descend(&mut self, va: VirtAddr, leaf_level: WalkIndexLevel) -> Result<TableId, VmemError> {
+        let mut current = Self::ROOT;
+        for level in WalkIndexLevel::WALK_ORDER {
+            if level == leaf_level {
+                return Ok(current);
+            }
+            let index = va.level_index(level);
             let existing = self.nodes[current.0 as usize].get(index);
             current = match existing {
                 Some(Entry::Table(next)) => next,
@@ -914,6 +1008,118 @@ mod tests {
         // ...and diverges as soon as either mutates.
         map_4k(&mut c, 0x3000, 3);
         assert_ne!(c.revision(), a.revision());
+    }
+
+    /// Maps `count` 4 KB pages from `va` through `map_pages`, numbering the
+    /// drawn frames from 1000; returns the result and the frames drawn.
+    fn map_run_4k(pt: &mut PageTable, va: u64, count: u64) -> (Result<(), VmemError>, u64) {
+        let mut drawn = 0;
+        let result = pt.map_pages(
+            VirtAddr::new(va),
+            PageSize::Size4K,
+            count,
+            MemNode::Host,
+            || {
+                drawn += 1;
+                Ok(PhysFrameNum::new(999 + drawn))
+            },
+        );
+        (result, drawn)
+    }
+
+    #[test]
+    fn map_pages_stops_at_an_occupied_page_and_keeps_the_prefix() {
+        let mut pt = PageTable::new();
+        // Page 700 of the run, in its second leaf table, is already mapped.
+        map_4k(&mut pt, 700 << 12, 7);
+        let revision = pt.revision();
+        let (result, drawn) = map_run_4k(&mut pt, 0, 1000);
+        assert_eq!(
+            result,
+            Err(VmemError::AlreadyMapped {
+                vpn: VirtPageNum::new(700)
+            })
+        );
+        // Every page up to and including the failing one drew its frame.
+        assert_eq!(drawn, 701);
+        assert_eq!(pt.stats().leaf_4k, 701);
+        assert_ne!(pt.revision(), revision);
+        for page in 0..700 {
+            assert_eq!(
+                pt.translate(VirtAddr::new(page << 12)).unwrap().pfn.raw(),
+                1000 + page
+            );
+        }
+        assert_eq!(pt.translate(VirtAddr::new(700 << 12)).unwrap().pfn.raw(), 7);
+        assert!(!pt.is_mapped(VirtAddr::new(701 << 12)));
+    }
+
+    #[test]
+    fn map_pages_stops_under_an_existing_2mb_leaf() {
+        let mut pt = PageTable::new();
+        pt.map(
+            VirtAddr::new(0x20_0000),
+            PageSize::Size2M,
+            PhysFrameNum::new(512),
+            MemNode::Host,
+        )
+        .unwrap();
+        // A 4 KB run from 1 MB runs into the 2 MB page at its 257th page.
+        let (result, drawn) = map_run_4k(&mut pt, 0x10_0000, 600);
+        assert_eq!(
+            result,
+            Err(VmemError::AlreadyMapped {
+                vpn: VirtAddr::new(0x20_0000).vpn()
+            })
+        );
+        assert_eq!(drawn, 257);
+        assert_eq!(pt.stats().leaf_4k, 256);
+        assert_eq!(pt.stats().leaf_2m, 1);
+    }
+
+    #[test]
+    fn map_pages_stops_at_a_failed_frame_draw_before_descending() {
+        let mut pt = PageTable::new();
+        let oom = VmemError::OutOfMemory {
+            node: MemNode::Host,
+            frames_requested: 1,
+        };
+        // Frames run out exactly at the first page of the second leaf table.
+        let mut left = 512u64;
+        let result = pt.map_pages(
+            VirtAddr::new(0),
+            PageSize::Size4K,
+            600,
+            MemNode::Host,
+            || {
+                left = left.checked_sub(1).ok_or(oom.clone())?;
+                Ok(PhysFrameNum::new(left))
+            },
+        );
+        assert_eq!(result, Err(oom));
+        assert_eq!(pt.stats().leaf_4k, 512);
+        // Root, L3, L2 and one L1 node: the failed page allocated no table.
+        assert_eq!(pt.stats().tables, 4);
+        assert!(pt.is_mapped(VirtAddr::new(511 << 12)));
+        assert!(!pt.is_mapped(VirtAddr::new(512 << 12)));
+    }
+
+    #[test]
+    fn map_pages_that_map_nothing_keep_the_revision() {
+        let mut pt = PageTable::new();
+        let revision = pt.revision();
+        assert_eq!(map_run_4k(&mut pt, 0x1000, 0), (Ok(()), 0));
+        // A misaligned run is rejected before any frame is drawn.
+        let (result, drawn) = map_run_4k(&mut pt, 0x1234, 4);
+        assert!(matches!(result, Err(VmemError::MisalignedMapping { .. })));
+        assert_eq!(drawn, 0);
+        map_4k(&mut pt, 0x1000, 1);
+        let revision_after_map = pt.revision();
+        assert_ne!(revision_after_map, revision);
+        // A run failing at its first page maps nothing.
+        assert!(map_run_4k(&mut pt, 0x1000, 4).0.is_err());
+        assert_eq!(pt.revision(), revision_after_map);
+        assert_eq!(pt.stats().leaf_4k, 1);
     }
 
     #[test]

@@ -385,3 +385,180 @@ proptest! {
         }
     }
 }
+
+/// Maps `count` pages the way the table was built before
+/// [`PageTable::map_pages`]: per page, one frame draw and then one `map`.
+fn map_per_page(
+    pt: &mut PageTable,
+    mem: &mut PhysicalMemory,
+    va: VirtAddr,
+    page_size: PageSize,
+    count: u64,
+    node: MemNode,
+) -> Result<(), VmemError> {
+    for page in 0..count {
+        let pfn = mem.alloc_page(node, page_size)?;
+        pt.map(va.add(page * page_size.bytes()), page_size, pfn, node)?;
+    }
+    Ok(())
+}
+
+fn leaf_pages(pt: &PageTable) -> u64 {
+    pt.stats().leaf_4k + pt.stats().leaf_2m
+}
+
+/// Asserts that two (table, memory) pairs are indistinguishable: the same
+/// walk — steps, `TableId`s and translation — at the page base of every
+/// page of `ranges` (plus one page past each end), the same structural
+/// statistics, and the same occupancy on every node.
+fn assert_same_build(
+    got: (&PageTable, &PhysicalMemory),
+    want: (&PageTable, &PhysicalMemory),
+    ranges: &[(VirtAddr, PageSize, u64)],
+    nodes: &[MemNode],
+) {
+    prop_assert_eq!(got.0.stats(), want.0.stats());
+    for &(start, page_size, count) in ranges {
+        for page in 0..=count {
+            let va = start.add(page * page_size.bytes());
+            prop_assert_eq!(got.0.walk(va), want.0.walk(va));
+        }
+    }
+    for &node in nodes {
+        prop_assert_eq!(got.1.used_bytes(node), want.1.used_bytes(node));
+        prop_assert_eq!(got.1.free_bytes(node), want.1.free_bytes(node));
+        prop_assert_eq!(got.1.peak_bytes(node), want.1.peak_bytes(node));
+    }
+}
+
+/// Radix boundaries a run may straddle: a leaf table (2 MB of 4 KB pages),
+/// an L2 table (1 GB) and an L3 table (512 GB).
+const BOUNDARIES: [u64; 3] = [1 << 21, 1 << 30, 1 << 39];
+
+fn map_nodes() -> (Vec<NodeSpec>, [MemNode; 3]) {
+    let specs = vec![
+        NodeSpec::new(MemNode::Host, 1 << 36),
+        // Two 2 MB pages, or 1,624 4 KB pages: runs here fail mid-way.
+        NodeSpec::new(MemNode::Npu(0), (4 << 20) + 600 * 4096),
+        NodeSpec::new(MemNode::Npu(1), 256 << 20),
+    ];
+    (specs, [MemNode::Host, MemNode::Npu(0), MemNode::Npu(1)])
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// `map_pages` builds exactly the table the per-page loop builds: random
+    /// 4 KB and 2 MB runs placed to straddle leaf, L2 and L3 boundaries,
+    /// overlapping each other and single pages mapped beforehand (the
+    /// one-page `map` that demand paging uses), on nodes that run out of
+    /// frames mid-run. Every run must return the same result (error variant
+    /// and failing page included), leave the same mapped prefix with the
+    /// same frames and `TableId`s, and redraw the revision exactly when it
+    /// mapped at least one page.
+    #[test]
+    fn map_pages_matches_per_page_reference(
+        ops in prop::collection::vec(
+            (0u32..4, 0u32..2, (0usize..3, 1u64..4), 0u64..1200, 1u64..1100, 0usize..3),
+            1..10,
+        ),
+    ) {
+        let (specs, nodes) = map_nodes();
+        let (mut pt, mut mem) = (PageTable::new(), PhysicalMemory::new(&specs));
+        let (mut ref_pt, mut ref_mem) = (PageTable::new(), PhysicalMemory::new(&specs));
+        let mut ranges = Vec::new();
+        for &(kind, size_pick, (boundary, multiple), before, count, node_pick) in &ops {
+            let page_size = if size_pick == 0 { PageSize::Size4K } else { PageSize::Size2M };
+            let node = nodes[node_pick];
+            // Half the runs start at one of a few offsets, so runs and
+            // pre-filled pages often begin on the same page.
+            let before = if before < 600 { before } else { [0, 1, 2, 511, 512, 513][before as usize % 6] };
+            let start = VirtAddr::new(
+                (BOUNDARIES[boundary] * multiple).saturating_sub(before * page_size.bytes()),
+            );
+            // Kind 3 pre-fills one page, the rest map a whole run.
+            let count = if kind == 3 { 1 } else { count };
+            let (leaves, revision) = (leaf_pages(&pt), pt.revision());
+            let got = pt.map_pages(start, page_size, count, node, || mem.alloc_page(node, page_size));
+            let want = map_per_page(&mut ref_pt, &mut ref_mem, start, page_size, count, node);
+            prop_assert_eq!(&got, &want);
+            prop_assert_eq!(leaf_pages(&pt) != leaves, pt.revision() != revision);
+            ranges.push((start, page_size, count));
+            assert_same_build((&pt, &mem), (&ref_pt, &ref_mem), &ranges[ranges.len() - 1..], &nodes);
+        }
+        assert_same_build((&pt, &mem), (&ref_pt, &ref_mem), &ranges, &nodes);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `AddressSpace::alloc_segment` maps eager segments exactly as one
+    /// `alloc_page` + `map` per page would, interleaved with lazy segments
+    /// whose pages `ensure_mapped` faults in: the same walks, `TableId`s,
+    /// statistics, frames and node occupancy, and the same error with the
+    /// same mapped prefix when the node runs out of frames mid-segment.
+    #[test]
+    fn alloc_segment_matches_per_page_reference(
+        ops in prop::collection::vec((0u32..5, 0u32..2, 1u64..1400, 0usize..3, 0usize..64), 1..14),
+    ) {
+        let (specs, nodes) = map_nodes();
+        let mut space = AddressSpace::new("npu0");
+        let mut mem = PhysicalMemory::new(&specs);
+        let (mut ref_pt, mut ref_mem) = (PageTable::new(), PhysicalMemory::new(&specs));
+        // A lazy anchor segment pins down where segment allocation starts;
+        // the reference lays out the rest as `alloc_segment` does.
+        let anchor = space
+            .alloc_segment("anchor", 1, SegmentOptions::new(MemNode::Host, PageSize::Size4K).lazy(), &mut mem)
+            .unwrap();
+        let mut next_va = anchor.start().add(4096);
+        let mut ranges = vec![(anchor.start(), PageSize::Size4K, 1)];
+        let mut lazy: Vec<(VirtAddr, PageSize, u64)> = Vec::new();
+        for (i, &(kind, size_pick, pages, node_pick, pick)) in ops.iter().enumerate() {
+            let page_size = if size_pick == 0 { PageSize::Size4K } else { PageSize::Size2M };
+            let node = nodes[node_pick];
+            let (leaves, revision) = (leaf_pages(space.page_table()), space.page_table().revision());
+            if kind == 4 {
+                // Fault in one page of a lazy segment (if any).
+                if lazy.is_empty() {
+                    continue;
+                }
+                let (start, seg_size, seg_pages) = lazy[pick % lazy.len()];
+                let va = start.add((pick as u64 * 7919 % seg_pages) * seg_size.bytes() + 123);
+                let got = space.ensure_mapped(va, &mut mem).map(|o| o.translation());
+                let want = (|| {
+                    if !ref_pt.is_mapped(va) {
+                        let node = space.segment_containing(va).unwrap().options().node;
+                        let pfn = ref_mem.alloc_page(node, seg_size)?;
+                        ref_pt.map(va.page_base(seg_size), seg_size, pfn, node)?;
+                    }
+                    ref_pt.translate(va)
+                })();
+                prop_assert_eq!(got, want);
+            } else {
+                let mut options = SegmentOptions::new(node, page_size);
+                if kind == 3 {
+                    options = options.lazy();
+                }
+                // 2 MB segments stay small: each page takes 512 frames.
+                let pages = if page_size == PageSize::Size2M { pages % 40 + 1 } else { pages };
+                let size = pages * page_size.bytes() - (pages % 3) * 1000;
+                let start = next_va.align_up(PageSize::Size2M);
+                next_va = start.add(pages * page_size.bytes());
+                let got = space.alloc_segment(format!("s{i}"), size, options, &mut mem);
+                let want = if kind == 3 {
+                    lazy.push((start, page_size, pages));
+                    Ok(())
+                } else {
+                    map_per_page(&mut ref_pt, &mut ref_mem, start, page_size, pages, node)
+                };
+                prop_assert_eq!(got.as_ref().map(Segment::start).map_err(Clone::clone), want.map(|()| start));
+                ranges.push((start, page_size, pages));
+            }
+            let mapped = leaf_pages(space.page_table()) != leaves;
+            prop_assert_eq!(mapped, space.page_table().revision() != revision);
+            assert_same_build((space.page_table(), &mem), (&ref_pt, &ref_mem), &ranges[ranges.len() - 1..], &nodes);
+        }
+        assert_same_build((space.page_table(), &mem), (&ref_pt, &ref_mem), &ranges, &nodes);
+    }
+}
