@@ -499,12 +499,6 @@ fn run_all(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
     // goes to stdout only, never into the artifact directory, so artifact
     // trees stay byte-identical across thread counts.
     println!("{}", runner.profile().to_table().to_markdown());
-    // Hot-path telemetry: where the allocation-free translation path (PR 3)
-    // actually lands at run time. Counters are process-global, so this
-    // snapshot covers the whole run.
-    for (name, value) in neummu_mmu::counters::snapshot().named() {
-        runner.profile().add_counter(name, value);
-    }
     // Store traffic, surfaced both as `count/store_*` trace events and on
     // stdout. Each memoized key consults the store exactly once per process,
     // so these are deterministic for a given store state and flag set.
@@ -523,7 +517,6 @@ fn run_all(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             counters.hits, counters.misses, counters.recovered, counters.commits
         );
     }
-    println!("{}", runner.profile().counters_table().to_markdown());
     let cache = runner.oracle_cache();
     println!(
         "oracle cache: {} baseline simulations, {} reuses across {} keys",

@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use neummu_energy::{EnergyEvent, EnergyMeter};
+use neummu_energy::{EnergyEvent, EnergyMeter, EnergyTable};
 use neummu_faults::{
     DeviceFaultConfig, DeviceFaultPlan, FaultCounters, FaultError, InjectedFault, ResilienceConfig,
     FAULT_KINDS,
@@ -29,7 +29,6 @@ use neummu_faults::{
 use neummu_vmem::{Asid, PageSize, PageTable, PathTag, VirtAddr, WalkProbe};
 
 use crate::config::{MmuConfig, MmuKind};
-use crate::counters;
 use crate::stats::TranslationStats;
 use crate::tlb::Tlb;
 use crate::walker::{WalkAdmission, WalkerPool};
@@ -254,13 +253,14 @@ pub trait AddressTranslator: Send {
     /// Statistics accumulated so far.
     fn stats(&self) -> &TranslationStats;
 
-    /// Energy meter accumulated so far.
-    fn energy(&self) -> &EnergyMeter;
+    /// Translation energy so far, priced from the statistics (walk DRAM
+    /// accesses plus MMU SRAM accesses, Section IV-B/IV-C).
+    fn energy(&self) -> EnergyMeter;
 
     /// The configured page size of the engine.
     fn page_size(&self) -> PageSize;
 
-    /// Resets statistics, energy and internal occupancy (but not the
+    /// Resets statistics and internal occupancy (but not the
     /// configuration).
     fn reset(&mut self);
 
@@ -296,38 +296,6 @@ struct MappedRangeMemo {
 impl MappedRangeMemo {
     fn covers(&self, stamp: u64, va: VirtAddr) -> bool {
         self.stamp == stamp && self.start <= va.raw() && va.raw() < self.end
-    }
-}
-
-/// Plain-integer tally of hot-path telemetry events, accumulated locally by
-/// a translator and flushed into the process-global `counters` atomics once,
-/// when the translator is dropped or reset — never per event, so the
-/// telemetry stays off the hot path it measures (and parallel runners never
-/// contend on the counter cache lines).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-struct HotTally {
-    probes: u64,
-    retry_reprobes_saved: u64,
-    memo_hits: u64,
-    retire_fast_exits: u64,
-    runs_coalesced: u64,
-    replayed_hits: u64,
-    replayed_merges: u64,
-    replayed_walks: u64,
-}
-
-impl HotTally {
-    /// Adds the tally to the process-global counters and zeroes it.
-    fn flush(&mut self) {
-        counters::add_probes(self.probes);
-        counters::add_retry_reprobes_saved(self.retry_reprobes_saved);
-        counters::add_oracle_memo_hits(self.memo_hits);
-        counters::add_retire_fast_exits(self.retire_fast_exits);
-        counters::add_runs_coalesced(self.runs_coalesced);
-        counters::add_replayed_hits(self.replayed_hits);
-        counters::add_replayed_merges(self.replayed_merges);
-        counters::add_replayed_walks(self.replayed_walks);
-        *self = HotTally::default();
     }
 }
 
@@ -377,15 +345,15 @@ struct TraceBin {
 /// The engine's connection to the process-wide event-trace sink
 /// (`neummu_trace`), binned so emission stays off the per-request path.
 ///
-/// Like [`HotTally`], the tap accumulates locally and flushes on drop/reset;
-/// unlike the tally, a bin flush emits a trace *event* carrying the covered
-/// cycle span. Bins depend only on the deterministic per-engine call
-/// sequence (timestamps are simulated cycles, a bin never spans two ASIDs),
-/// so trace content is identical across runner thread counts. `enabled` is
+/// The tap accumulates locally and emits its pending bins when dropped; each
+/// bin is one trace *event* carrying the covered cycle span. Bins depend
+/// only on the deterministic per-engine call sequence (timestamps are
+/// simulated cycles, a bin never spans two ASIDs), so trace content is
+/// identical across runner thread counts. `enabled` is
 /// captured at construction: a sink installed later misses at most the
 /// engines already built, and no sink ever means zero work per event beyond
 /// one predictable branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Serialize, Deserialize)]
 struct EngineTap {
     enabled: bool,
     bins: [TraceBin; TAP_KIND_COUNT],
@@ -514,31 +482,36 @@ impl EngineTap {
             });
         }
     }
+}
 
-    /// Emits every non-empty bin (drop/reset path, mirroring
-    /// [`HotTally::flush`]).
-    fn flush(&mut self) {
+/// Emits every non-empty bin, so no event outlives its engine.
+impl Drop for EngineTap {
+    fn drop(&mut self) {
         if !self.enabled {
             return;
         }
-        for idx in 0..TAP_KIND_COUNT {
-            let bin = self.bins[idx];
+        for (idx, bin) in self.bins.iter().enumerate() {
             if bin.events > 0 {
-                Self::emit(idx, bin);
-                self.bins[idx] = TraceBin::default();
+                Self::emit(idx, *bin);
             }
         }
     }
 }
 
+/// A clone starts with empty bins: a copied bin would be emitted once by
+/// each copy's drop.
+impl Clone for EngineTap {
+    fn clone(&self) -> Self {
+        EngineTap::new()
+    }
+}
+
 /// The oracular MMU: every translation hits with zero latency.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OracleTranslator {
     page_size: PageSize,
     stats: TranslationStats,
-    energy: EnergyMeter,
     memo: Option<MappedRangeMemo>,
-    hot: HotTally,
 }
 
 impl OracleTranslator {
@@ -548,9 +521,7 @@ impl OracleTranslator {
         OracleTranslator {
             page_size,
             stats: TranslationStats::default(),
-            energy: EnergyMeter::default(),
             memo: None,
-            hot: HotTally::default(),
         }
     }
 
@@ -561,11 +532,9 @@ impl OracleTranslator {
         let stamp = page_table.revision();
         if let Some(memo) = &self.memo {
             if memo.covers(stamp, va) {
-                self.hot.memo_hits += 1;
                 return memo.mapped;
             }
         }
-        self.hot.probes += 1;
         let probe = page_table.probe(va);
         let (base, bytes, mapped) = match probe.translation {
             Some(t) => (va.page_base(t.page_size).raw(), t.page_size.bytes(), true),
@@ -590,22 +559,6 @@ impl OracleTranslator {
 impl Default for OracleTranslator {
     fn default() -> Self {
         Self::new(PageSize::Size4K)
-    }
-}
-
-/// Hand-written (not derived) because of the telemetry tally: the original
-/// flushes its own counts into the process-global counters on drop, so a
-/// clone must start at zero or every event up to the clone point would be
-/// counted twice.
-impl Clone for OracleTranslator {
-    fn clone(&self) -> Self {
-        OracleTranslator {
-            page_size: self.page_size,
-            stats: self.stats,
-            energy: self.energy.clone(),
-            memo: self.memo,
-            hot: HotTally::default(),
-        }
     }
 }
 
@@ -667,9 +620,6 @@ impl AddressTranslator for OracleTranslator {
             self.stats.faults += replays;
         }
         self.stats.last_completion_cycle = self.stats.last_completion_cycle.max(cycle + replays);
-        self.hot.memo_hits += replays;
-        self.hot.runs_coalesced += 1;
-        self.hot.replayed_hits += replays;
         out.consumed = count;
         out.complete_stride = 1;
         out
@@ -694,8 +644,9 @@ impl AddressTranslator for OracleTranslator {
         &self.stats
     }
 
-    fn energy(&self) -> &EnergyMeter {
-        &self.energy
+    /// The oracle spends no translation energy.
+    fn energy(&self) -> EnergyMeter {
+        EnergyMeter::default()
     }
 
     fn page_size(&self) -> PageSize {
@@ -704,19 +655,11 @@ impl AddressTranslator for OracleTranslator {
 
     fn reset(&mut self) {
         self.stats = TranslationStats::default();
-        self.energy.reset();
         self.memo = None;
-        self.hot.flush();
     }
 
     fn invalidate_page(&mut self, _va: VirtAddr) {
         self.memo = None;
-    }
-}
-
-impl Drop for OracleTranslator {
-    fn drop(&mut self) {
-        self.hot.flush();
     }
 }
 
@@ -733,14 +676,12 @@ struct EngineFaults {
 }
 
 /// The cycle-accounted IOMMU / NeuMMU translation engine.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct TranslationEngine {
     config: MmuConfig,
     tlb: Tlb,
     walkers: WalkerPool,
     stats: TranslationStats,
-    energy: EnergyMeter,
-    hot: HotTally,
     tap: EngineTap,
     faults: Option<Box<EngineFaults>>,
 }
@@ -759,8 +700,6 @@ impl TranslationEngine {
                 config.tpreg_enabled,
             ),
             stats: TranslationStats::default(),
-            energy: EnergyMeter::default(),
-            hot: HotTally::default(),
             tap: EngineTap::new(),
             faults: None,
         }
@@ -885,8 +824,6 @@ impl TranslationEngine {
         self.stats.tlb_misses += 1;
         self.stats.walks += 1;
         self.stats.walk_memory_accesses += u64::from(levels_read);
-        self.energy
-            .record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
         if !effective_mapped {
             self.stats.faults += 1;
         }
@@ -946,18 +883,16 @@ impl TranslationEngine {
     fn retire_walks(
         walkers: &mut WalkerPool,
         tlb: &mut Tlb,
-        energy: &mut EnergyMeter,
+        stats: &mut TranslationStats,
         tap: &mut EngineTap,
         cycle: u64,
-    ) -> usize {
+    ) {
         walkers.drain_completed(cycle, |walk| {
             if walk.mapped {
                 tlb.insert_tagged(walk.asid, walk.page_number);
-                energy.record(EnergyEvent::TlbFill, 1);
+                stats.tlb_fills += 1;
             }
-            if walk.merged_requests > 0 {
-                energy.record(EnergyEvent::PrmbRead, u64::from(walk.merged_requests));
-            }
+            stats.prmb_reads += u64::from(walk.merged_requests);
             tap.record(
                 TAP_RETIRE,
                 walk.asid,
@@ -965,7 +900,7 @@ impl TranslationEngine {
                 walk.completed_at,
                 1 + u64::from(walk.merged_requests),
             );
-        })
+        });
     }
 
     /// Retires completed walks up to `cycle`, filling the TLB.
@@ -973,14 +908,11 @@ impl TranslationEngine {
         let TranslationEngine {
             walkers,
             tlb,
-            energy,
-            hot,
+            stats,
             tap,
             ..
         } = self;
-        if Self::retire_walks(walkers, tlb, energy, tap, cycle) == 0 {
-            hot.retire_fast_exits += 1;
-        }
+        Self::retire_walks(walkers, tlb, stats, tap, cycle);
     }
 
     /// Replays up to `want` same-page requests, one per cycle after
@@ -1007,9 +939,7 @@ impl TranslationEngine {
             config,
             walkers,
             tlb,
-            energy,
             stats,
-            hot,
             tap,
             faults: _,
         } = self;
@@ -1034,7 +964,7 @@ impl TranslationEngine {
             }
             match next {
                 Some(completes) if completes <= last_cycle => {
-                    Self::retire_walks(walkers, tlb, energy, tap, completes);
+                    Self::retire_walks(walkers, tlb, stats, tap, completes);
                     if !tlb.contains_tagged(asid, page_number) {
                         // The retirement evicted the run's entry: the request
                         // at `completes` would miss. Stop exactly there.
@@ -1051,9 +981,6 @@ impl TranslationEngine {
             stats.last_completion_cycle = stats
                 .last_completion_cycle
                 .max(cursor + config.tlb_hit_latency);
-            energy.record(EnergyEvent::TlbLookup, replayed);
-            hot.runs_coalesced += 1;
-            hot.replayed_hits += replayed;
             tap.record(
                 TAP_REPLAY_HITS,
                 asid,
@@ -1096,9 +1023,7 @@ impl TranslationEngine {
             config,
             walkers,
             tlb,
-            energy,
             stats,
-            hot,
             tap,
             faults: _,
         } = self;
@@ -1111,7 +1036,7 @@ impl TranslationEngine {
         while cursor < last_cycle {
             let cycle = cursor + 1;
             if walkers.next_completion().is_some_and(|c| c <= cycle) {
-                Self::retire_walks(walkers, tlb, energy, tap, cycle);
+                Self::retire_walks(walkers, tlb, stats, tap, cycle);
                 if tlb.contains_tagged(asid, page_number) {
                     // A walk of this page retired: the request at `cycle`
                     // would hit. Stop; the caller's next call replays hits.
@@ -1123,7 +1048,6 @@ impl TranslationEngine {
                 break;
             }
             tlb.record_run_misses(1);
-            energy.record(EnergyEvent::TlbLookup, 1);
             match walkers.start_walk_tagged(asid, cycle, page_number, tag, full_levels, mapped) {
                 WalkAdmission::Started {
                     completes_at,
@@ -1134,22 +1058,19 @@ impl TranslationEngine {
                     stats.tlb_misses += 1;
                     stats.walks += 1;
                     stats.walk_memory_accesses += u64::from(levels_read);
-                    energy.record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
                     if !mapped {
                         stats.faults += 1;
                     }
                     stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
                     cursor = cycle;
                 }
-                WalkAdmission::Merged { .. } | WalkAdmission::Rejected { .. } => {
+                WalkAdmission::Rejected { .. } => {
                     unreachable!("a free walker accepts a walk when merging is disabled")
                 }
             }
         }
         let replayed = cursor - first_accept;
         if replayed > 0 {
-            hot.runs_coalesced += 1;
-            hot.replayed_walks += replayed;
             tap.record(TAP_REPLAY_WALKS, asid, first_accept + 1, cursor, replayed);
         }
         replayed
@@ -1178,9 +1099,7 @@ impl TranslationEngine {
         let TranslationEngine {
             walkers,
             tlb,
-            energy,
             stats,
-            hot,
             tap,
             ..
         } = self;
@@ -1203,7 +1122,7 @@ impl TranslationEngine {
             }
             match next {
                 Some(completes) if completes <= last_cycle => {
-                    Self::retire_walks(walkers, tlb, energy, tap, completes);
+                    Self::retire_walks(walkers, tlb, stats, tap, completes);
                     if tlb.contains_tagged(asid, page_number) {
                         // The page's translation just landed: the request at
                         // `completes` would hit, not merge.
@@ -1218,11 +1137,6 @@ impl TranslationEngine {
             stats.requests += replayed;
             stats.tlb_misses += replayed;
             stats.merged += replayed;
-            energy.record(EnergyEvent::TlbLookup, replayed);
-            energy.record(EnergyEvent::PtsLookup, replayed);
-            energy.record(EnergyEvent::PrmbWrite, replayed);
-            hot.runs_coalesced += 1;
-            hot.replayed_merges += replayed;
             tap.record(TAP_REPLAY_MERGES, asid, first_accept + 1, cursor, replayed);
         }
         replayed
@@ -1260,7 +1174,6 @@ impl AddressTranslator for TranslationEngine {
             self.drain_completions(now);
 
             // 1. IOTLB lookup.
-            self.energy.record(EnergyEvent::TlbLookup, 1);
             if self.tlb.lookup_tagged(asid, page_number) {
                 self.stats.tlb_hits += 1;
                 let complete = now + self.config.tlb_hit_latency;
@@ -1277,13 +1190,11 @@ impl AddressTranslator for TranslationEngine {
 
             // 2. PTS lookup / PRMB merge.
             if self.config.merging_enabled() {
-                self.energy.record(EnergyEvent::PtsLookup, 1);
                 if let Some((_walker, completes_at)) =
                     self.walkers.try_merge_tagged(asid, page_number)
                 {
                     self.stats.tlb_misses += 1;
                     self.stats.merged += 1;
-                    self.energy.record(EnergyEvent::PrmbWrite, 1);
                     self.stats.last_completion_cycle =
                         self.stats.last_completion_cycle.max(completes_at);
                     self.stats.stall_cycles += now - cycle;
@@ -1298,18 +1209,7 @@ impl AddressTranslator for TranslationEngine {
             }
 
             // 3. Try to start a walk on a free walker.
-            let probe = match cached_probe {
-                Some(probe) => {
-                    self.hot.retry_reprobes_saved += 1;
-                    probe
-                }
-                None => {
-                    self.hot.probes += 1;
-                    let probe = page_table.probe(va);
-                    cached_probe = Some(probe);
-                    probe
-                }
-            };
+            let probe = *cached_probe.get_or_insert_with(|| page_table.probe(va));
             let mapped = probe.is_hit();
             // A fault is detected as soon as the walk reaches the missing
             // level; either way at least one entry is read.
@@ -1337,9 +1237,6 @@ impl AddressTranslator for TranslationEngine {
                 now += 1;
                 continue;
             }
-            if self.config.tpreg_enabled {
-                self.energy.record(EnergyEvent::TpregAccess, 1);
-            }
             match self.walkers.start_walk_tagged(
                 asid,
                 now,
@@ -1357,8 +1254,6 @@ impl AddressTranslator for TranslationEngine {
                     self.stats.tlb_misses += 1;
                     self.stats.walks += 1;
                     self.stats.walk_memory_accesses += u64::from(levels_read);
-                    self.energy
-                        .record(EnergyEvent::PageWalkMemoryAccess, u64::from(levels_read));
                     if self.config.tpreg_enabled {
                         self.stats.tpreg_lookups += 1;
                         self.stats.tpreg_skipped_levels +=
@@ -1388,20 +1283,6 @@ impl AddressTranslator for TranslationEngine {
                         complete_cycle: completes_at,
                         source: TranslationSource::PageWalk { levels_read },
                         fault: !mapped,
-                    };
-                }
-                WalkAdmission::Merged { completes_at, .. } => {
-                    // Unreachable in practice (merging is attempted above),
-                    // but handled for completeness.
-                    self.stats.tlb_misses += 1;
-                    self.stats.merged += 1;
-                    self.stats.stall_cycles += now - cycle;
-                    self.tap.record(TAP_MERGE, asid, now, completes_at, 1);
-                    return TranslationOutcome {
-                        accept_cycle: now,
-                        complete_cycle: completes_at,
-                        source: TranslationSource::Merged,
-                        fault: false,
                     };
                 }
                 WalkAdmission::Rejected { retry_at } => {
@@ -1496,8 +1377,23 @@ impl AddressTranslator for TranslationEngine {
         &self.stats
     }
 
-    fn energy(&self) -> &EnergyMeter {
-        &self.energy
+    /// Every request attempt — the first and each structural-stall retry —
+    /// looks up the TLB, then on a miss the PTS (when merging) and the TPreg
+    /// (when walking with one), so the SRAM counts follow from the stats.
+    fn energy(&self) -> EnergyMeter {
+        let s = &self.stats;
+        let merging = self.config.merging_enabled();
+        let tpreg = self.config.tpreg_enabled;
+        EnergyMeter::from_counts(EnergyTable::default(), |event| match event {
+            EnergyEvent::PageWalkMemoryAccess => s.walk_memory_accesses,
+            EnergyEvent::TlbLookup => s.requests + s.structural_stalls,
+            EnergyEvent::TlbFill => s.tlb_fills,
+            EnergyEvent::PtsLookup if merging => s.tlb_misses + s.structural_stalls,
+            EnergyEvent::PrmbWrite => s.merged,
+            EnergyEvent::PrmbRead => s.prmb_reads,
+            EnergyEvent::TpregAccess if tpreg => s.tpreg_lookups + s.structural_stalls,
+            EnergyEvent::PtsLookup | EnergyEvent::TpregAccess => 0,
+        })
     }
 
     fn page_size(&self) -> PageSize {
@@ -1505,8 +1401,6 @@ impl AddressTranslator for TranslationEngine {
     }
 
     fn reset(&mut self) {
-        self.hot.flush();
-        self.tap.flush();
         // An attached fault plan survives the reset but is rebuilt from its
         // config: a reset engine replays the exact same fault schedule from
         // the start, counters cleared — the same "fresh engine" semantics
@@ -1518,6 +1412,7 @@ impl AddressTranslator for TranslationEngine {
                 resilience: f.resilience,
             })
         });
+        // The replaced engine's trace tap emits its pending bins as it drops.
         *self = TranslationEngine::new(self.config);
         self.faults = faults;
     }
@@ -1538,33 +1433,6 @@ impl AddressTranslator for TranslationEngine {
         // TPregs are per-walker physical hints refreshed by the next walk.
         self.tlb.flush_asid(asid);
         self.walkers.flush_asid(asid);
-    }
-}
-
-impl Drop for TranslationEngine {
-    fn drop(&mut self) {
-        self.hot.flush();
-        self.tap.flush();
-    }
-}
-
-/// Hand-written (not derived) for the same reason as
-/// [`OracleTranslator`]'s `Clone`: the tally must not be duplicated, or the
-/// two drop-time flushes would double-count every event up to the clone.
-/// The trace tap resets for the same reason — a copied bin would emit its
-/// pending events once per flush of each copy.
-impl Clone for TranslationEngine {
-    fn clone(&self) -> Self {
-        TranslationEngine {
-            config: self.config,
-            tlb: self.tlb.clone(),
-            walkers: self.walkers.clone(),
-            stats: self.stats,
-            energy: self.energy.clone(),
-            hot: HotTally::default(),
-            tap: EngineTap::new(),
-            faults: self.faults.clone(),
-        }
     }
 }
 
@@ -1670,22 +1538,6 @@ mod tests {
             oracle.translate(&pt_b, VirtAddr::new(0x100_0000), 1).fault,
             "memo leaked across page tables"
         );
-    }
-
-    #[test]
-    fn cloned_translators_start_with_an_empty_telemetry_tally() {
-        // Both translators flush their tally into the process-global counters
-        // on drop; a clone that copied the tally would double-count every
-        // event up to the clone point.
-        let pt = mapped_table(0xe00_0000, 1);
-        let mut oracle = OracleTranslator::default();
-        oracle.translate(&pt, VirtAddr::new(0xe00_0000), 0);
-        assert_ne!(oracle.hot, HotTally::default());
-        assert_eq!(oracle.clone().hot, HotTally::default());
-        let mut engine = TranslationEngine::new(MmuConfig::neummu());
-        engine.translate(&pt, VirtAddr::new(0xe00_0000), 0);
-        assert_ne!(engine.hot, HotTally::default());
-        assert_eq!(engine.clone().hot, HotTally::default());
     }
 
     #[test]
@@ -2263,6 +2115,71 @@ mod tests {
             16
         );
         assert!(mmu.energy().total_nj() > 0.0);
+    }
+
+    /// Exact per-event energy counts of four engine shapes on one fixed
+    /// stream: two strided passes over 50 pages (the last two unmapped),
+    /// eight same-page requests per page through the run path, then one late
+    /// request after every walk has retired. A change to how any event is
+    /// counted or derived must update these numbers deliberately.
+    #[test]
+    fn energy_counts_are_pinned_per_engine_shape() {
+        let events = [
+            EnergyEvent::PageWalkMemoryAccess,
+            EnergyEvent::TlbLookup,
+            EnergyEvent::TlbFill,
+            EnergyEvent::PtsLookup,
+            EnergyEvent::PrmbWrite,
+            EnergyEvent::PrmbRead,
+            EnergyEvent::TpregAccess,
+        ];
+        let faulted = TranslationEngine::with_faults(
+            MmuConfig::neummu(),
+            DeviceFaultConfig::uniform(7, 0.25),
+            ResilienceConfig::all_on(),
+        )
+        .unwrap();
+        let shapes = [
+            (
+                "baseline IOMMU",
+                TranslationEngine::new(MmuConfig::baseline_iommu()),
+                [1664, 852, 384, 0, 0, 0, 0],
+            ),
+            (
+                "NeuMMU with TPreg",
+                TranslationEngine::new(MmuConfig::neummu()),
+                [208, 801, 48, 472, 420, 420, 52],
+            ),
+            (
+                "walker-starved NeuMMU",
+                TranslationEngine::new(MmuConfig::neummu().with_ptws(2).with_prmb_slots(2)),
+                [114, 868, 96, 387, 212, 212, 175],
+            ),
+            (
+                "fault-injected NeuMMU",
+                faulted,
+                [204, 801, 48, 720, 669, 669, 12],
+            ),
+        ];
+        let pt = mapped_table(0x100_0000, 48);
+        for (name, mut mmu, expected) in shapes {
+            let mut cycle = 0;
+            for pass in 0..2u64 {
+                for i in 0..50u64 {
+                    let va = VirtAddr::new(0x100_0000 + ((i * 7 + pass) % 50) * 4096);
+                    let mut remaining = 8;
+                    while remaining > 0 {
+                        let offset = (8 - remaining) * 512;
+                        let run = mmu.translate_run(&pt, va.add(offset), remaining, cycle);
+                        cycle = run.last_accept() + 1;
+                        remaining -= run.consumed;
+                    }
+                }
+            }
+            mmu.translate(&pt, VirtAddr::new(0x100_0000), cycle + 1_000_000);
+            let energy = mmu.energy();
+            assert_eq!(events.map(|e| energy.count(e)), expected, "{name}");
+        }
     }
 
     #[test]

@@ -55,7 +55,6 @@
 #![deny(missing_docs)]
 
 pub mod config;
-pub mod counters;
 pub mod engine;
 pub mod mmu_cache;
 pub mod stats;
@@ -64,7 +63,6 @@ pub mod tpreg;
 pub mod walker;
 
 pub use config::{MmuConfig, MmuKind};
-pub use counters::HotPathCounters;
 pub use engine::{
     AddressTranslator, OracleTranslator, RunOutcome, TranslationEngine, TranslationOutcome,
     TranslationSource,

@@ -17,6 +17,11 @@ pub struct TranslationStats {
     pub walks: u64,
     /// Page-table entry (DRAM) accesses performed by all walks.
     pub walk_memory_accesses: u64,
+    /// Walks that retired with a translation and filled the TLB (a refill
+    /// of a resident entry counts too, unlike [`crate::Tlb::fills`]).
+    pub tlb_fills: u64,
+    /// Merged requests returned from the PRMB when their walk retired.
+    pub prmb_reads: u64,
     /// Page-table levels skipped thanks to the TPreg.
     pub tpreg_skipped_levels: u64,
     /// Walks whose L4 index matched the walker's TPreg.
@@ -104,6 +109,8 @@ impl TranslationStats {
         self.merged += other.merged;
         self.walks += other.walks;
         self.walk_memory_accesses += other.walk_memory_accesses;
+        self.tlb_fills += other.tlb_fills;
+        self.prmb_reads += other.prmb_reads;
         self.tpreg_skipped_levels += other.tpreg_skipped_levels;
         self.tpreg_l4_hits += other.tpreg_l4_hits;
         self.tpreg_l3_hits += other.tpreg_l3_hits;

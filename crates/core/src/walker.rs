@@ -64,17 +64,9 @@ impl Hasher for PtsHasher {
 
 type PtsMap = HashMap<(Asid, u64), usize, BuildHasherDefault<PtsHasher>>;
 
-/// The result of asking the pool to start or join a walk.
+/// The result of asking the pool to start a walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum WalkAdmission {
-    /// The request was merged into the in-flight walk of the given walker;
-    /// it will complete when that walk completes.
-    Merged {
-        /// Walker whose PRMB absorbed the request.
-        walker: usize,
-        /// Completion cycle of the in-flight walk.
-        completes_at: u64,
-    },
     /// A new walk was started on the given walker.
     Started {
         /// Walker that accepted the walk.
@@ -230,8 +222,7 @@ impl WalkerPool {
     ///
     /// This runs once per translate attempt, and on the overwhelming majority
     /// of calls nothing has completed: that case costs a single heap peek and
-    /// returns 0 (the engine tallies these fast exits in its hot-path
-    /// telemetry).
+    /// returns 0.
     pub fn drain_completed(&mut self, cycle: u64, mut retire: impl FnMut(CompletedWalk)) -> usize {
         let mut retired = 0usize;
         while let Some(top) = self.heap.peek() {

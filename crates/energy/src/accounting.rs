@@ -1,4 +1,4 @@
-//! The [`EnergyMeter`]: event counting and energy aggregation.
+//! The [`EnergyMeter`]: event counts priced into energy.
 
 use std::fmt;
 
@@ -23,13 +23,11 @@ pub enum EnergyEvent {
     PrmbRead,
     /// One TPreg access (tag compare or fill).
     TpregAccess,
-    /// One multi-entry MMU-cache lookup (UPTC/TPC design points).
-    MmuCacheLookup,
 }
 
 impl EnergyEvent {
     /// All event kinds.
-    pub const ALL: [EnergyEvent; 8] = [
+    pub const ALL: [EnergyEvent; 7] = [
         EnergyEvent::PageWalkMemoryAccess,
         EnergyEvent::TlbLookup,
         EnergyEvent::TlbFill,
@@ -37,7 +35,6 @@ impl EnergyEvent {
         EnergyEvent::PrmbWrite,
         EnergyEvent::PrmbRead,
         EnergyEvent::TpregAccess,
-        EnergyEvent::MmuCacheLookup,
     ];
 }
 
@@ -51,7 +48,6 @@ impl fmt::Display for EnergyEvent {
             EnergyEvent::PrmbWrite => "PRMB write",
             EnergyEvent::PrmbRead => "PRMB read",
             EnergyEvent::TpregAccess => "TPreg access",
-            EnergyEvent::MmuCacheLookup => "MMU-cache lookup",
         };
         f.write_str(name)
     }
@@ -62,7 +58,7 @@ impl fmt::Display for EnergyEvent {
 pub struct EnergyBreakdown {
     /// Energy spent on page-walk DRAM accesses.
     pub dram_nj: f64,
-    /// Energy spent on all SRAM structures (TLB, PTS, PRMB, TPreg, MMU caches).
+    /// Energy spent on all SRAM structures (TLB, PTS, PRMB, TPreg).
     pub sram_nj: f64,
 }
 
@@ -74,7 +70,10 @@ impl EnergyBreakdown {
     }
 }
 
-/// Counts translation-pipeline events and converts them to energy.
+/// Translation-pipeline event counts priced with an energy table.
+///
+/// A meter is a value, not an accumulator: translators keep their counts in
+/// their statistics and build a meter from them on demand.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EnergyMeter {
     table: EnergyTable,
@@ -82,24 +81,24 @@ pub struct EnergyMeter {
 }
 
 impl Default for EnergyMeter {
+    /// An all-zero meter priced with the default table.
     fn default() -> Self {
-        Self::new(EnergyTable::default())
+        Self::from_counts(EnergyTable::default(), |_| 0)
     }
 }
 
 impl EnergyMeter {
-    /// Creates a meter using the given energy table.
+    /// A meter holding `count(event)` occurrences of every event, priced
+    /// with `table`.
     #[must_use]
-    pub fn new(table: EnergyTable) -> Self {
+    pub fn from_counts(table: EnergyTable, count: impl Fn(EnergyEvent) -> u64) -> Self {
         EnergyMeter {
             table,
-            counts: [0; EnergyEvent::ALL.len()],
+            counts: EnergyEvent::ALL.map(count),
         }
     }
 
-    /// Index of `event` in [`EnergyEvent::ALL`]. A direct match rather than a
-    /// scan: `record` sits on the per-translation hot path (two to three
-    /// events per request).
+    /// Index of `event` in [`EnergyEvent::ALL`].
     const fn index(event: EnergyEvent) -> usize {
         match event {
             EnergyEvent::PageWalkMemoryAccess => 0,
@@ -109,17 +108,10 @@ impl EnergyMeter {
             EnergyEvent::PrmbWrite => 4,
             EnergyEvent::PrmbRead => 5,
             EnergyEvent::TpregAccess => 6,
-            EnergyEvent::MmuCacheLookup => 7,
         }
     }
 
-    /// Records `count` occurrences of `event`.
-    #[inline]
-    pub fn record(&mut self, event: EnergyEvent, count: u64) {
-        self.counts[Self::index(event)] += count;
-    }
-
-    /// Number of recorded occurrences of `event`.
+    /// Number of occurrences of `event`.
     #[must_use]
     pub fn count(&self, event: EnergyEvent) -> u64 {
         self.counts[Self::index(event)]
@@ -136,7 +128,6 @@ impl EnergyMeter {
             EnergyEvent::PrmbWrite => self.table.prmb_write_nj,
             EnergyEvent::PrmbRead => self.table.prmb_read_nj,
             EnergyEvent::TpregAccess => self.table.tpreg_access_nj,
-            EnergyEvent::MmuCacheLookup => self.table.mmu_cache_lookup_nj,
         }
     }
 
@@ -160,26 +151,6 @@ impl EnergyMeter {
         }
     }
 
-    /// Merges another meter's counts into this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two meters use different energy tables.
-    pub fn merge(&mut self, other: &EnergyMeter) {
-        assert!(
-            self.table == other.table,
-            "cannot merge energy meters that use different energy tables"
-        );
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&mut self) {
-        self.counts = [0; EnergyEvent::ALL.len()];
-    }
-
     /// Ratio of this meter's total energy to `baseline`'s total energy.
     ///
     /// Returns `None` if the baseline recorded zero energy.
@@ -198,14 +169,26 @@ impl EnergyMeter {
 mod tests {
     use super::*;
 
+    /// A default-table meter holding the given `(event, count)` pairs.
+    fn meter(counts: &[(EnergyEvent, u64)]) -> EnergyMeter {
+        EnergyMeter::from_counts(EnergyTable::default(), |event| {
+            counts
+                .iter()
+                .find(|(e, _)| *e == event)
+                .map_or(0, |(_, n)| *n)
+        })
+    }
+
     #[test]
     fn counting_and_total() {
-        let mut m = EnergyMeter::default();
-        assert_eq!(m.total_nj(), 0.0);
-        m.record(EnergyEvent::PageWalkMemoryAccess, 4);
-        m.record(EnergyEvent::TlbLookup, 100);
+        assert_eq!(EnergyMeter::default().total_nj(), 0.0);
+        let m = meter(&[
+            (EnergyEvent::PageWalkMemoryAccess, 4),
+            (EnergyEvent::TlbLookup, 100),
+        ]);
         assert_eq!(m.count(EnergyEvent::PageWalkMemoryAccess), 4);
         assert_eq!(m.count(EnergyEvent::TlbLookup), 100);
+        assert_eq!(m.count(EnergyEvent::PrmbRead), 0);
         let expected = 4.0 * m.unit_cost_nj(EnergyEvent::PageWalkMemoryAccess)
             + 100.0 * m.unit_cost_nj(EnergyEvent::TlbLookup);
         assert!((m.total_nj() - expected).abs() < 1e-12);
@@ -213,45 +196,23 @@ mod tests {
 
     #[test]
     fn breakdown_splits_dram_and_sram() {
-        let mut m = EnergyMeter::default();
-        m.record(EnergyEvent::PageWalkMemoryAccess, 10);
-        m.record(EnergyEvent::PrmbWrite, 10);
+        let m = meter(&[
+            (EnergyEvent::PageWalkMemoryAccess, 10),
+            (EnergyEvent::PrmbWrite, 10),
+        ]);
         let b = m.breakdown();
         assert!(b.dram_nj > b.sram_nj);
         assert!((b.total_nj() - m.total_nj()).abs() < 1e-12);
     }
 
     #[test]
-    fn merge_accumulates() {
-        let mut a = EnergyMeter::default();
-        let mut b = EnergyMeter::default();
-        a.record(EnergyEvent::TlbLookup, 5);
-        b.record(EnergyEvent::TlbLookup, 7);
-        b.record(EnergyEvent::TpregAccess, 2);
-        a.merge(&b);
-        assert_eq!(a.count(EnergyEvent::TlbLookup), 12);
-        assert_eq!(a.count(EnergyEvent::TpregAccess), 2);
-    }
-
-    #[test]
     fn relative_to_baseline() {
-        let mut neummu = EnergyMeter::default();
-        let mut iommu = EnergyMeter::default();
-        neummu.record(EnergyEvent::PageWalkMemoryAccess, 10);
-        iommu.record(EnergyEvent::PageWalkMemoryAccess, 163);
+        let neummu = meter(&[(EnergyEvent::PageWalkMemoryAccess, 10)]);
+        let iommu = meter(&[(EnergyEvent::PageWalkMemoryAccess, 163)]);
         let ratio = iommu.relative_to(&neummu).unwrap();
         assert!((ratio - 16.3).abs() < 0.01);
         let empty = EnergyMeter::default();
         assert!(neummu.relative_to(&empty).is_none());
-    }
-
-    #[test]
-    fn reset_clears_counts() {
-        let mut m = EnergyMeter::default();
-        m.record(EnergyEvent::PrmbRead, 3);
-        m.reset();
-        assert_eq!(m.total_nj(), 0.0);
-        assert_eq!(m.count(EnergyEvent::PrmbRead), 0);
     }
 
     #[test]

@@ -16,11 +16,14 @@
 //! # Example
 //!
 //! ```
-//! use neummu_energy::{EnergyEvent, EnergyMeter};
+//! use neummu_energy::{EnergyEvent, EnergyMeter, EnergyTable};
 //!
-//! let mut meter = EnergyMeter::default();
-//! meter.record(EnergyEvent::PageWalkMemoryAccess, 4); // one full 4-level walk
-//! meter.record(EnergyEvent::TlbLookup, 1);
+//! // One TLB lookup that missed and started a full 4-level walk.
+//! let meter = EnergyMeter::from_counts(EnergyTable::default(), |event| match event {
+//!     EnergyEvent::PageWalkMemoryAccess => 4,
+//!     EnergyEvent::TlbLookup => 1,
+//!     _ => 0,
+//! });
 //! assert!(meter.total_nj() > 0.0);
 //! ```
 

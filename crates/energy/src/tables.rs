@@ -26,8 +26,6 @@ pub struct EnergyTable {
     pub prmb_read_nj: f64,
     /// One TPreg comparison/read (16-byte register per PTW).
     pub tpreg_access_nj: f64,
-    /// One lookup in a multi-entry MMU cache (UPTC/TPC design points).
-    pub mmu_cache_lookup_nj: f64,
 }
 
 impl EnergyTable {
@@ -47,8 +45,6 @@ impl EnergyTable {
             prmb_read_nj: 0.002,
             // 16-byte register comparison.
             tpreg_access_nj: 0.0005,
-            // Small (16–64 entry) MMU cache lookup.
-            mmu_cache_lookup_nj: 0.004,
         }
     }
 }
@@ -82,7 +78,6 @@ mod tests {
             t.prmb_write_nj,
             t.prmb_read_nj,
             t.tpreg_access_nj,
-            t.mmu_cache_lookup_nj,
         ] {
             assert!(v > 0.0);
         }

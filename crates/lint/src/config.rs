@@ -10,6 +10,8 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
+use crate::rules::RULE_IDS;
+
 /// One registered hot function: allocation is banned in its body (rule H001).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HotFn {
@@ -26,7 +28,7 @@ pub struct HotFn {
 /// waived (and do not fail the run); the reason is mandatory and non-empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Waiver {
-    /// Rule id the waiver applies to (`D001`, `D002`, `H001`, `C001`).
+    /// Rule id the waiver applies to (one of [`crate::rules::RULE_IDS`]).
     pub rule: String,
     /// Path suffix of the waived file.
     pub file: String,
@@ -78,7 +80,7 @@ impl Config {
     ///
     /// Returns a [`ConfigError`] if the file cannot be read, contains syntax
     /// the dialect does not know, names an unknown section or key, or holds a
-    /// waiver with an empty reason.
+    /// waiver with an empty reason or an unknown rule id.
     pub fn load(path: &Path) -> Result<Config, ConfigError> {
         let text = fs::read_to_string(path).map_err(|e| ConfigError {
             message: format!("cannot read {}: {e}", path.display()),
@@ -194,8 +196,8 @@ impl Config {
     }
 
     /// Structural checks beyond syntax: every waiver carries a non-empty
-    /// reason and complete selectors; every hot registration names a file
-    /// and at least one function pattern.
+    /// reason, complete selectors and a known rule id; every hot
+    /// registration names a file and at least one function pattern.
     fn validate(&self) -> Result<(), ConfigError> {
         for (i, waiver) in self.waivers.iter().enumerate() {
             if waiver.reason.trim().is_empty() {
@@ -221,6 +223,17 @@ impl Config {
                     message: format!(
                         "waiver #{}: `rule`, `file` and `contains` are all required",
                         i + 1
+                    ),
+                });
+            }
+            if !RULE_IDS.contains(&waiver.rule.as_str()) {
+                return Err(ConfigError {
+                    message: format!(
+                        "waiver #{} ({}): unknown rule `{}` — known rules are {}",
+                        i + 1,
+                        waiver.file,
+                        waiver.rule,
+                        RULE_IDS.join(", "),
                     ),
                 });
             }
@@ -385,6 +398,15 @@ reason = ""
         );
         let message = result.unwrap_err().message;
         assert!(message.contains("empty reason"), "{message}");
+    }
+
+    #[test]
+    fn waiver_for_an_unknown_rule_is_rejected() {
+        let result = Config::parse(
+            "[[waiver]]\nrule = \"C001\"\nfile = \"x.rs\"\ncontains = \"x\"\nreason = \"r\"\n",
+        );
+        let message = result.unwrap_err().message;
+        assert!(message.contains("unknown rule `C001`"), "{message}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! its performance story rests on an allocation-free translation hot path.
 //! Both properties are invisible to `rustc` and easy to regress with a
 //! one-line change. This crate makes them mechanical: a token-level scan of
-//! the workspace enforcing four rules, configured by `lint.toml` at the
+//! the workspace enforcing three rules, configured by `lint.toml` at the
 //! repository root, run in CI before the benchmarks.
 //!
 //! | Rule | What it catches |
@@ -14,10 +14,9 @@
 //! | `D001` | default-hashed `HashMap`/`HashSet` declarations and any hash-order iteration in artifact-producing crates |
 //! | `D002` | `Instant::now` / `SystemTime` / `RandomState` / `env::*` reads outside allowlisted profiling modules |
 //! | `H001` | allocation inside registered hot-path functions (and stale registrations that match nothing) |
-//! | `C001` | types owning a `HotTally` without a `Drop` impl that flushes it |
-//!
-//! Findings can be waived per site in `lint.toml`; every waiver must carry a
-//! non-empty reason. See the repository `README.md` for the workflow.
+//! //!
+//! Findings can be waived per site in `lint.toml`; every waiver must name a
+//! known rule and carry a non-empty reason. See the repository `README.md` for the workflow.
 
 #![deny(missing_docs)]
 

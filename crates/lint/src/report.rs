@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 /// One rule violation (possibly waived).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id (`D001`, `D002`, `H001`, `C001`).
+    /// Rule id (one of [`crate::rules::RULE_IDS`]).
     pub rule: &'static str,
     /// Workspace-relative path of the flagged file.
     pub file: String,

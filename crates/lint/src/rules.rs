@@ -1,4 +1,4 @@
-//! The four project-specific rules.
+//! The three project-specific rules.
 //!
 //! * **D001 nondeterministic-iteration** — in non-test code of
 //!   artifact-producing crates, (a) declaring a std `HashMap`/`HashSet` with
@@ -14,12 +14,13 @@
 //! * **H001 hot-path-allocation** — functions registered in `lint.toml` must
 //!   not allocate (`Vec::new`, `vec!`, `collect`, `format!`, `to_string`,
 //!   `Box::new`, ...), locking in the PR 3 allocation-free guarantee.
-//! * **C001 counter-flush** — any type with a `HotTally` field must have a
-//!   `Drop` impl that flushes it (the PR 3 drop-flush telemetry contract).
 
 use crate::config::Config;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::report::{Finding, Report};
+
+/// Ids of the rules above; a waiver naming any other id is a config error.
+pub const RULE_IDS: [&str; 3] = ["D001", "D002", "H001"];
 
 /// Methods whose receiver traversal is hash-order-dependent.
 const ITER_METHODS: &[&str] = &[
@@ -95,36 +96,15 @@ impl FileContext {
     }
 }
 
-/// Facts rule C001 aggregates across a crate before judging.
-#[derive(Debug, Default)]
-struct CrateFacts {
-    /// `(struct name, field name, file, line)` of every `HotTally` field.
-    tally_structs: Vec<(String, String, String, u32)>,
-    /// Type names with a `Drop` impl whose body calls `flush`.
-    drop_flush_types: Vec<String>,
-}
-
 /// Runs every rule over the given files and applies waivers.
 #[must_use]
 pub fn run(files: &[FileContext], config: &Config) -> Report {
     let mut findings = Vec::new();
-    let mut facts: Vec<(String, CrateFacts)> = Vec::new();
     for ctx in files {
         d001(ctx, config, &mut findings);
         d002(ctx, config, &mut findings);
-        let crate_facts = match facts.iter_mut().find(|(name, _)| *name == ctx.crate_name) {
-            Some((_, f)) => f,
-            None => {
-                facts.push((ctx.crate_name.clone(), CrateFacts::default()));
-                &mut facts.last_mut().expect("just pushed").1
-            }
-        };
-        c001_collect(ctx, crate_facts);
     }
     h001(files, config, &mut findings);
-    for (_, crate_facts) in &facts {
-        c001_judge(crate_facts, &mut findings);
-    }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     apply_waivers(files, config, &mut findings);
     Report {
@@ -894,147 +874,5 @@ fn scan_allocations(
                 }
             }
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// C001 — counter flush on drop
-// ---------------------------------------------------------------------------
-
-fn c001_collect(ctx: &FileContext, facts: &mut CrateFacts) {
-    let tokens = &ctx.tokens;
-    let mut i = 0;
-    while i < tokens.len() {
-        let t = &tokens[i];
-        if ctx.test_mask[i] {
-            i += 1;
-            continue;
-        }
-        if t.is_ident("struct") {
-            if let Some(end) = c001_struct(ctx, i, facts) {
-                i = end;
-                continue;
-            }
-        }
-        if t.is_ident("impl") {
-            if let Some(end) = c001_impl(ctx, i, facts) {
-                i = end;
-                continue;
-            }
-        }
-        i += 1;
-    }
-}
-
-/// Records `HotTally` fields of the struct declared at token `i`; returns the
-/// index just past the declaration.
-fn c001_struct(ctx: &FileContext, i: usize, facts: &mut CrateFacts) -> Option<usize> {
-    let tokens = &ctx.tokens;
-    let name = tokens.get(i + 1)?;
-    if name.kind != TokenKind::Ident {
-        return None;
-    }
-    // Find the `{` (record struct) or `;` (unit/tuple struct) first.
-    let mut open = None;
-    for (k, token) in tokens.iter().enumerate().skip(i + 2) {
-        if token.is_punct(';') {
-            return Some(k + 1);
-        }
-        if token.is_punct('(') {
-            // Tuple struct: no named field to flush; skip to the `;`.
-            let after = skip_parens(tokens, k);
-            return Some(after);
-        }
-        if token.is_punct('{') {
-            open = Some(k);
-            break;
-        }
-    }
-    let open = open?;
-    let close = matching_brace(tokens, open)?;
-    // Fields at depth 1: `name : Type ... ,`
-    let mut depth = 0i64;
-    let mut k = open;
-    while k < close {
-        let t = &tokens[k];
-        if t.is_punct('{') || t.is_punct('(') || t.is_punct('[') {
-            depth += 1;
-        } else if t.is_punct('}') || t.is_punct(')') || t.is_punct(']') {
-            depth -= 1;
-        } else if depth == 1
-            && t.kind == TokenKind::Ident
-            && tokens.get(k + 1).is_some_and(|n| n.is_punct(':'))
-            && !is_path_sep(tokens, k + 1)
-        {
-            // Scan the field type up to the next depth-1 comma.
-            let field = t.text.clone();
-            let mut m = k + 2;
-            let mut fdepth = 0i64;
-            while m < close {
-                let ft = &tokens[m];
-                if ft.is_punct('<') || ft.is_punct('(') || ft.is_punct('[') {
-                    fdepth += 1;
-                } else if ft.is_punct('>') || ft.is_punct(')') || ft.is_punct(']') {
-                    fdepth -= 1;
-                } else if ft.is_punct(',') && fdepth <= 0 {
-                    break;
-                } else if ft.is_ident("HotTally") {
-                    facts.tally_structs.push((
-                        name.text.clone(),
-                        field.clone(),
-                        ctx.rel_path.clone(),
-                        tokens[i].line,
-                    ));
-                }
-                m += 1;
-            }
-            k = m;
-            continue;
-        }
-        k += 1;
-    }
-    Some(close + 1)
-}
-
-/// Records `Drop`-with-`flush` impls; returns the index past the block.
-fn c001_impl(ctx: &FileContext, i: usize, facts: &mut CrateFacts) -> Option<usize> {
-    let tokens = &ctx.tokens;
-    let (type_name, open) = impl_block_type(tokens, i)?;
-    let close = matching_brace(tokens, open)?;
-    // Is this `impl Drop for T`? The trait path sits between `impl` and `for`.
-    let mut is_drop = false;
-    for token in &tokens[i..open] {
-        if token.is_ident("for") {
-            break;
-        }
-        if token.is_ident("Drop") {
-            is_drop = true;
-        }
-    }
-    if is_drop {
-        let flushes = tokens[open..close].iter().any(|t| t.is_ident("flush"));
-        if flushes {
-            facts.drop_flush_types.push(type_name);
-        }
-    }
-    Some(close + 1)
-}
-
-fn c001_judge(facts: &CrateFacts, findings: &mut Vec<Finding>) {
-    for (struct_name, field, file, line) in &facts.tally_structs {
-        if facts.drop_flush_types.iter().any(|t| t == struct_name) {
-            continue;
-        }
-        findings.push(Finding {
-            rule: "C001",
-            file: file.clone(),
-            line: *line,
-            message: format!(
-                "`{struct_name}` owns the hot-path tally `{field}: HotTally` but has no \
-                 `Drop` impl that flushes it — drop-flush is the telemetry contract: \
-                 without it every count accumulated since the last reset is lost"
-            ),
-            waived: None,
-        });
     }
 }

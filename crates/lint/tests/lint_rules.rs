@@ -139,22 +139,6 @@ fn h001_waiver_and_stale_registration() {
     assert!(report.findings[0].message.contains("stale"));
 }
 
-#[test]
-fn c001_flags_unflushed_tally_and_accepts_drop_flush() {
-    let report = lint_fixture("c001_trip.rs", "");
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert!(report.findings[0].message.contains("`Engine`"));
-    assert!(report.findings[0].message.contains("HotTally"));
-
-    let config = "[[waiver]]\nrule = \"C001\"\nfile = \"c001_waived.rs\"\n\
-        contains = \"struct ScratchProbe\"\nreason = \"reset explicitly, never dropped live\"\n";
-    let report = lint_fixture("c001_waived.rs", config);
-    // `Engine` passes via its flushing Drop; `ScratchProbe` is waived.
-    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
-    assert!(report.findings[0].message.contains("`ScratchProbe`"));
-    assert!(report.is_clean());
-}
-
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
@@ -256,4 +240,17 @@ fn binary_exits_two_on_an_empty_waiver_reason() {
     assert_eq!(output.status.code(), Some(2), "{output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("empty reason"), "{stderr}");
+}
+
+#[test]
+fn binary_exits_two_on_a_waiver_for_an_unknown_rule() {
+    let ws = TempWorkspace::new(
+        "unknownrule",
+        "pub fn ok() {}\n",
+        "[[waiver]]\nrule = \"C001\"\nfile = \"x.rs\"\ncontains = \"x\"\nreason = \"stale\"\n",
+    );
+    let output = ws.run_lint();
+    assert_eq!(output.status.code(), Some(2), "{output:?}");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("unknown rule `C001`"), "{stderr}");
 }

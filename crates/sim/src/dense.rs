@@ -251,7 +251,6 @@ impl DenseSimulator {
         let layer_trace = neummu_trace::global().map(|sink| (sink, sink.kind("sim/dense/layer")));
         let mut layer_results = Vec::with_capacity(layers.len());
         let mut global_tile_index = 0u64;
-        let mut fetches_streamed = 0u64;
         // Same-page runs are grouped at the translator's page size, so every
         // address of a run shares one TLB tag.
         let page_bytes = self.config.mmu.page_size.bytes();
@@ -306,7 +305,6 @@ impl DenseSimulator {
                             start + fetch.bytes,
                         );
                     }
-                    fetches_streamed += 1;
                     // The run-coalesced memory phase: the DMA stream is
                     // consumed one same-page run at a time. Each
                     // `translate_run` resolves the run's first request
@@ -405,9 +403,6 @@ impl DenseSimulator {
                 },
             });
         }
-
-        // One batched telemetry update per workload, not one per fetch.
-        neummu_mmu::counters::add_dma_fetches_streamed(fetches_streamed);
 
         Ok(WorkloadResult {
             total_cycles: now,

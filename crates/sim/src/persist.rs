@@ -25,7 +25,7 @@ use crate::multi_tenant::TenantStats;
 
 /// Key namespace for persisted dense/oracle [`WorkloadResult`] slots. Bump
 /// the `v` on any codec change.
-pub const ORACLE_NAMESPACE: &str = "oracle/v1";
+pub const ORACLE_NAMESPACE: &str = "oracle/v2";
 
 /// Key namespace for persisted multi-tenant [`TenantStats`] baselines.
 pub const TENANT_NAMESPACE: &str = "tenant/v1";
@@ -54,6 +54,8 @@ fn put_translation_stats(writer: &mut ByteWriter, stats: &neummu_mmu::Translatio
     writer.u64(stats.merged);
     writer.u64(stats.walks);
     writer.u64(stats.walk_memory_accesses);
+    writer.u64(stats.tlb_fills);
+    writer.u64(stats.prmb_reads);
     writer.u64(stats.tpreg_skipped_levels);
     writer.u64(stats.tpreg_l4_hits);
     writer.u64(stats.tpreg_l3_hits);
@@ -75,6 +77,8 @@ fn take_translation_stats(
         merged: reader.u64()?,
         walks: reader.u64()?,
         walk_memory_accesses: reader.u64()?,
+        tlb_fills: reader.u64()?,
+        prmb_reads: reader.u64()?,
         tpreg_skipped_levels: reader.u64()?,
         tpreg_l4_hits: reader.u64()?,
         tpreg_l3_hits: reader.u64()?,
@@ -278,9 +282,14 @@ mod tests {
         if with_trace {
             config = config.with_traces();
         }
-        DenseSimulator::new(config)
+        let result = DenseSimulator::new(config)
             .simulate_workload(&workload.layers(1))
-            .expect("dense run")
+            .expect("dense run");
+        // Nonzero, so a codec that dropped either field would fail the
+        // round trip.
+        assert!(result.translation.tlb_fills > 0);
+        assert!(result.translation.prmb_reads > 0);
+        result
     }
 
     #[test]

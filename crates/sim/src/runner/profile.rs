@@ -75,9 +75,8 @@ impl ProfileSink {
 }
 
 /// Thread-safe accumulator of per-phase wall-clock statistics, plus named
-/// event counters (the hot-path telemetry of `neummu_mmu::counters`, cache
-/// statistics, and anything else worth one number per run) — all stored as
-/// events in a trace sink (see the module docs).
+/// event counters (store traffic and anything else worth one number per
+/// run) — all stored as events in a trace sink (see the module docs).
 #[derive(Debug)]
 pub struct SelfProfile {
     sink: ProfileSink,
@@ -182,7 +181,7 @@ impl SelfProfile {
     /// Renders the event counters as a table (empty if none were recorded).
     #[must_use]
     pub fn counters_table(&self) -> ResultTable {
-        let mut table = ResultTable::new("Hot-path counters", &["Counter", "Value"]);
+        let mut table = ResultTable::new("Event counters", &["Counter", "Value"]);
         for (name, value) in self.counters() {
             table.push_row(&[name, value.to_string()]);
         }
