@@ -240,6 +240,40 @@ fn bench_walker_pool(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_walk_storm(c: &mut Criterion) {
+    let mut group = c.benchmark_group("walker_pool");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    let pages = 8192u64;
+    let per_page = 8u64;
+    let pt = streaming_table(pages);
+    // The Figure 12a regime the dense walk storm spends its time in: merging
+    // disabled, no TPreg, every request of a 512-byte DMA stream walking on
+    // its own. Driven through `translate_run`, so the replayed walks take
+    // the walker pool's retire/admit window; ns/req = 1e9 / elem/s.
+    group.throughput(Throughput::Elements(pages * per_page));
+    for walkers in [8usize, 1024] {
+        let config = MmuConfig::baseline_iommu().with_ptws(walkers);
+        group.bench_function(format!("walk_storm_{walkers}_walkers"), |b| {
+            b.iter(|| {
+                let mut engine = TranslationEngine::new(config);
+                let mut cycle = 0u64;
+                for page in 0..pages {
+                    let va = VirtAddr::new(0x10_0000_0000 + page * 4096);
+                    let mut remaining = per_page;
+                    while remaining > 0 {
+                        let out = engine.translate_run(&pt, black_box(va), remaining, cycle);
+                        cycle = out.last_accept() + 1;
+                        remaining -= out.consumed;
+                    }
+                }
+                engine.stats().walks
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_mmu_caches(c: &mut Criterion) {
     let mut group = c.benchmark_group("mmu_caches");
     group.warm_up_time(Duration::from_millis(500));
@@ -461,6 +495,7 @@ criterion_group!(
     bench_vmem_eager_build,
     bench_oracle_translator,
     bench_walker_pool,
+    bench_walk_storm,
     bench_mmu_caches,
     bench_translation_engine_burst,
     bench_run_coalesced_burst,

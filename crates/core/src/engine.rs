@@ -449,6 +449,38 @@ impl EngineTap {
         self.record_turnover(idx, asid, start, end, weight);
     }
 
+    /// Folds `count` events into the `idx` bin, event `i` spanning the one
+    /// cycle `first + i` with `weight`: the bins fill, turn over and emit
+    /// exactly as `count` calls of [`EngineTap::record`] would make them.
+    #[inline]
+    fn record_run(&mut self, idx: usize, asid: Asid, first: u64, count: u64, weight: u64) {
+        if !self.enabled {
+            return;
+        }
+        let mut done = 0;
+        while done < count {
+            // One event through the full path takes care of turnover...
+            let cycle = first + done;
+            self.record_enabled(idx, asid.raw(), cycle, cycle, weight);
+            done += 1;
+            // ...then the bin absorbs, at once, every event the fast path
+            // would add before the bin reaches its cap.
+            let bin = &mut self.bins[idx];
+            let room = u64::from(TAP_CAPS[idx] - 1).saturating_sub(u64::from(bin.events));
+            let absorbed = if bin.events == 0 {
+                0
+            } else {
+                room.min(count - done)
+            };
+            if absorbed > 0 {
+                bin.events += u32::try_from(absorbed).expect("bounded by a u32 cap");
+                bin.weight += absorbed * weight;
+                bin.end = bin.end.max(first + done + absorbed - 1);
+                done += absorbed;
+            }
+        }
+    }
+
     /// Bin turnover: flush on ASID change, (re)initialize, emit when full.
     #[cold]
     fn record_turnover(&mut self, idx: usize, asid: u16, start: u64, end: u64, weight: u64) {
@@ -784,6 +816,12 @@ impl TranslationEngine {
         Some((fault, quarantine_until))
     }
 
+    /// True when an attached fault plan can inject faults: every walk
+    /// admission must then go through [`TranslationEngine::fault_check`].
+    fn fault_plan_armed(&self) -> bool {
+        self.faults.as_ref().is_some_and(|f| !f.plan.is_disarmed())
+    }
+
     /// Admits one fault-perturbed walk: the injected fault's analytically
     /// resolved `total_latency` replaces the fault-free walk latency, the
     /// TPreg is bypassed (a faulty walk reads the full path and must not
@@ -1003,11 +1041,17 @@ impl TranslationEngine {
     /// a walk of the page retires — the replay stops the moment that
     /// happens) and the page-table probe (the page is immutable for the
     /// duration of the call, so `full_levels`/`mapped` are those of the
-    /// first request). Walker assignment, TPreg probes and fills, heap
-    /// order, retirements and all statistics go through the exact
-    /// per-request machinery, one request at a time; a request that would
-    /// be rejected (no idle walker) is *not* consumed, so the caller's next
-    /// `translate_run` re-issues it through the full stall-retry path.
+    /// first request). A request that would be rejected (no idle walker) is
+    /// *not* consumed, so the caller's next `translate_run` re-issues it
+    /// through the full stall-retry path.
+    ///
+    /// In a saturated pool every cycle retires one walk and admits one. When
+    /// the walks due on the next cycles are all of one other page, one
+    /// [`WalkerPool::swap_walk_window`] call retires and admits the whole
+    /// window, the TLB takes the window's fills as one
+    /// [`Tlb::insert_run_tagged`], and the statistics and trace advance in
+    /// bulk. Every other cycle goes through the per-request machinery, one
+    /// request at a time.
     #[allow(clippy::too_many_arguments)]
     fn replay_walk_run(
         &mut self,
@@ -1036,6 +1080,35 @@ impl TranslationEngine {
         while cursor < last_cycle {
             let cycle = cursor + 1;
             if walkers.next_completion().is_some_and(|c| c <= cycle) {
+                if let Some(window) = walkers.swap_walk_window(
+                    asid,
+                    cycle,
+                    last_cycle - cursor,
+                    page_number,
+                    tag,
+                    full_levels,
+                    mapped,
+                ) {
+                    let walks = window.walks;
+                    if window.retired_mapped {
+                        tlb.insert_run_tagged(window.retired_asid, window.retired_page, walks);
+                        stats.tlb_fills += walks;
+                    } else {
+                        tlb.record_run_misses(walks);
+                    }
+                    tap.record_run(TAP_RETIRE, window.retired_asid, cycle, walks, 1);
+                    stats.requests += walks;
+                    stats.tlb_misses += walks;
+                    stats.walks += walks;
+                    stats.walk_memory_accesses += window.levels_read;
+                    if !mapped {
+                        stats.faults += walks;
+                    }
+                    stats.last_completion_cycle =
+                        stats.last_completion_cycle.max(window.latest_completion);
+                    cursor += walks;
+                    continue;
+                }
                 Self::retire_walks(walkers, tlb, stats, tap, cycle);
                 if tlb.contains_tagged(asid, page_number) {
                     // A walk of this page retired: the request at `cycle`
@@ -1342,13 +1415,17 @@ impl AddressTranslator for TranslationEngine {
                     out.replay_fault = false;
                 }
             }
-            TranslationSource::PageWalk { levels_read } if !self.config.tpreg_enabled => {
+            TranslationSource::PageWalk { levels_read }
+                if !self.config.tpreg_enabled && !self.fault_plan_armed() =>
+            {
                 // Merging disabled and no TPreg (the baseline-IOMMU shape):
                 // every request of the run spends its own full walk, reading
                 // the same number of levels — so the replayed walks complete
                 // on the same one-cycle stride their accepts advance on.
                 // (With a TPreg, later walks skip levels the first one read
-                // and completions stop being arithmetic: no replay.)
+                // and completions stop being arithmetic: no replay. With an
+                // armed fault plan every admission must draw from the plan,
+                // which only the per-request path does: no replay either.)
                 let tag = PathTag::of(va);
                 let replayed = self.replay_walk_run(
                     asid,
@@ -1921,8 +1998,30 @@ mod tests {
         txns_per_page: u64,
         passes: u32,
     ) {
-        let mut reference = TranslationEngine::new(config);
-        let mut coalesced = TranslationEngine::new(config);
+        assert_engines_agree_on_run_and_request_paths(
+            &mut TranslationEngine::new(config),
+            &mut TranslationEngine::new(config),
+            pt,
+            pages,
+            base,
+            txns_per_page,
+            passes,
+        );
+    }
+
+    /// [`assert_run_path_matches_per_request`] on two given engines of one
+    /// configuration: `reference` takes one `translate` per request,
+    /// `coalesced` takes `translate_run`s. Fault counters must agree too.
+    fn assert_engines_agree_on_run_and_request_paths(
+        reference: &mut TranslationEngine,
+        coalesced: &mut TranslationEngine,
+        pt: &PageTable,
+        pages: &[u64],
+        base: u64,
+        txns_per_page: u64,
+        passes: u32,
+    ) {
+        let config = reference.config();
         let mut ref_cycle = 0u64;
         let mut run_cycle = 0u64;
         let page_bytes = config.page_size.bytes();
@@ -1958,6 +2057,7 @@ mod tests {
         }
         assert_eq!(ref_cycle, run_cycle);
         assert_eq!(reference.stats(), coalesced.stats());
+        assert_eq!(reference.fault_counters(), coalesced.fault_counters());
         assert_eq!(reference.tlb().lookups(), coalesced.tlb().lookups());
         assert_eq!(reference.tlb().hits(), coalesced.tlb().hits());
         assert_eq!(reference.tlb().fills(), coalesced.tlb().fills());
@@ -2202,6 +2302,36 @@ mod tests {
         }
         assert_eq!(plain.stats(), faulted.stats());
         assert_eq!(faulted.fault_counters(), Some(&FaultCounters::default()));
+    }
+
+    #[test]
+    fn armed_fault_plan_draws_the_same_faults_on_the_run_path() {
+        // Merging disabled and no TPreg, the shape whose runs replay walk
+        // after walk. Every walk admission must draw from the armed plan,
+        // so `translate_run` has to draw exactly the faults that one
+        // `translate` per request draws, and agree on every outcome.
+        let pt = mapped_table(0xb00_0000, 64);
+        let pages: Vec<u64> = (0..64).collect();
+        let build = || {
+            TranslationEngine::with_faults(
+                MmuConfig::baseline_iommu().with_ptws(64),
+                DeviceFaultConfig::uniform(7, 0.3),
+                ResilienceConfig::all_on(),
+            )
+            .unwrap()
+        };
+        let (mut per_request, mut run) = (build(), build());
+        assert_engines_agree_on_run_and_request_paths(
+            &mut per_request,
+            &mut run,
+            &pt,
+            &pages,
+            0xb00_0000,
+            8,
+            1,
+        );
+        // The plan was exercised: some walks were perturbed.
+        assert!(per_request.fault_counters().unwrap().total_injected() > 0);
     }
 
     #[test]

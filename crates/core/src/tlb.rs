@@ -192,6 +192,26 @@ impl Tlb {
         self.lookups += misses;
     }
 
+    /// Records `fills` inserts of one page in the given context, each
+    /// followed by one lookup that misses (a lookup of a page that is not
+    /// resident) — the run-coalesced replay of a walk window, where every
+    /// cycle retires a walk of `page_number` and starts a walk of another
+    /// page. The page is inserted once, with the recency stamp its last
+    /// individual insert would have had; the stamp advances by `2 × fills`
+    /// and the lookup count by `fills`, as the individual calls would have
+    /// advanced them. Eviction is unchanged: only the first insert can
+    /// evict, and no stamp of another entry moves in between. A no-op when
+    /// `fills` is 0.
+    pub fn insert_run_tagged(&mut self, asid: Asid, page_number: u64, fills: u64) {
+        if fills == 0 {
+            return;
+        }
+        self.stamp += 2 * fills - 2;
+        self.insert_tagged(asid, page_number);
+        self.stamp += 1;
+        self.lookups += fills;
+    }
+
     /// Checks for presence in the [`Asid::GLOBAL`] context without updating
     /// LRU state or statistics.
     #[must_use]
@@ -500,6 +520,41 @@ mod tests {
         assert!(!batched.record_run_hits(Asid::GLOBAL, 99, 3));
         // A zero-hit record is presence-check only.
         assert!(batched.record_run_hits(Asid::GLOBAL, 0, 0));
+    }
+
+    #[test]
+    fn run_insert_recording_matches_individual_fills_and_misses_bit_for_bit() {
+        // A walk window: each cycle inserts page 10 (a walk of it retires)
+        // and then looks up page 30, which misses (a walk of it starts). The
+        // batched record must leave the whole TLB — every entry's recency
+        // stamp, the stamp counter, all counters — exactly as the
+        // individual calls leave it, whether page 10 was resident or not and
+        // whether its insert evicts.
+        for fills in 1..=5u64 {
+            for resident in [false, true] {
+                let mut individual = Tlb::new(2, 2);
+                let mut batched = Tlb::new(2, 2);
+                for tlb in [&mut individual, &mut batched] {
+                    tlb.insert(20);
+                    if resident {
+                        tlb.insert(10);
+                    } else {
+                        tlb.insert(40);
+                    }
+                    assert!(!tlb.lookup(30));
+                }
+                for _ in 0..fills {
+                    individual.insert(10);
+                    assert!(!individual.lookup(30));
+                }
+                batched.insert_run_tagged(Asid::GLOBAL, 10, fills);
+                assert_eq!(format!("{individual:?}"), format!("{batched:?}"));
+            }
+        }
+        // Zero fills record nothing.
+        let mut tlb = Tlb::new(2, 2);
+        tlb.insert_run_tagged(Asid::GLOBAL, 10, 0);
+        assert_eq!(format!("{tlb:?}"), format!("{:?}", Tlb::new(2, 2)));
     }
 
     #[test]

@@ -11,7 +11,27 @@
 //! Walkers are assigned to new walks in FIFO (round-robin) order, which is
 //! what distributes consecutive walks across walkers and gives the per-walker
 //! TPreg its characteristic L4/L3 ≫ L2 hit-rate profile (Figure 13).
+//!
+//! Walks retire in `(completes_at, walk_slot)` order: earliest completion
+//! first, the lowest slot first among equals (slots are reused LIFO). A
+//! fault-free walk costs `levels_read × walk_latency_per_level` cycles with
+//! `levels_read` in 1..=4, so walks of one depth admitted on non-decreasing
+//! cycles complete in admission order. The pool therefore keeps one sorted
+//! FIFO per depth and retires the least of at most five heads: the four FIFO
+//! heads and the top of a small side heap. The side heap takes every walk
+//! that would not sort after its FIFO's tail — fault-perturbed walks, and
+//! admissions on an earlier cycle, or on the same cycle with a lower slot —
+//! so the retirement order is exactly a single min-heap's whatever the
+//! admission cycles, and a fault-free stream of monotone admissions never
+//! touches the heap. The earliest completion is cached, so a drain with
+//! nothing due costs one comparison.
+//!
+//! With merging disabled, a saturated pool retires one walk and admits one
+//! on every cycle. [`WalkerPool::swap_walk_window`] does a run of such cycles
+//! in one call, when the walks due are all of one page: the engine then
+//! accounts for the whole window at once.
 
+use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -28,7 +48,7 @@ use neummu_vmem::{Asid, PathTag};
 /// from an adversary, so SipHash's collision-attack resistance buys nothing
 /// here while costing a large fraction of each probe. The map is never
 /// iterated, so hash order cannot reach any observable result (statistics,
-/// artifacts, retirement order all flow through the completion heap).
+/// artifacts, retirement order all flow through the completion queues).
 #[derive(Debug, Clone, Copy, Default)]
 struct PtsHasher(u64);
 
@@ -121,26 +141,63 @@ struct InFlightWalk {
     quarantine_until: u64,
 }
 
-/// Min-heap ordering by completion time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-struct HeapEntry {
-    completes_at: u64,
-    walk_slot: usize,
-}
+/// A walk's place in the retirement order: `(completes_at, walk_slot)`.
+/// Slots are unique among live walks, so the order is total.
+type DueKey = (u64, usize);
 
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .completes_at
-            .cmp(&self.completes_at)
-            .then_with(|| other.walk_slot.cmp(&self.walk_slot))
+/// A [`DueKey`] ordered so that the side heap pops the least key first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+struct MinDue(DueKey);
+
+impl Ord for MinDue {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.0.cmp(&self.0)
     }
 }
 
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+impl PartialOrd for MinDue {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
+}
+
+/// Number of per-depth completion FIFOs: a walk reads 1..=4 levels.
+const DEPTHS: usize = 4;
+
+/// Completion lanes: the per-depth FIFOs (lane `levels_read - 1`), then the
+/// side heap (lane [`SIDE`]).
+const LANES: usize = DEPTHS + 1;
+
+/// The side heap's lane.
+const SIDE: usize = DEPTHS;
+
+/// The head key of an empty lane: it sorts after every real walk.
+const IDLE: DueKey = (u64::MAX, usize::MAX);
+
+/// The FIFO of a fault-free walk that reads `levels_read` levels.
+#[inline]
+fn fifo_of(levels_read: u32) -> Option<usize> {
+    let depth = levels_read as usize - 1;
+    (depth < DEPTHS).then_some(depth)
+}
+
+/// Summary of one [`WalkerPool::swap_walk_window`] call: `walks` walks of
+/// one page retired on consecutive cycles, and as many walks admitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct WalkWindow {
+    /// Number of walks retired, and of walks admitted.
+    pub walks: u64,
+    /// Context of the retired walks.
+    pub retired_asid: Asid,
+    /// Page number of the retired walks.
+    pub retired_page: u64,
+    /// Whether the retired walks' page was mapped (their translations fill
+    /// the TLB).
+    pub retired_mapped: bool,
+    /// Page-table levels read by the admitted walks, summed.
+    pub levels_read: u64,
+    /// Latest completion cycle among the admitted walks.
+    pub latest_completion: u64,
 }
 
 /// The pool of hardware page-table walkers.
@@ -160,8 +217,18 @@ pub struct WalkerPool {
     /// with the ASID keeps one tenant's requests from merging into another
     /// tenant's in-flight walk of the same virtual page.
     pts: PtsMap,
-    /// Completion order.
-    heap: BinaryHeap<HeapEntry>,
+    /// Completion order of fault-free walks, one FIFO per depth
+    /// (`levels_read - 1`), each sorted by [`DueKey`].
+    by_depth: [VecDeque<DueKey>; DEPTHS],
+    /// The least key of each lane, [`IDLE`] when the lane is empty: the
+    /// retirement order's candidates, side by side in one array.
+    heads: [DueKey; LANES],
+    /// Completion order of every walk that does not sort after its depth's
+    /// FIFO tail (see the module doc).
+    side: BinaryHeap<MinDue>,
+    /// Earliest completion cycle of any in-flight walk, `u64::MAX` when
+    /// none is in flight: the one comparison of a drain with nothing due.
+    next_due: u64,
     /// Hard-failed walkers parked until their cool-down expires, as
     /// `(walker, readmit_at)`. Empty unless fault injection quarantined a
     /// walker; healthy runs never touch it.
@@ -193,7 +260,10 @@ impl WalkerPool {
             walks: Vec::new(),
             free_slots: Vec::new(),
             pts: PtsMap::default(),
-            heap: BinaryHeap::new(),
+            by_depth: Default::default(),
+            heads: [IDLE; LANES],
+            side: BinaryHeap::new(),
+            next_due: u64::MAX,
             quarantined: Vec::new(),
         }
     }
@@ -221,31 +291,21 @@ impl WalkerPool {
     /// responsible for filling the TLB. Returns the number of walks retired.
     ///
     /// This runs once per translate attempt, and on the overwhelming majority
-    /// of calls nothing has completed: that case costs a single heap peek and
-    /// returns 0.
+    /// of calls nothing has completed: that case costs one comparison against
+    /// the cached earliest completion and returns 0.
     pub fn drain_completed(&mut self, cycle: u64, mut retire: impl FnMut(CompletedWalk)) -> usize {
+        if self.next_due > cycle {
+            return 0;
+        }
         let mut retired = 0usize;
-        while let Some(top) = self.heap.peek() {
-            if top.completes_at > cycle {
+        loop {
+            let (key, lane) = self.earliest();
+            let (completes_at, slot) = key;
+            if completes_at > cycle || key == IDLE {
                 break;
             }
-            let entry = self.heap.pop().expect("peeked entry exists");
-            let walk = self.walks[entry.walk_slot]
-                .take()
-                .expect("heap entries always reference live walks");
-            self.free_slots.push(entry.walk_slot);
-            // The PTS only holds walks when merging is on (see enqueue_walk).
-            if self.prmb_slots > 0 && !walk.flushed {
-                self.pts.remove(&(walk.asid, walk.page_number));
-            }
-            if walk.quarantine_until > 0 {
-                // The walker hard-failed during this walk: park it instead
-                // of returning it to the free list. The pool shrinks until
-                // the cool-down expires and readmit_quarantined runs.
-                self.quarantined.push((walk.walker, walk.quarantine_until));
-            } else {
-                self.free_walkers.push_back(walk.walker);
-            }
+            self.pop_lane(lane);
+            let walk = self.retire_slot(slot);
             retired += 1;
             retire(CompletedWalk {
                 asid: walk.asid,
@@ -255,7 +315,174 @@ impl WalkerPool {
                 mapped: walk.mapped,
             });
         }
+        self.next_due = self.earliest_due();
         retired
+    }
+
+    /// The least queued [`DueKey`] and its lane: the least lane head
+    /// ([`IDLE`] when nothing is queued).
+    #[inline]
+    fn earliest(&self) -> (DueKey, usize) {
+        let mut lane = 0;
+        for candidate in 1..LANES {
+            if self.heads[candidate] < self.heads[lane] {
+                lane = candidate;
+            }
+        }
+        (self.heads[lane], lane)
+    }
+
+    /// The earliest completion cycle of any queued walk (`u64::MAX` when
+    /// nothing is queued).
+    #[inline]
+    fn earliest_due(&self) -> u64 {
+        self.heads
+            .iter()
+            .fold(u64::MAX, |least, &(due, _)| least.min(due))
+    }
+
+    /// Removes the head of `lane` and refreshes the lane's head key.
+    #[inline]
+    fn pop_lane(&mut self, lane: usize) {
+        self.heads[lane] = if lane == SIDE {
+            self.side.pop();
+            self.side.peek().map_or(IDLE, |&MinDue(key)| key)
+        } else {
+            let fifo = &mut self.by_depth[lane];
+            fifo.pop_front();
+            fifo.front().copied().unwrap_or(IDLE)
+        };
+    }
+
+    /// Puts `key` back at the head of `lane`, undoing [`Self::pop_lane`].
+    fn unpop_lane(&mut self, lane: usize, key: DueKey) {
+        if lane == SIDE {
+            self.side.push(MinDue(key));
+        } else {
+            self.by_depth[lane].push_front(key);
+        }
+        self.heads[lane] = key;
+    }
+
+    /// Frees a retiring walk's slot, PTS entry and walker, and returns the
+    /// walk.
+    #[inline]
+    fn retire_slot(&mut self, slot: usize) -> InFlightWalk {
+        let walk = self.walks[slot]
+            .take()
+            .expect("queued entries always reference live walks");
+        self.free_slots.push(slot);
+        self.release(&walk);
+        walk
+    }
+
+    /// Frees a retiring walk's PTS entry and walker.
+    #[inline]
+    fn release(&mut self, walk: &InFlightWalk) {
+        // The PTS only holds walks when merging is on (see occupy).
+        if self.prmb_slots > 0 && !walk.flushed {
+            self.pts.remove(&(walk.asid, walk.page_number));
+        }
+        if walk.quarantine_until > 0 {
+            // The walker hard-failed during this walk: park it instead
+            // of returning it to the free list. The pool shrinks until
+            // the cool-down expires and readmit_quarantined runs.
+            self.quarantined.push((walk.walker, walk.quarantine_until));
+        } else {
+            self.free_walkers.push_back(walk.walker);
+        }
+    }
+
+    /// Retires walks due on the consecutive cycles `cycle, cycle + 1, ...`
+    /// and admits one walk of `page_number` on each of those cycles, right
+    /// after its retirement — up to `max_walks` of each. This is exactly
+    /// what one [`WalkerPool::drain_completed`] at each cycle followed by one
+    /// [`WalkerPool::start_walk_tagged`] would do: the walker freed goes to
+    /// the back of the idle FIFO and the admission takes the front one, and
+    /// the admission reuses the slot its retirement just freed.
+    ///
+    /// The window only spans retirements that those per-cycle calls would
+    /// see as one identical event per cycle, so that the caller can account
+    /// for them in bulk. It ends before the first cycle where:
+    /// - no walk, or more than one walk, is due;
+    /// - the due walk is of another `(asid, page)` than the window's first,
+    ///   or of the admitted page itself (its translation would land);
+    /// - the due walk differs from the first in mapped-ness, carries merged
+    ///   requests, or quarantines its walker.
+    ///
+    /// Returns `None` when the window is empty: nothing was changed.
+    #[allow(clippy::too_many_arguments)]
+    pub fn swap_walk_window(
+        &mut self,
+        asid: Asid,
+        cycle: u64,
+        max_walks: u64,
+        page_number: u64,
+        tag: PathTag,
+        full_levels: u32,
+        mapped: bool,
+    ) -> Option<WalkWindow> {
+        let mut window: Option<WalkWindow> = None;
+        let mut at = cycle;
+        let mut lane = SIDE;
+        while window.map_or(0, |w| w.walks) < max_walks && self.next_due == at {
+            // Any lane whose head is due now will do: were another lane due
+            // too, the tie check below stops the window.
+            if self.heads[lane].0 != at {
+                lane = self.earliest().1;
+            }
+            let slot = self.heads[lane].1;
+            let walk = self.walks[slot]
+                .as_ref()
+                .expect("queued entries always reference live walks");
+            let key = (walk.asid, walk.page_number);
+            let eligible = key != (asid, page_number)
+                && walk.merged_requests == 0
+                && walk.quarantine_until == 0
+                && window.is_none_or(|w| {
+                    (w.retired_asid, w.retired_page, w.retired_mapped)
+                        == (key.0, key.1, walk.mapped)
+                });
+            if !eligible {
+                break;
+            }
+            let walk_mapped = walk.mapped;
+            self.pop_lane(lane);
+            let next_due = self.earliest_due();
+            if next_due == at {
+                // Another walk ties at this cycle: undo the pop and stop.
+                self.unpop_lane(lane, (at, slot));
+                break;
+            }
+            self.next_due = next_due;
+            // The admission reuses the slot its retirement frees, as the
+            // LIFO free list would hand it back: retire and admit in place.
+            let retired = self.walks[slot]
+                .take()
+                .expect("queued entries always reference live walks");
+            self.release(&retired);
+            let walker = self
+                .free_walkers
+                .pop_front()
+                .expect("the retirement freed a walker");
+            let (walk, _, levels_read) =
+                self.new_walk(walker, asid, at, page_number, tag, full_levels, mapped);
+            let completes_at = walk.completes_at;
+            self.occupy(slot, walk, fifo_of(levels_read));
+            let w = window.get_or_insert(WalkWindow {
+                walks: 0,
+                retired_asid: key.0,
+                retired_page: key.1,
+                retired_mapped: walk_mapped,
+                levels_read: 0,
+                latest_completion: 0,
+            });
+            w.walks += 1;
+            w.levels_read += u64::from(levels_read);
+            w.latest_completion = w.latest_completion.max(completes_at);
+            at += 1;
+        }
+        window
     }
 
     /// Retires every walk that has completed by `cycle`, returning them in
@@ -271,7 +498,7 @@ impl WalkerPool {
     /// Earliest cycle at which any in-flight walk completes (`None` if idle).
     #[must_use]
     pub fn next_completion(&self) -> Option<u64> {
-        self.heap.peek().map(|e| e.completes_at)
+        (self.next_due != u64::MAX).then_some(self.next_due)
     }
 
     /// Number of walkers currently parked in quarantine.
@@ -387,7 +614,33 @@ impl WalkerPool {
                 retry_at: self.rejected_retry_at(),
             };
         };
+        let (walk, path_match, levels_read) =
+            self.new_walk(walker, asid, cycle, page_number, tag, full_levels, mapped);
+        let completes_at = walk.completes_at;
+        self.enqueue_walk(walk, fifo_of(levels_read));
+        WalkAdmission::Started {
+            walker,
+            completes_at,
+            path_match,
+            levels_read,
+        }
+    }
 
+    /// A fault-free walk on `walker`, which the caller has taken off the
+    /// idle FIFO: probes and fills the walker's TPreg. Returns the walk, its
+    /// TPreg match and the levels it reads.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn new_walk(
+        &mut self,
+        walker: usize,
+        asid: Asid,
+        cycle: u64,
+        page_number: u64,
+        tag: PathTag,
+        full_levels: u32,
+        mapped: bool,
+    ) -> (InFlightWalk, PathMatch, u32) {
         let path_match = if self.tpreg_enabled {
             self.tpregs[walker].probe(tag)
         } else {
@@ -415,13 +668,7 @@ impl WalkerPool {
             flushed: false,
             quarantine_until: 0,
         };
-        self.enqueue_walk(walk);
-        WalkAdmission::Started {
-            walker,
-            completes_at,
-            path_match,
-            levels_read,
-        }
+        (walk, path_match, levels_read)
     }
 
     /// Starts a walk whose latency was overridden by an injected device
@@ -460,7 +707,7 @@ impl WalkerPool {
             flushed: false,
             quarantine_until,
         };
-        self.enqueue_walk(walk);
+        self.enqueue_walk(walk, None);
         WalkAdmission::Started {
             walker,
             completes_at,
@@ -482,24 +729,41 @@ impl WalkerPool {
         }
     }
 
-    /// Slots the walk into storage, the PTS and the completion heap.
-    fn enqueue_walk(&mut self, walk: InFlightWalk) {
-        let key = (walk.asid, walk.page_number);
-        let completes_at = walk.completes_at;
-        let slot = if let Some(slot) = self.free_slots.pop() {
-            self.walks[slot] = Some(walk);
-            slot
-        } else {
-            self.walks.push(Some(walk));
+    /// Slots the walk into the slot the LIFO free list hands back (a new
+    /// one when none is free) and queues it (see [`Self::occupy`]).
+    #[inline]
+    fn enqueue_walk(&mut self, walk: InFlightWalk, fifo: Option<usize>) {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.walks.push(None);
             self.walks.len() - 1
-        };
-        if self.prmb_slots > 0 {
-            self.pts.insert(key, slot);
-        }
-        self.heap.push(HeapEntry {
-            completes_at,
-            walk_slot: slot,
         });
+        self.occupy(slot, walk, fifo);
+    }
+
+    /// Puts the walk in the free `slot`, the PTS and the completion order:
+    /// the FIFO `fifo` when given and the walk sorts after its tail, the
+    /// side heap otherwise.
+    #[inline]
+    fn occupy(&mut self, slot: usize, walk: InFlightWalk, fifo: Option<usize>) {
+        let due = (walk.completes_at, slot);
+        if self.prmb_slots > 0 {
+            self.pts.insert((walk.asid, walk.page_number), slot);
+        }
+        self.walks[slot] = Some(walk);
+        match fifo {
+            Some(depth) if self.by_depth[depth].back().is_none_or(|&tail| tail < due) => {
+                let fifo = &mut self.by_depth[depth];
+                if fifo.is_empty() {
+                    self.heads[depth] = due;
+                }
+                fifo.push_back(due);
+            }
+            _ => {
+                self.side.push(MinDue(due));
+                self.heads[SIDE] = self.heads[SIDE].min(due);
+            }
+        }
+        self.next_due = self.next_due.min(due.0);
     }
 
     /// Invalidates every walker's TPreg (page-table update).
@@ -720,6 +984,70 @@ mod tests {
         assert_eq!(drained.len(), 3);
         // Nothing left: the fast path reports zero without invoking the sink.
         assert_eq!(a.drain_completed(u64::MAX, |_| panic!("empty pool")), 0);
+    }
+
+    #[test]
+    fn walk_window_swaps_one_retirement_for_one_admission_per_cycle() {
+        let mut pool = WalkerPool::new(4, 0, 100, false);
+        // Four walks of page 7 on consecutive cycles fill the pool; they
+        // complete on cycles 400..=403.
+        for cycle in 0..4 {
+            start(&mut pool, cycle, 7);
+        }
+        let window = pool.swap_walk_window(Asid::GLOBAL, 400, 10, 8, tag_of_page(8), 4, true);
+        assert_eq!(
+            window,
+            Some(WalkWindow {
+                walks: 4,
+                retired_asid: Asid::GLOBAL,
+                retired_page: 7,
+                retired_mapped: true,
+                levels_read: 16,
+                latest_completion: 803,
+            })
+        );
+        assert_eq!(pool.in_flight(), 4);
+        assert_eq!(pool.next_completion(), Some(800));
+        // The walks due next are of page 8 itself: no window admits page 8.
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 800, 10, 8, tag_of_page(8), 4, true),
+            None
+        );
+        // A window starts only on the earliest due cycle.
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 801, 10, 9, tag_of_page(9), 4, true),
+            None
+        );
+        // `max_walks` caps the window.
+        let capped = pool.swap_walk_window(Asid::GLOBAL, 800, 2, 9, tag_of_page(9), 4, true);
+        assert_eq!(capped.map(|w| (w.walks, w.retired_page)), Some((2, 8)));
+        let retired: Vec<(u64, u64)> = pool
+            .retire_completed(u64::MAX)
+            .iter()
+            .map(|w| (w.page_number, w.completed_at))
+            .collect();
+        assert_eq!(retired, vec![(8, 802), (8, 803), (9, 1200), (9, 1201)]);
+    }
+
+    #[test]
+    fn walk_window_stops_where_walks_tie_or_differ() {
+        let mut pool = WalkerPool::new(4, 0, 100, false);
+        // Two walks tie at cycle 400: the per-cycle path would retire both
+        // before one admission, so no window opens and nothing changes.
+        start(&mut pool, 0, 7);
+        start(&mut pool, 0, 7);
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, tag_of_page(8), 4, true),
+            None
+        );
+        assert_eq!(pool.retire_completed(400).len(), 2);
+        // A walk of another page, or of an unmapped page, ends the window.
+        start(&mut pool, 500, 7);
+        start(&mut pool, 501, 6);
+        pool.start_walk(502, 7, tag_of_page(7), 4, false);
+        let window = pool.swap_walk_window(Asid::GLOBAL, 900, 4, 8, tag_of_page(8), 4, true);
+        assert_eq!(window.map(|w| w.walks), Some(1));
+        assert_eq!(pool.next_completion(), Some(901));
     }
 
     #[test]

@@ -3,7 +3,10 @@
 use proptest::prelude::*;
 
 use neummu_mmu::prelude::*;
-use neummu_vmem::{MemNode, PageSize, PageTable, PhysFrameNum, VirtAddr};
+use neummu_mmu::walker::{CompletedWalk, WalkAdmission};
+use neummu_vmem::{Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr};
+
+use reference::HeapPool;
 
 /// Builds a page table with the given 4 KB virtual pages mapped.
 fn table_with_pages(pages: &[u64]) -> PageTable {
@@ -253,5 +256,420 @@ proptest! {
                 prop_assert_eq!(outcome.levels_read + outcome.skipped_levels, total);
             }
         }
+    }
+}
+
+/// The walker pool as it was when one `BinaryHeap` held every completion:
+/// the reference the per-depth FIFO pool must agree with, event for event.
+mod reference {
+    use std::cmp::Ordering;
+    use std::collections::{BTreeMap, BinaryHeap, VecDeque};
+
+    use neummu_mmu::tpreg::{PathMatch, TranslationPathRegister};
+    use neummu_mmu::walker::{CompletedWalk, WalkAdmission};
+    use neummu_vmem::{Asid, PathTag};
+
+    struct Walk {
+        asid: Asid,
+        page_number: u64,
+        walker: usize,
+        completes_at: u64,
+        merged_requests: u32,
+        mapped: bool,
+        flushed: bool,
+        quarantine_until: u64,
+    }
+
+    /// Min-heap ordering by completion time, then by the lowest slot.
+    #[derive(PartialEq, Eq)]
+    struct HeapEntry {
+        completes_at: u64,
+        walk_slot: usize,
+    }
+
+    impl Ord for HeapEntry {
+        fn cmp(&self, other: &Self) -> Ordering {
+            other
+                .completes_at
+                .cmp(&self.completes_at)
+                .then_with(|| other.walk_slot.cmp(&self.walk_slot))
+        }
+    }
+
+    impl PartialOrd for HeapEntry {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    pub struct HeapPool {
+        num_walkers: usize,
+        prmb_slots: usize,
+        walk_latency_per_level: u64,
+        tpreg_enabled: bool,
+        tpregs: Vec<TranslationPathRegister>,
+        free_walkers: VecDeque<usize>,
+        walks: Vec<Option<Walk>>,
+        free_slots: Vec<usize>,
+        pts: BTreeMap<(Asid, u64), usize>,
+        heap: BinaryHeap<HeapEntry>,
+        quarantined: Vec<(usize, u64)>,
+    }
+
+    impl HeapPool {
+        pub fn new(
+            num_walkers: usize,
+            prmb_slots: usize,
+            walk_latency_per_level: u64,
+            tpreg_enabled: bool,
+        ) -> Self {
+            HeapPool {
+                num_walkers,
+                prmb_slots,
+                walk_latency_per_level,
+                tpreg_enabled,
+                tpregs: vec![TranslationPathRegister::new(); num_walkers],
+                free_walkers: (0..num_walkers).collect(),
+                walks: Vec::new(),
+                free_slots: Vec::new(),
+                pts: BTreeMap::new(),
+                heap: BinaryHeap::new(),
+                quarantined: Vec::new(),
+            }
+        }
+
+        pub fn in_flight(&self) -> usize {
+            self.num_walkers - self.free_walkers.len()
+        }
+
+        pub fn quarantined_walkers(&self) -> usize {
+            self.quarantined.len()
+        }
+
+        pub fn next_completion(&self) -> Option<u64> {
+            self.heap.peek().map(|e| e.completes_at)
+        }
+
+        pub fn retire_completed(&mut self, cycle: u64) -> Vec<CompletedWalk> {
+            let mut retired = Vec::new();
+            while self
+                .heap
+                .peek()
+                .is_some_and(|top| top.completes_at <= cycle)
+            {
+                let entry = self.heap.pop().unwrap();
+                let walk = self.walks[entry.walk_slot].take().unwrap();
+                self.free_slots.push(entry.walk_slot);
+                if self.prmb_slots > 0 && !walk.flushed {
+                    self.pts.remove(&(walk.asid, walk.page_number));
+                }
+                if walk.quarantine_until > 0 {
+                    self.quarantined.push((walk.walker, walk.quarantine_until));
+                } else {
+                    self.free_walkers.push_back(walk.walker);
+                }
+                retired.push(CompletedWalk {
+                    asid: walk.asid,
+                    page_number: walk.page_number,
+                    completed_at: walk.completes_at,
+                    merged_requests: walk.merged_requests,
+                    mapped: walk.mapped,
+                });
+            }
+            retired
+        }
+
+        pub fn readmit_quarantined(&mut self, cycle: u64) {
+            let mut i = 0;
+            while i < self.quarantined.len() {
+                if self.quarantined[i].1 <= cycle {
+                    let (walker, _) = self.quarantined.swap_remove(i);
+                    self.free_walkers.push_back(walker);
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        pub fn try_merge_tagged(&mut self, asid: Asid, page_number: u64) -> Option<(usize, u64)> {
+            if self.prmb_slots == 0 {
+                return None;
+            }
+            let slot = *self.pts.get(&(asid, page_number))?;
+            let walk = self.walks[slot].as_mut().unwrap();
+            if walk.merged_requests as usize >= self.prmb_slots {
+                return None;
+            }
+            walk.merged_requests += 1;
+            Some((walk.walker, walk.completes_at))
+        }
+
+        fn rejected_retry_at(&self) -> u64 {
+            let readmit = self.quarantined.iter().map(|&(_, at)| at).min();
+            match (self.next_completion(), readmit) {
+                (Some(c), Some(r)) => c.min(r),
+                (Some(c), None) => c,
+                (None, Some(r)) => r,
+                (None, None) => unreachable!(),
+            }
+        }
+
+        pub fn start_walk_tagged(
+            &mut self,
+            asid: Asid,
+            cycle: u64,
+            page_number: u64,
+            tag: PathTag,
+            full_levels: u32,
+            mapped: bool,
+        ) -> WalkAdmission {
+            let Some(walker) = self.free_walkers.pop_front() else {
+                return WalkAdmission::Rejected {
+                    retry_at: self.rejected_retry_at(),
+                };
+            };
+            let path_match = if self.tpreg_enabled {
+                self.tpregs[walker].probe(tag)
+            } else {
+                PathMatch::miss()
+            };
+            let skipped = path_match
+                .skippable_levels()
+                .min(full_levels.saturating_sub(1));
+            let levels_read = (full_levels - skipped).max(1);
+            let completes_at = cycle + u64::from(levels_read) * self.walk_latency_per_level;
+            if self.tpreg_enabled {
+                self.tpregs[walker].fill(tag);
+            }
+            self.enqueue(asid, page_number, walker, completes_at, mapped, 0);
+            WalkAdmission::Started {
+                walker,
+                completes_at,
+                path_match,
+                levels_read,
+            }
+        }
+
+        #[allow(clippy::too_many_arguments)]
+        pub fn start_walk_perturbed(
+            &mut self,
+            asid: Asid,
+            cycle: u64,
+            page_number: u64,
+            full_levels: u32,
+            total_latency: u64,
+            mapped: bool,
+            quarantine_until: u64,
+        ) -> WalkAdmission {
+            let Some(walker) = self.free_walkers.pop_front() else {
+                return WalkAdmission::Rejected {
+                    retry_at: self.rejected_retry_at(),
+                };
+            };
+            let completes_at = cycle + total_latency;
+            self.enqueue(
+                asid,
+                page_number,
+                walker,
+                completes_at,
+                mapped,
+                quarantine_until,
+            );
+            WalkAdmission::Started {
+                walker,
+                completes_at,
+                path_match: PathMatch::miss(),
+                levels_read: full_levels,
+            }
+        }
+
+        fn enqueue(
+            &mut self,
+            asid: Asid,
+            page_number: u64,
+            walker: usize,
+            completes_at: u64,
+            mapped: bool,
+            quarantine_until: u64,
+        ) {
+            let walk = Walk {
+                asid,
+                page_number,
+                walker,
+                completes_at,
+                merged_requests: 0,
+                mapped,
+                flushed: false,
+                quarantine_until,
+            };
+            let slot = if let Some(slot) = self.free_slots.pop() {
+                self.walks[slot] = Some(walk);
+                slot
+            } else {
+                self.walks.push(Some(walk));
+                self.walks.len() - 1
+            };
+            if self.prmb_slots > 0 {
+                self.pts.insert((asid, page_number), slot);
+            }
+            self.heap.push(HeapEntry {
+                completes_at,
+                walk_slot: slot,
+            });
+        }
+
+        pub fn flush_asid(&mut self, asid: Asid) -> usize {
+            let merging = self.prmb_slots > 0;
+            let mut discarded = 0;
+            for walk in self.walks.iter_mut().flatten() {
+                if walk.asid == asid && !walk.flushed {
+                    if merging {
+                        self.pts.remove(&(walk.asid, walk.page_number));
+                    }
+                    walk.mapped = false;
+                    walk.flushed = true;
+                    discarded += 1;
+                }
+            }
+            discarded
+        }
+    }
+}
+
+/// Strategy: a random walker-pool workload, one `(op, a, b, c)` tuple per
+/// step, decoded by `pool_matches_the_single_heap_reference`.
+fn pool_ops() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
+    prop::collection::vec((0u8..10, 0u64..64, 0u64..64, 0u64..8), 1..250)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The per-depth FIFO pool retires walks in exactly the order one
+    /// completion heap would, including its lowest-slot tie-break and LIFO
+    /// slot reuse, whatever the admission cycles: same-cycle, increasing and
+    /// decreasing admissions, TPreg on and off, 3- and 4-level walks,
+    /// fault-perturbed walks with quarantine, PRMB merges and `flush_asid`
+    /// mid-flight. `swap_walk_window` is checked against its per-walk
+    /// expansion: one drain and one admission per cycle of the window.
+    #[test]
+    fn pool_matches_the_single_heap_reference(
+        ops in pool_ops(),
+        walkers in 1usize..12,
+        prmb in 0usize..3,
+        tpreg in any::<bool>(),
+        latency in 1u64..6,
+    ) {
+        let mut pool = WalkerPool::new(walkers, prmb, latency, tpreg);
+        let mut reference = HeapPool::new(walkers, prmb, latency, tpreg);
+        let mut now = 0u64;
+        for (op, a, b, c) in ops {
+            let asid = Asid::new((a % 2) as u16);
+            let page = b % 6;
+            let levels = 3 + (c % 2) as u32;
+            let mapped = c % 5 != 0;
+            // Pages of one 2 MB region share a full TPreg path; the region
+            // varies with `a`, so TPreg walks read 1, 2 or all levels.
+            let tag = PathTag::of(VirtAddr::new(((a % 4) << 21) | (page << 12)));
+            match op {
+                // One admission now, later, or earlier than the last one.
+                0 | 1 => {
+                    let cycle = match a % 3 {
+                        0 => now,
+                        1 => now + c,
+                        _ => now.saturating_sub(c),
+                    };
+                    prop_assert_eq!(
+                        pool.start_walk_tagged(asid, cycle, page, tag, levels, mapped),
+                        reference.start_walk_tagged(asid, cycle, page, tag, levels, mapped)
+                    );
+                }
+                // A burst: one walk of one page per consecutive cycle, the
+                // shape of a merging-disabled run replay.
+                2 | 3 => {
+                    for i in 0..=c {
+                        prop_assert_eq!(
+                            pool.start_walk_tagged(asid, now + i, page, tag, levels, mapped),
+                            reference.start_walk_tagged(asid, now + i, page, tag, levels, mapped)
+                        );
+                    }
+                    now += c + 1;
+                }
+                // A fault-perturbed walk, quarantining its walker on odd `c`.
+                4 => {
+                    let total_latency = 1 + (a * 7 + b) % 40;
+                    let quarantine_until = if c % 2 == 1 { now + total_latency + b } else { 0 };
+                    prop_assert_eq!(
+                        pool.start_walk_perturbed(
+                            asid, now, page, levels, total_latency, mapped, quarantine_until
+                        ),
+                        reference.start_walk_perturbed(
+                            asid, now, page, levels, total_latency, mapped, quarantine_until
+                        )
+                    );
+                }
+                5 => {
+                    prop_assert_eq!(
+                        pool.try_merge_tagged(asid, page),
+                        reference.try_merge_tagged(asid, page)
+                    );
+                }
+                6 => {
+                    now += a % 16;
+                    prop_assert_eq!(pool.retire_completed(now), reference.retire_completed(now));
+                }
+                7 => {
+                    if b % 4 == 0 {
+                        prop_assert_eq!(pool.flush_asid(asid), reference.flush_asid(asid));
+                    } else {
+                        now += a % 8;
+                        pool.readmit_quarantined(now);
+                        reference.readmit_quarantined(now);
+                    }
+                }
+                // A window starting at the earliest completion (nothing is
+                // due before it, as in the engine's replay).
+                _ => {
+                    let Some(cycle) = pool.next_completion() else {
+                        continue;
+                    };
+                    let window =
+                        pool.swap_walk_window(asid, cycle, c + 1, page, tag, levels, mapped);
+                    let walks = window.map_or(0, |w| w.walks);
+                    let (mut levels_read, mut latest) = (0u64, 0u64);
+                    for k in 0..walks {
+                        let w = window.unwrap();
+                        prop_assert_eq!(
+                            reference.retire_completed(cycle + k),
+                            vec![CompletedWalk {
+                                asid: w.retired_asid,
+                                page_number: w.retired_page,
+                                completed_at: cycle + k,
+                                merged_requests: 0,
+                                mapped: w.retired_mapped,
+                            }]
+                        );
+                        let WalkAdmission::Started { completes_at, levels_read: read, .. } =
+                            reference.start_walk_tagged(asid, cycle + k, page, tag, levels, mapped)
+                        else {
+                            panic!("a retirement frees a walker for the admission");
+                        };
+                        levels_read += u64::from(read);
+                        latest = latest.max(completes_at);
+                    }
+                    if let Some(w) = window {
+                        prop_assert!(w.walks >= 1 && w.walks <= c + 1);
+                        prop_assert_ne!((w.retired_asid, w.retired_page), (asid, page));
+                        prop_assert_eq!(w.levels_read, levels_read);
+                        prop_assert_eq!(w.latest_completion, latest);
+                        now = now.max(cycle + walks);
+                    }
+                }
+            }
+            prop_assert_eq!(pool.next_completion(), reference.next_completion());
+            prop_assert_eq!(pool.in_flight(), reference.in_flight());
+            prop_assert_eq!(pool.quarantined_walkers(), reference.quarantined_walkers());
+        }
+        prop_assert_eq!(pool.retire_completed(u64::MAX), reference.retire_completed(u64::MAX));
     }
 }

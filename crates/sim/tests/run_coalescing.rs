@@ -152,6 +152,40 @@ fn run_coalesced_phase(
     }
 }
 
+/// Runs both memory phases and requires them to agree on every outcome,
+/// cycle, statistic and TLB counter.
+fn assert_phases_agree(
+    mmu: MmuConfig,
+    pt: &PageTable,
+    base: u64,
+    dma: &DmaEngine,
+    fetches: &[TileFetch],
+    passes: u32,
+) {
+    let reference = per_transaction_phase(mmu, pt, base, dma, fetches, passes);
+    let coalesced = run_coalesced_phase(mmu, pt, base, dma, fetches, passes);
+    assert_eq!(&reference.outcomes, &coalesced.outcomes);
+    assert_eq!(reference.final_issue_cycle, coalesced.final_issue_cycle);
+    assert_eq!(&reference.stats, &coalesced.stats);
+    assert_eq!(reference.tlb_lookups, coalesced.tlb_lookups);
+    assert_eq!(reference.tlb_hits, coalesced.tlb_hits);
+    assert_eq!(reference.tlb_fills, coalesced.tlb_fills);
+    assert_eq!(reference.tlb_occupancy, coalesced.tlb_occupancy);
+    assert_eq!(reference.dram_busy_until, coalesced.dram_busy_until);
+    assert_eq!(reference.dram_total_bytes, coalesced.dram_total_bytes);
+    // Per-chunk last-arrivals are a subsequence of the per-transaction
+    // arrivals, and both schedules end at the same final arrival.
+    assert_eq!(reference.data_ready.last(), coalesced.data_ready.last());
+    let mut remaining = reference.data_ready.iter();
+    for arrival in &coalesced.data_ready {
+        assert!(
+            remaining.any(|r| r == arrival),
+            "chunk arrival {} missing from the per-transaction schedule",
+            arrival
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -187,28 +221,35 @@ proptest! {
         let base = 0x10_0000_0000u64;
         let pt = mapped_table(base, &fetches, page_size);
         let dma = DmaEngine::new(DmaConfig { max_transaction_bytes: txn_bytes, translations_per_cycle: 1 });
-        let reference = per_transaction_phase(mmu, &pt, base, &dma, &fetches, passes);
-        let coalesced = run_coalesced_phase(mmu, &pt, base, &dma, &fetches, passes);
-        prop_assert_eq!(&reference.outcomes, &coalesced.outcomes);
-        prop_assert_eq!(reference.final_issue_cycle, coalesced.final_issue_cycle);
-        prop_assert_eq!(&reference.stats, &coalesced.stats);
-        prop_assert_eq!(reference.tlb_lookups, coalesced.tlb_lookups);
-        prop_assert_eq!(reference.tlb_hits, coalesced.tlb_hits);
-        prop_assert_eq!(reference.tlb_fills, coalesced.tlb_fills);
-        prop_assert_eq!(reference.tlb_occupancy, coalesced.tlb_occupancy);
-        prop_assert_eq!(reference.dram_busy_until, coalesced.dram_busy_until);
-        prop_assert_eq!(reference.dram_total_bytes, coalesced.dram_total_bytes);
-        // Per-chunk last-arrivals are a subsequence of the per-transaction
-        // arrivals, and both schedules end at the same final arrival.
-        prop_assert_eq!(reference.data_ready.last(), coalesced.data_ready.last());
-        let mut remaining = reference.data_ready.iter();
-        for arrival in &coalesced.data_ready {
-            prop_assert!(
-                remaining.any(|r| r == arrival),
-                "chunk arrival {} missing from the per-transaction schedule",
-                arrival
-            );
-        }
+        assert_phases_agree(mmu, &pt, base, &dma, &fetches, passes);
+    }
+
+    /// The walk-window shape: the baseline IOMMU (merging disabled, no
+    /// TPreg) with 16 to 1024 walkers over many pages, each page a run of
+    /// two or more transactions. A walk takes 100 cycles per level, longer
+    /// than any run, so from the pool's first saturation on, the walks due
+    /// on the next cycles are those of an earlier page: every replayed run
+    /// goes through the walker pool's retire/admit window.
+    #[test]
+    fn run_path_agrees_with_per_transaction_path_in_walk_windows(
+        shapes in collection::vec((0u64..16384, 16_384u64..400_000), 1..4),
+        txn_choice in 0usize..3,
+        tlb_choice in 0usize..3,
+        ptw_choice in 0usize..4,
+        passes in 1u32..3,
+    ) {
+        let mmu = MmuConfig::baseline_iommu()
+            .with_tlb_entries([8usize, 64, 2048][tlb_choice])
+            .with_ptws([16usize, 64, 256, 1024][ptw_choice]);
+        let fetches: Vec<TileFetch> = shapes
+            .iter()
+            .map(|&(offset, bytes)| TileFetch { kind: TensorKind::Weight, offset, bytes })
+            .collect();
+        let base = 0x10_0000_0000u64;
+        let pt = mapped_table(base, &fetches, PageSize::Size4K);
+        let txn_bytes = [64u64, 512, 2048][txn_choice];
+        let dma = DmaEngine::new(DmaConfig { max_transaction_bytes: txn_bytes, translations_per_cycle: 1 });
+        assert_phases_agree(mmu, &pt, base, &dma, &fetches, passes);
     }
 
     /// `page_runs` is an exact partition of `transaction_iter`: rebuilding
