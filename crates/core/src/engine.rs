@@ -450,34 +450,15 @@ impl EngineTap {
     }
 
     /// Folds `count` events into the `idx` bin, event `i` spanning the one
-    /// cycle `first + i` with `weight`: the bins fill, turn over and emit
-    /// exactly as `count` calls of [`EngineTap::record`] would make them.
+    /// cycle `first + i` with `weight`: exactly `count` calls of
+    /// [`EngineTap::record`].
     #[inline]
     fn record_run(&mut self, idx: usize, asid: Asid, first: u64, count: u64, weight: u64) {
         if !self.enabled {
             return;
         }
-        let mut done = 0;
-        while done < count {
-            // One event through the full path takes care of turnover...
-            let cycle = first + done;
+        for cycle in first..first + count {
             self.record_enabled(idx, asid.raw(), cycle, cycle, weight);
-            done += 1;
-            // ...then the bin absorbs, at once, every event the fast path
-            // would add before the bin reaches its cap.
-            let bin = &mut self.bins[idx];
-            let room = u64::from(TAP_CAPS[idx] - 1).saturating_sub(u64::from(bin.events));
-            let absorbed = if bin.events == 0 {
-                0
-            } else {
-                room.min(count - done)
-            };
-            if absorbed > 0 {
-                bin.events += u32::try_from(absorbed).expect("bounded by a u32 cap");
-                bin.weight += absorbed * weight;
-                bin.end = bin.end.max(first + done + absorbed - 1);
-                done += absorbed;
-            }
         }
     }
 
@@ -1040,8 +1021,9 @@ impl TranslationEngine {
     /// run: the TLB set scan (every lookup of an in-flight page misses until
     /// a walk of the page retires — the replay stops the moment that
     /// happens) and the page-table probe (the page is immutable for the
-    /// duration of the call, so `full_levels`/`mapped` are those of the
-    /// first request). A request that would be rejected (no idle walker) is
+    /// duration of the call, so `full_levels` is that of the first request,
+    /// and the page is mapped: a faulting first request replays nothing). A
+    /// request that would be rejected (no idle walker) is
     /// *not* consumed, so the caller's next `translate_run` re-issues it
     /// through the full stall-retry path.
     ///
@@ -1049,17 +1031,15 @@ impl TranslationEngine {
     /// the walks due on the next cycles are all of one other page, one
     /// [`WalkerPool::swap_walk_window`] call retires and admits the whole
     /// window, the TLB takes the window's fills as one
-    /// [`Tlb::insert_run_tagged`], and the statistics and trace advance in
-    /// bulk. Every other cycle goes through the per-request machinery, one
+    /// [`Tlb::insert_run_tagged`], and the statistics advance in bulk. Every
+    /// other cycle goes through the per-request machinery, one
     /// request at a time.
-    #[allow(clippy::too_many_arguments)]
     fn replay_walk_run(
         &mut self,
         asid: Asid,
         page_number: u64,
         tag: PathTag,
         full_levels: u32,
-        mapped: bool,
         first_accept: u64,
         want: u64,
     ) -> u64 {
@@ -1077,6 +1057,8 @@ impl TranslationEngine {
         );
         let last_cycle = first_accept + want;
         let mut cursor = first_accept;
+        let mut levels_read = 0;
+        let mut latest_completion = 0;
         while cursor < last_cycle {
             let cycle = cursor + 1;
             if walkers.next_completion().is_some_and(|c| c <= cycle) {
@@ -1087,7 +1069,7 @@ impl TranslationEngine {
                     page_number,
                     tag,
                     full_levels,
-                    mapped,
+                    true,
                 ) {
                     let walks = window.walks;
                     if window.retired_mapped {
@@ -1097,15 +1079,8 @@ impl TranslationEngine {
                         tlb.record_run_misses(walks);
                     }
                     tap.record_run(TAP_RETIRE, window.retired_asid, cycle, walks, 1);
-                    stats.requests += walks;
-                    stats.tlb_misses += walks;
-                    stats.walks += walks;
-                    stats.walk_memory_accesses += window.levels_read;
-                    if !mapped {
-                        stats.faults += walks;
-                    }
-                    stats.last_completion_cycle =
-                        stats.last_completion_cycle.max(window.latest_completion);
+                    levels_read += window.levels_read;
+                    latest_completion = latest_completion.max(window.latest_completion);
                     cursor += walks;
                     continue;
                 }
@@ -1121,20 +1096,14 @@ impl TranslationEngine {
                 break;
             }
             tlb.record_run_misses(1);
-            match walkers.start_walk_tagged(asid, cycle, page_number, tag, full_levels, mapped) {
+            match walkers.start_walk_tagged(asid, cycle, page_number, tag, full_levels, true) {
                 WalkAdmission::Started {
                     completes_at,
-                    levels_read,
+                    levels_read: read,
                     ..
                 } => {
-                    stats.requests += 1;
-                    stats.tlb_misses += 1;
-                    stats.walks += 1;
-                    stats.walk_memory_accesses += u64::from(levels_read);
-                    if !mapped {
-                        stats.faults += 1;
-                    }
-                    stats.last_completion_cycle = stats.last_completion_cycle.max(completes_at);
+                    levels_read += u64::from(read);
+                    latest_completion = latest_completion.max(completes_at);
                     cursor = cycle;
                 }
                 WalkAdmission::Rejected { .. } => {
@@ -1142,8 +1111,14 @@ impl TranslationEngine {
                 }
             }
         }
+        // Every replayed request is one missed lookup and one walk.
         let replayed = cursor - first_accept;
         if replayed > 0 {
+            stats.requests += replayed;
+            stats.tlb_misses += replayed;
+            stats.walks += replayed;
+            stats.walk_memory_accesses += levels_read;
+            stats.last_completion_cycle = stats.last_completion_cycle.max(latest_completion);
             tap.record(TAP_REPLAY_WALKS, asid, first_accept + 1, cursor, replayed);
         }
         replayed
@@ -1432,7 +1407,6 @@ impl AddressTranslator for TranslationEngine {
                     page_number,
                     tag,
                     levels_read,
-                    true,
                     first.accept_cycle,
                     want,
                 );
@@ -1443,8 +1417,9 @@ impl AddressTranslator for TranslationEngine {
                     out.replay_fault = false;
                 }
             }
-            // An oracle source (which the engine never produces) or a
-            // TPreg-accelerated unmerged walk: nothing replays arithmetically.
+            // An oracle source (which the engine never produces), a
+            // TPreg-accelerated unmerged walk, or any unmerged walk while a
+            // fault plan is armed: nothing replays arithmetically.
             _ => {}
         }
         out

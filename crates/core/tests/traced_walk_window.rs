@@ -4,11 +4,11 @@
 //! binary of its own: no other engine of the process may emit into it.
 //!
 //! A traced run takes the same replay path as an untraced one, walker-pool
-//! windows included; the tap records a window's retirements as one counted
-//! record. Walks retire in the same order whether the requests arrive one
+//! windows included; the tap records a window's retirements in one call.
+//! Walks retire in the same order whether the requests arrive one
 //! `translate` at a time or as `translate_run`s, so the `engine/walk_retire`
 //! bins of the two paths must be identical: same event count, same spans,
-//! same payloads. Any difference between the counted record and the single
+//! same payloads. Any difference between a window's record and the single
 //! records it stands for shows up here.
 
 use neummu_mmu::{AddressTranslator, MmuConfig, TranslationEngine, TranslationOutcome};

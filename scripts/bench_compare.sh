@@ -2,44 +2,45 @@
 # Compares the perfbench benchmark of a base commit with the working tree, in
 # interleaved pairs of runs.
 #
-#   scripts/bench_compare.sh <base-commit> [--pairs N] [--seconds S]
-#                            [--seed N] [--workload NAME]...
+#   scripts/bench_compare.sh <base-commit> [--pairs N] [--workload NAME]...
 #
 # * The base commit is exported with `git archive` into
 #   `.bench_build/compare-src/<sha>` (no worktree is registered, so an
 #   interrupted run leaves nothing behind in `.git`), and perfbench is built
 #   for it and for the working tree into two target directories under
 #   `.bench_build/`.
-# * Each pair runs `perfbench/run.py` once per side with `--trace 0`. The
-#   side that goes first alternates from pair to pair, so a drift in the
-#   machine's speed falls on both sides alike.
+# * Each pair runs `perfbench/run.py` once per side with `--trace 0`, seed 1
+#   and the `run_seconds` of BENCHMARK.json. The side that goes first
+#   alternates from pair to pair, so a drift in the machine's speed falls on
+#   both sides alike.
 # * For each workload and each end-to-end metric of BENCHMARK.json the
 #   script prints both sides' median and quartiles, the change of the
 #   median, and in how many pairs the working tree was better by the
 #   metric's `better` direction (wins-of-N; ties are counted apart).
+# * The last column judges each metric against its `bound`: `better` when the
+#   working tree wins at least nine pairs in ten and its median gains more
+#   than the base's quartile spread; `unresolved` when that spread is wider
+#   than the bound; `worse` when the median lost more than the bound; else
+#   `within bound` (or `identical` when every run agrees).
 #
-# Defaults: 5 pairs, 8 seconds per run, seed 1, every workload of
-# BENCHMARK.json. The raw result lines are kept under
+# Defaults: 10 pairs (the number a claimed gain is judged on), every workload
+# of BENCHMARK.json. The raw result lines are kept under
 # `.bench_build/compare-runs/<sha>/`.
 set -euo pipefail
 
 usage() {
-    echo "usage: $0 <base-commit> [--pairs N] [--seconds S] [--seed N] [--workload NAME]..." >&2
+    echo "usage: $0 <base-commit> [--pairs N] [--workload NAME]..." >&2
     exit 2
 }
 
 [ $# -ge 1 ] || usage
 base_ref="$1"
 shift
-pairs=5
-seconds=8
-seed=1
+pairs=10
 workloads=()
 while [ $# -gt 0 ]; do
     case "$1" in
         --pairs) pairs="${2:?--pairs needs a value}"; shift 2 ;;
-        --seconds) seconds="${2:?--seconds needs a value}"; shift 2 ;;
-        --seed) seed="${2:?--seed needs a value}"; shift 2 ;;
         --workload) workloads+=("${2:?--workload needs a value}"); shift 2 ;;
         *) usage ;;
     esac
@@ -51,6 +52,7 @@ sha="$(git rev-parse --verify --quiet "${base_ref}^{commit}")" || {
     echo "error: $base_ref is not a commit" >&2
     exit 2
 }
+seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
 if [ ${#workloads[@]} -eq 0 ]; then
     mapfile -t workloads < <(python3 -c '
 import json
@@ -84,7 +86,7 @@ for workload in "${workloads[@]}"; do
         for side in $order; do
             echo "$workload pair $pair/$pairs: $side" >&2
             CARGO_TARGET_DIR="${target[$side]}" python3 "${src[$side]}/perfbench/run.py" \
-                --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+                --workload "$workload" --seed 1 --seconds "$seconds" --trace 0 \
                 | tail -n 1 > "$runs/$workload/$pair-$side.json"
         done
     done
@@ -111,6 +113,22 @@ def cell(q):
     return f"{q[1]:.6g} [{q[0]:.6g}, {q[2]:.6g}]"
 
 
+def verdict(metric, base, head, bq, wins):
+    if base == head:
+        return "identical"
+    gain = bq[1] - statistics.median(head)
+    if metric["better"] == "higher":
+        gain = -gain
+    spread = bq[2] - bq[0]
+    if wins * 10 >= 9 * len(base) and gain > spread:
+        return "better"
+    if spread > metric["bound"] * abs(bq[1]):
+        return "unresolved"
+    if -gain > metric["bound"] * abs(bq[1]):
+        return "worse"
+    return "within bound"
+
+
 for workload in workloads:
     results = {
         side: [json.load(open(os.path.join(runs, workload, f"{p}-{side}.json")))
@@ -123,7 +141,7 @@ for workload in workloads:
             print(f"warning: {workload} {side} runs {bad} were not correct")
     print(f"\n{workload}: {pairs} pairs")
     print(f"{'metric':<20} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36}"
-          f" {'change':>8} {'head wins':>10}")
+          f" {'change':>8} {'head wins':>10}  verdict")
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
         base = [r["metrics"][name]["value"] for r in results["base"]]
@@ -132,7 +150,7 @@ for workload in workloads:
         change = (hq[1] - bq[1]) / bq[1] * 100 if bq[1] else 0.0
         wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
         ties = sum(h == b for b, h in zip(base, head))
-        tie_note = f" (={ties})" if ties else ""
+        tie_note = f"(={ties})" if ties else ""
         print(f"{name:<20} {cell(bq):>36} {cell(hq):>36} {change:>+7.1f}%"
-              f" {wins:>6}/{pairs}{tie_note}")
+              f" {wins:>6}/{pairs} {tie_note:<6} {verdict(metric, base, head, bq, wins)}")
 EOF
