@@ -99,6 +99,84 @@ fn bench_page_table(c: &mut Criterion) {
     group.finish();
 }
 
+/// Page-table probes at the access shapes of the benchmark workloads, where
+/// the nodes no longer sit in the L1 cache as `probe_4k_mapped`'s do.
+fn bench_page_table_shapes(c: &mut Criterion) {
+    const BASE: u64 = 0x10_0000_0000;
+    let mut group = c.benchmark_group("page_table");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+
+    // Serving's shape: 32 tenants' tables, eagerly mapped, probed 8
+    // consecutive pages per table in round-robin.
+    let (tables, pages, burst) = (32u64, 8192u64, 8u64);
+    let tenants: Vec<PageTable> = (0..tables)
+        .map(|t| {
+            let mut pt = PageTable::new();
+            let mut pfn = t * pages;
+            pt.map_pages(
+                VirtAddr::new(BASE),
+                PageSize::Size4K,
+                pages,
+                MemNode::Npu(0),
+                || {
+                    pfn += 1;
+                    Ok(PhysFrameNum::new(pfn))
+                },
+            )
+            .unwrap();
+            pt
+        })
+        .collect();
+    group.throughput(Throughput::Elements(tables * pages));
+    group.bench_function("probe_4k_32_tables", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for first in (0..pages).step_by(burst as usize) {
+                for pt in &tenants {
+                    for page in first..first + burst {
+                        let probe = pt.probe(black_box(VirtAddr::new(BASE + page * 4096)));
+                        hits += u64::from(probe.is_hit());
+                    }
+                }
+            }
+            hits
+        })
+    });
+
+    // Single pages mapped in shuffled order with about one hole in four, so
+    // a lookup's direct slot rarely holds its index and the node falls back
+    // to searching. Probed in the same shuffled order, hits and holes alike.
+    let pages = 8192u64;
+    // An odd stride is a permutation of 0..pages.
+    let shuffled: Vec<u64> = (0..pages).map(|i| (i * 5167) % pages).collect();
+    let mut sparse = PageTable::new();
+    for &page in &shuffled {
+        if (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 62) != 0 {
+            sparse
+                .map(
+                    VirtAddr::new(BASE + page * 4096),
+                    PageSize::Size4K,
+                    PhysFrameNum::new(page),
+                    MemNode::Npu(0),
+                )
+                .unwrap();
+        }
+    }
+    group.throughput(Throughput::Elements(pages));
+    group.bench_function("probe_4k_sparse", |b| {
+        b.iter(|| {
+            let mut hits = 0u64;
+            for &page in &shuffled {
+                let probe = sparse.probe(black_box(VirtAddr::new(BASE + page * 4096)));
+                hits += u64::from(probe.is_hit());
+            }
+            hits
+        })
+    });
+    group.finish();
+}
+
 /// The demand-paging path of the embedding case study: page migration and
 /// fault-then-migrate, the only vmem work that runs while a simulation is
 /// timed.
@@ -491,6 +569,7 @@ criterion_group!(
     benches,
     bench_tlb,
     bench_page_table,
+    bench_page_table_shapes,
     bench_vmem_paging,
     bench_vmem_eager_build,
     bench_oracle_translator,

@@ -80,19 +80,42 @@ enum Entry {
 
 /// One page-table node: the populated entries, sorted by their 9-bit index.
 ///
-/// A sorted vec with binary search replaces the previous per-node `HashMap`:
-/// nodes hold at most 512 entries and are probed orders of magnitude more
-/// often than they are mutated, so the compact, cache-friendly layout wins on
-/// the translation hot path while `O(n)` inserts stay negligible.
+/// Nodes hold at most 512 entries and are probed orders of magnitude more
+/// often than they are mutated, so a compact sorted vec serves the
+/// translation hot path while `O(n)` inserts stay negligible. A lookup starts
+/// at the direct slot `index - first`: eagerly mapped tensors fill their leaf
+/// nodes contiguously, and there that one load is the answer. Only a node
+/// with holes falls back to a binary search, over the prefix before that
+/// slot.
 #[derive(Debug, Clone, Default)]
 struct TableNode {
     entries: Vec<(u16, Entry)>,
 }
 
 impl TableNode {
+    /// The slot holding `index` (`Ok`), or the slot where it would be
+    /// inserted (`Err`), exactly as a binary search over the node returns.
+    ///
+    /// Indices are sorted and distinct, so `entries[j].0 >= first + j` with
+    /// `first = entries[0].0`. For `k = index - first`, either
+    /// `entries[k].0 == index` (always so on a dense node), or every slot from
+    /// `k` on holds a larger index and a match can only lie in `entries[..k]`.
     #[inline]
     fn slot_of(&self, index: u16) -> Result<usize, usize> {
-        self.entries.binary_search_by_key(&index, |&(i, _)| i)
+        let Some(k) = self
+            .entries
+            .first()
+            .and_then(|&(first, _)| index.checked_sub(first))
+        else {
+            return Err(0);
+        };
+        let k = usize::from(k);
+        let end = match self.entries.get(k) {
+            Some(&(at, _)) if at == index => return Ok(k),
+            Some(_) => k,
+            None => self.entries.len(),
+        };
+        self.entries[..end].binary_search_by_key(&index, |&(i, _)| i)
     }
 
     #[inline]
@@ -103,15 +126,18 @@ impl TableNode {
     /// Inserts `entry` at `index`; returns `false` if the index is occupied.
     ///
     /// Tables are built in ascending index order, so the common case appends
-    /// past the last entry; the binary-search insert only runs when the node
-    /// already holds a later index.
+    /// past the last entry. Otherwise the node already holds a later index,
+    /// and a plain binary search finds the slot: `slot_of`'s direct slot
+    /// would only answer for an occupied index, and inlined here it kept this
+    /// function out of the map loop, which made eager mapping about twice as
+    /// slow (`vmem/alloc_segment_eager_*`).
     #[inline]
     fn try_insert(&mut self, index: u16, entry: Entry) -> bool {
         if self.entries.last().is_none_or(|&(last, _)| last < index) {
             self.entries.push((index, entry));
             return true;
         }
-        match self.slot_of(index) {
+        match self.entries.binary_search_by_key(&index, |&(i, _)| i) {
             Ok(_) => false,
             Err(slot) => {
                 self.entries.insert(slot, (index, entry));
@@ -1120,6 +1146,65 @@ mod tests {
         assert!(map_run_4k(&mut pt, 0x1000, 4).0.is_err());
         assert_eq!(pt.revision(), revision_after_map);
         assert_eq!(pt.stats().leaf_4k, 1);
+    }
+
+    /// A node holding `indices` (sorted, distinct), each pointing at a table.
+    fn node_of(indices: impl IntoIterator<Item = u16>) -> TableNode {
+        TableNode {
+            entries: indices
+                .into_iter()
+                .map(|i| (i, Entry::Table(TableId(u32::from(i)))))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn slot_of_edges() {
+        assert_eq!(node_of([]).slot_of(0), Err(0));
+        let node = node_of([5, 6, 7]);
+        // Below the first index, and past the last entry.
+        assert_eq!(node.slot_of(0), Err(0));
+        assert_eq!(node.slot_of(4), Err(0));
+        assert_eq!(node.slot_of(8), Err(3));
+        assert_eq!(node.slot_of(511), Err(3));
+        assert_eq!(node.slot_of(6), Ok(1));
+        // The first gap after a contiguous prefix, and the entries past it.
+        let node = node_of([0, 1, 2, 3, 7, 8, 9]);
+        assert_eq!(node.slot_of(3), Ok(3));
+        assert_eq!(node.slot_of(4), Err(4));
+        assert_eq!(node.slot_of(6), Err(4));
+        assert_eq!(node.slot_of(7), Ok(4));
+        assert_eq!(node.slot_of(9), Ok(6));
+        // The direct slot holds a larger index and the match lies before it.
+        let node = node_of([0, 5, 6, 7, 8, 9, 10]);
+        assert_eq!(node.slot_of(5), Ok(1));
+        assert_eq!(node.slot_of(6), Ok(2));
+        assert_eq!(node.slot_of(4), Err(1));
+        // A full node.
+        let node = node_of(0..512);
+        assert_eq!(node.slot_of(0), Ok(0));
+        assert_eq!(node.slot_of(511), Ok(511));
+    }
+
+    #[test]
+    fn slot_of_matches_binary_search_on_every_index() {
+        let shapes = [
+            node_of([]),
+            node_of([0]),
+            node_of([511]),
+            node_of(0..512),
+            node_of(100..300),
+            node_of((0..4).chain(7..10)),
+            node_of([0].into_iter().chain(5..=10)),
+            node_of((0..512).step_by(3)),
+            node_of((0..512).filter(|i| (i * 37) % 11 < 7)),
+        ];
+        for node in &shapes {
+            for index in 0..512 {
+                let want = node.entries.binary_search_by_key(&index, |&(i, _)| i);
+                assert_eq!(node.slot_of(index), want, "index {index}");
+            }
+        }
     }
 
     #[test]

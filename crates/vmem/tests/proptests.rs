@@ -1,5 +1,7 @@
 //! Property-based tests for the virtual-memory substrate.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use neummu_vmem::prelude::*;
@@ -560,5 +562,175 @@ proptest! {
             assert_same_build((space.page_table(), &mem), (&ref_pt, &ref_mem), &ranges[ranges.len() - 1..], &nodes);
         }
         assert_same_build((space.page_table(), &mem), (&ref_pt, &ref_mem), &ranges, &nodes);
+    }
+}
+
+/// The leaf tables the model test confines itself to: three consecutive
+/// 2 MB slots of one L2 node, starting mid-node, each either empty, a 4 KB
+/// leaf table or one 2 MB leaf.
+const MODEL_SLOTS: u64 = 3;
+const MODEL_BASE_VPN: u64 = ((3 << 30) + 7 * (2 << 20)) >> 12;
+
+/// What the page table holds at one 2 MB slot of the model region.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ModelSlot {
+    Empty,
+    /// A 4 KB leaf table; it stays allocated once its pages are unmapped.
+    Table,
+    /// One 2 MB leaf: its first frame and node.
+    Huge(u64, MemNode),
+}
+
+/// A page-table model: 4 KB mappings by VPN plus the state of each slot.
+struct TableModel {
+    small: BTreeMap<u64, (u64, MemNode)>,
+    slots: [ModelSlot; MODEL_SLOTS as usize],
+    next_frame: u64,
+}
+
+impl TableModel {
+    fn slot_of(vpn: u64) -> usize {
+        ((vpn - MODEL_BASE_VPN) / 512) as usize
+    }
+
+    /// The translation expected at `va`.
+    fn translation(&self, va: VirtAddr) -> Option<Translation> {
+        let vpn = va.vpn().raw();
+        let in_region = (MODEL_BASE_VPN..MODEL_BASE_VPN + MODEL_SLOTS * 512).contains(&vpn);
+        let slot = if in_region {
+            self.slots[Self::slot_of(vpn)]
+        } else {
+            ModelSlot::Empty
+        };
+        let (pfn, node, page_size) = match slot {
+            ModelSlot::Huge(pfn, node) => (pfn, node, PageSize::Size2M),
+            _ => {
+                let &(pfn, node) = self.small.get(&vpn)?;
+                (pfn, node, PageSize::Size4K)
+            }
+        };
+        let pfn = PhysFrameNum::new(pfn);
+        Some(Translation {
+            pa: PhysAddr::new(pfn.base_addr().raw() + va.page_offset(page_size)),
+            pfn,
+            page_size,
+            node,
+        })
+    }
+
+    /// Maps 4 KB pages one at a time, drawing each page's frame before
+    /// checking it, and stops at the first page already covered.
+    fn map_pages(&mut self, first_vpn: u64, count: u64, node: MemNode) -> Result<(), VmemError> {
+        for vpn in first_vpn..first_vpn + count {
+            self.next_frame += 1;
+            let slot = &mut self.slots[Self::slot_of(vpn)];
+            if matches!(slot, ModelSlot::Huge(..)) || self.small.contains_key(&vpn) {
+                return Err(VmemError::AlreadyMapped {
+                    vpn: VirtPageNum::new(vpn),
+                });
+            }
+            *slot = ModelSlot::Table;
+            self.small.insert(vpn, (self.next_frame, node));
+        }
+        Ok(())
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `probe`, `translate` and `is_mapped` agree with a model on every page
+    /// of three leaf tables (and one page past each end) after each step of
+    /// a random mix of `map_pages`, `map`, `unmap` and `remap`: dense
+    /// prefixes, runs that start mid-table or fill all 512 entries, single
+    /// pages, holes punched by unmaps, and 2 MB leaves beside 4 KB tables in
+    /// the same L2 node. Every call's result must match the model's too.
+    #[test]
+    fn page_table_matches_model_on_random_edits(
+        ops in prop::collection::vec((0u32..8, 0u64..MODEL_SLOTS, 0usize..5, 0u64..4096, 0usize..3), 1..24),
+    ) {
+        let nodes = [MemNode::Npu(0), MemNode::Npu(1), MemNode::Host];
+        let mut pt = PageTable::new();
+        let mut model = TableModel {
+            small: BTreeMap::new(),
+            slots: [ModelSlot::Empty; MODEL_SLOTS as usize],
+            next_frame: 0,
+        };
+        let mut drawn = 0u64;
+        for &(kind, slot, pick, r, node_pick) in &ops {
+            let node = nodes[node_pick];
+            let slot_vpn = MODEL_BASE_VPN + slot * 512;
+            let vpn = slot_vpn + r % 512;
+            let va = VirtPageNum::new(vpn).base_addr();
+            match kind {
+                // A run of 4 KB pages, clipped to the region.
+                0..=2 => {
+                    let offset = [0, 1, 255, 511, r % 512][pick];
+                    let first = slot_vpn + offset;
+                    let count = [1, 512, 512 - offset, r % 700 + 1, 3][pick]
+                        .min(MODEL_BASE_VPN + MODEL_SLOTS * 512 - first);
+                    let got = pt.map_pages(VirtPageNum::new(first).base_addr(), PageSize::Size4K, count, node, || {
+                        drawn += 1;
+                        Ok(PhysFrameNum::new(drawn))
+                    });
+                    prop_assert_eq!(got, model.map_pages(first, count, node));
+                }
+                // One 4 KB page, as demand paging maps it.
+                3 => {
+                    drawn += 1;
+                    let got = pt.map(va, PageSize::Size4K, PhysFrameNum::new(drawn), node);
+                    prop_assert_eq!(got, model.map_pages(vpn, 1, node));
+                }
+                // One 2 MB page over the whole slot.
+                4 => {
+                    let pfn = (1 << 30) | (r << 9);
+                    let got = pt.map(VirtPageNum::new(slot_vpn).base_addr(), PageSize::Size2M, PhysFrameNum::new(pfn), node);
+                    let want = match model.slots[slot as usize] {
+                        ModelSlot::Empty => {
+                            model.slots[slot as usize] = ModelSlot::Huge(pfn, node);
+                            Ok(())
+                        }
+                        _ => Err(VmemError::AlreadyMapped { vpn: VirtPageNum::new(slot_vpn) }),
+                    };
+                    prop_assert_eq!(got, want);
+                }
+                5 | 6 => {
+                    let want = model.translation(va).ok_or(VmemError::NotMapped { va });
+                    if want.is_ok() {
+                        match model.slots[slot as usize] {
+                            ModelSlot::Huge(..) => model.slots[slot as usize] = ModelSlot::Empty,
+                            _ => {
+                                model.small.remove(&vpn);
+                            }
+                        }
+                    }
+                    prop_assert_eq!(pt.unmap(va), want);
+                }
+                _ => {
+                    let pfn = (1 << 31) | (r << 9);
+                    let want = model.translation(va).ok_or(VmemError::NotMapped { va });
+                    if want.is_ok() {
+                        match &mut model.slots[slot as usize] {
+                            ModelSlot::Huge(huge_pfn, huge_node) => (*huge_pfn, *huge_node) = (pfn, node),
+                            _ => {
+                                model.small.insert(vpn, (pfn, node));
+                            }
+                        }
+                    }
+                    prop_assert_eq!(pt.remap(va, PhysFrameNum::new(pfn), node), want);
+                }
+            }
+            prop_assert_eq!(drawn, model.next_frame);
+            for vpn in MODEL_BASE_VPN - 1..=MODEL_BASE_VPN + MODEL_SLOTS * 512 {
+                let va = VirtPageNum::new(vpn).base_addr().add(0x123);
+                let want = model.translation(va);
+                prop_assert_eq!(pt.probe(va).translation, want);
+                prop_assert_eq!(pt.translate(va), want.ok_or(VmemError::NotMapped { va }));
+                prop_assert_eq!(pt.is_mapped(va), want.is_some());
+            }
+            let huge = model.slots.iter().filter(|s| matches!(s, ModelSlot::Huge(..))).count();
+            prop_assert_eq!(pt.stats().leaf_4k, model.small.len() as u64);
+            prop_assert_eq!(pt.stats().leaf_2m, huge as u64);
+        }
     }
 }

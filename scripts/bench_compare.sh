@@ -22,6 +22,9 @@
 #   than the base's quartile spread; `unresolved` when that spread is wider
 #   than the bound; `worse` when the median lost more than the bound; else
 #   `within bound` (or `identical` when every run agrees).
+# * After the table, the script exits 1 if any run of either side was not
+#   `correct` (its model checks failed), naming those runs on stderr, so an
+#   incorrect change cannot be read as a gain.
 #
 # Defaults: 10 pairs (the number a claimed gain is judged on), every workload
 # of BENCHMARK.json. The raw result lines are kept under
@@ -129,6 +132,7 @@ def verdict(metric, base, head, bq, wins):
     return "within bound"
 
 
+incorrect = []
 for workload in workloads:
     results = {
         side: [json.load(open(os.path.join(runs, workload, f"{p}-{side}.json")))
@@ -138,7 +142,7 @@ for workload in workloads:
     for side, rs in results.items():
         bad = [i + 1 for i, r in enumerate(rs) if not r["correct"]]
         if bad:
-            print(f"warning: {workload} {side} runs {bad} were not correct")
+            incorrect.append(f"{workload} {side} runs {bad}")
     print(f"\n{workload}: {pairs} pairs")
     print(f"{'metric':<20} {'base median [q1, q3]':>36} {'head median [q1, q3]':>36}"
           f" {'change':>8} {'head wins':>10}  verdict")
@@ -153,4 +157,11 @@ for workload in workloads:
         tie_note = f"(={ties})" if ties else ""
         print(f"{name:<20} {cell(bq):>36} {cell(hq):>36} {change:>+7.1f}%"
               f" {wins:>6}/{pairs} {tie_note:<6} {verdict(metric, base, head, bq, wins)}")
+
+# A run whose model checks failed measured something else: no verdict above
+# may be read as a gain.
+if incorrect:
+    for runs_named in incorrect:
+        print(f"error: {runs_named} were not correct", file=sys.stderr)
+    sys.exit(1)
 EOF
