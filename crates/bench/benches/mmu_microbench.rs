@@ -14,7 +14,7 @@ use neummu_mmu::{
     TranslationPathCache, UnifiedPageTableCache, WalkCache, WalkerPool,
 };
 use neummu_vmem::{
-    AddressSpace, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, PhysicalMemory,
+    AddressSpace, Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, PhysicalMemory,
     SegmentOptions, VirtAddr,
 };
 
@@ -352,6 +352,43 @@ fn bench_walk_storm(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_swap_window(c: &mut Criterion) {
+    let mut group = c.benchmark_group("walker_pool");
+    group.warm_up_time(Duration::from_millis(500));
+    group.measurement_time(Duration::from_secs(3));
+    let windows = 8192u64;
+    let per_window = 8u64;
+    // The walker pool's walk window alone, no engine around it: 64 walks of
+    // eight pages in flight, each page's eight walks due on consecutive
+    // cycles, and every call swaps one page's window for walks of a new
+    // page. Saturated: 64 walkers, each admission keeps the walker its
+    // retirement freed. Unsaturated: 128 walkers, each admission takes the
+    // idle FIFO's front. ns per swapped walk = 1e9 / elem/s.
+    group.throughput(Throughput::Elements(windows * per_window));
+    for (shape, walkers) in [("saturated", 64usize), ("unsaturated", 128)] {
+        group.bench_function(format!("swap_window_{shape}"), |b| {
+            let mut pool = WalkerPool::new(walkers, 0, 100, false);
+            let tag = PathTag::of(VirtAddr::new(0));
+            for cycle in 0..64 {
+                pool.start_walk(cycle, cycle / per_window, tag, 4, true);
+            }
+            let mut page = 64 / per_window;
+            b.iter(|| {
+                for _ in 0..windows {
+                    let cycle = pool.next_completion().expect("walks are in flight");
+                    let window = pool
+                        .swap_walk_window(Asid::GLOBAL, cycle, per_window, page, 4, true)
+                        .expect("each page's walks form one window");
+                    debug_assert_eq!(window.walks, per_window);
+                    page += 1;
+                }
+                black_box(pool.in_flight())
+            })
+        });
+    }
+    group.finish();
+}
+
 fn bench_mmu_caches(c: &mut Criterion) {
     let mut group = c.benchmark_group("mmu_caches");
     group.warm_up_time(Duration::from_millis(500));
@@ -575,6 +612,7 @@ criterion_group!(
     bench_oracle_translator,
     bench_walker_pool,
     bench_walk_storm,
+    bench_swap_window,
     bench_mmu_caches,
     bench_translation_engine_burst,
     bench_run_coalesced_burst,

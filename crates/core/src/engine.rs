@@ -1067,7 +1067,6 @@ impl TranslationEngine {
                     cycle,
                     last_cycle - cursor,
                     page_number,
-                    tag,
                     full_levels,
                     true,
                 ) {

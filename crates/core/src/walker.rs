@@ -28,8 +28,10 @@
 //!
 //! With merging disabled, a saturated pool retires one walk and admits one
 //! on every cycle. [`WalkerPool::swap_walk_window`] does a run of such cycles
-//! in one call, when the walks due are all of one page: the engine then
-//! accounts for the whole window at once.
+//! in one bulk step, when the walks due are all of one page: without TPregs
+//! each admission takes the slot and FIFO entry its retirement frees, so the
+//! window's walks are rewritten in place and rotated to their FIFO's back.
+//! The engine then accounts for the whole window at once.
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -354,16 +356,6 @@ impl WalkerPool {
         };
     }
 
-    /// Puts `key` back at the head of `lane`, undoing [`Self::pop_lane`].
-    fn unpop_lane(&mut self, lane: usize, key: DueKey) {
-        if lane == SIDE {
-            self.side.push(MinDue(key));
-        } else {
-            self.by_depth[lane].push_front(key);
-        }
-        self.heads[lane] = key;
-    }
-
     /// Frees a retiring walk's slot, PTS entry and walker, and returns the
     /// walk.
     #[inline]
@@ -372,13 +364,6 @@ impl WalkerPool {
             .take()
             .expect("queued entries always reference live walks");
         self.free_slots.push(slot);
-        self.release(&walk);
-        walk
-    }
-
-    /// Frees a retiring walk's PTS entry and walker.
-    #[inline]
-    fn release(&mut self, walk: &InFlightWalk) {
         // The PTS only holds walks when merging is on (see occupy).
         if self.prmb_slots > 0 && !walk.flushed {
             self.pts.remove(&(walk.asid, walk.page_number));
@@ -391,98 +376,98 @@ impl WalkerPool {
         } else {
             self.free_walkers.push_back(walk.walker);
         }
+        walk
     }
 
-    /// Retires walks due on the consecutive cycles `cycle, cycle + 1, ...`
-    /// and admits one walk of `page_number` on each of those cycles, right
-    /// after its retirement — up to `max_walks` of each. This is exactly
-    /// what one [`WalkerPool::drain_completed`] at each cycle followed by one
-    /// [`WalkerPool::start_walk_tagged`] would do: the walker freed goes to
-    /// the back of the idle FIFO and the admission takes the front one, and
-    /// the admission reuses the slot its retirement just freed.
+    /// Retires the walks due on the consecutive cycles `cycle, cycle + 1, ...`
+    /// and admits one walk of `page_number` on each, up to `max_walks`, in one
+    /// bulk step. The pool ends exactly as one [`WalkerPool::drain_completed`]
+    /// and one [`WalkerPool::start_walk_tagged`] per cycle would leave it:
+    /// each walk is admitted in the slot and FIFO entry its retirement frees,
+    /// its key moved on by the walk latency, on the walker that pushing the
+    /// retired one onto the idle FIFO's back and popping its front gives; the
+    /// window then rotates to the FIFO's back.
     ///
-    /// The window only spans retirements that those per-cycle calls would
-    /// see as one identical event per cycle, so that the caller can account
-    /// for them in bulk. It ends before the first cycle where:
-    /// - no walk, or more than one walk, is due;
-    /// - the due walk is of another `(asid, page)` than the window's first,
-    ///   or of the admitted page itself (its translation would land);
-    /// - the due walk differs from the first in mapped-ness, carries merged
-    ///   requests, or quarantines its walker.
-    ///
-    /// Returns `None` when the window is empty: nothing was changed.
-    #[allow(clippy::too_many_arguments)]
+    /// Only pools without a PTS (merging) or TPregs have windows. A window is
+    /// a prefix of the admitted depth's FIFO due on consecutive cycles. It
+    /// ends before another lane's head or the first admission falls due, a
+    /// tie, or a walk of another `(asid, page, mapped)` than the first, with
+    /// merged requests or with a quarantine. Returns `None`, changing
+    /// nothing, when the walk due at `cycle` heads another lane, when the
+    /// FIFO's tail would not sort before the first admission, when the due
+    /// walk is of the admitted `(asid, page)` itself, or when it is empty.
     pub fn swap_walk_window(
         &mut self,
         asid: Asid,
         cycle: u64,
         max_walks: u64,
         page_number: u64,
-        tag: PathTag,
         full_levels: u32,
         mapped: bool,
     ) -> Option<WalkWindow> {
-        let mut window: Option<WalkWindow> = None;
-        let mut at = cycle;
-        let mut lane = SIDE;
-        while window.map_or(0, |w| w.walks) < max_walks && self.next_due == at {
-            // Any lane whose head is due now will do: were another lane due
-            // too, the tie check below stops the window.
-            if self.heads[lane].0 != at {
-                lane = self.earliest().1;
-            }
-            let slot = self.heads[lane].1;
-            let walk = self.walks[slot]
-                .as_ref()
-                .expect("queued entries always reference live walks");
-            let key = (walk.asid, walk.page_number);
-            let eligible = key != (asid, page_number)
-                && walk.merged_requests == 0
-                && walk.quarantine_until == 0
-                && window.is_none_or(|w| {
-                    (w.retired_asid, w.retired_page, w.retired_mapped)
-                        == (key.0, key.1, walk.mapped)
-                });
-            if !eligible {
-                break;
-            }
-            let walk_mapped = walk.mapped;
-            self.pop_lane(lane);
-            let next_due = self.earliest_due();
-            if next_due == at {
-                // Another walk ties at this cycle: undo the pop and stop.
-                self.unpop_lane(lane, (at, slot));
-                break;
-            }
-            self.next_due = next_due;
-            // The admission reuses the slot its retirement frees, as the
-            // LIFO free list would hand it back: retire and admit in place.
-            let retired = self.walks[slot]
-                .take()
-                .expect("queued entries always reference live walks");
-            self.release(&retired);
-            let walker = self
-                .free_walkers
-                .pop_front()
-                .expect("the retirement freed a walker");
-            let (walk, _, levels_read) =
-                self.new_walk(walker, asid, at, page_number, tag, full_levels, mapped);
-            let completes_at = walk.completes_at;
-            self.occupy(slot, walk, fifo_of(levels_read));
-            let w = window.get_or_insert(WalkWindow {
-                walks: 0,
-                retired_asid: key.0,
-                retired_page: key.1,
-                retired_mapped: walk_mapped,
-                levels_read: 0,
-                latest_completion: 0,
-            });
-            w.walks += 1;
-            w.levels_read += u64::from(levels_read);
-            w.latest_completion = w.latest_completion.max(completes_at);
-            at += 1;
+        if self.prmb_slots > 0 || self.tpreg_enabled {
+            return None;
         }
-        window
+        let levels_read = full_levels.max(1);
+        let lane = fifo_of(levels_read)?;
+        let latency = u64::from(levels_read) * self.walk_latency_per_level;
+        let mut bound = cycle + latency;
+        for other in (0..LANES).filter(|&other| other != lane) {
+            bound = bound.min(self.heads[other].0);
+        }
+        let fifo = &mut self.by_depth[lane];
+        let (&(due, first_slot), &tail) = (fifo.front()?, fifo.back()?);
+        if due != cycle || bound <= cycle || tail >= (cycle + latency, first_slot) {
+            return None;
+        }
+        let first = self.walks[first_slot]
+            .as_ref()
+            .expect("queued entries always reference live walks");
+        let retired = (first.asid, first.page_number, first.mapped);
+        if (retired.0, retired.1) == (asid, page_number) {
+            return None;
+        }
+        // Scan and rewrite in one pass: the window is the FIFO's prefix.
+        let limit = max_walks.min(bound - cycle);
+        let mut n = 0u64;
+        let mut entries = fifo.iter_mut().peekable();
+        while let Some(key) = entries.next() {
+            let (due, slot) = *key;
+            if n == limit || due != cycle + n || entries.peek().is_some_and(|next| next.0 == due) {
+                break;
+            }
+            let walk = self.walks[slot]
+                .as_mut()
+                .expect("queued entries always reference live walks");
+            if (walk.asid, walk.page_number, walk.mapped) != retired
+                || walk.merged_requests != 0
+                || walk.quarantine_until != 0
+            {
+                break;
+            }
+            key.0 += latency;
+            if let Some(idle) = self.free_walkers.pop_front() {
+                self.free_walkers.push_back(walk.walker);
+                walk.walker = idle;
+            }
+            walk.asid = asid;
+            walk.page_number = page_number;
+            walk.completes_at = key.0;
+            walk.mapped = mapped;
+            walk.flushed = false;
+            n += 1;
+        }
+        fifo.rotate_left(usize::try_from(n).expect("a window fits in its FIFO"));
+        self.heads[lane] = self.by_depth[lane][0];
+        self.next_due = self.earliest_due();
+        (n > 0).then_some(WalkWindow {
+            walks: n,
+            retired_asid: retired.0,
+            retired_page: retired.1,
+            retired_mapped: retired.2,
+            levels_read: n * u64::from(levels_read),
+            latest_completion: cycle + n - 1 + latency,
+        })
     }
 
     /// Retires every walk that has completed by `cycle`, returning them in
@@ -994,7 +979,7 @@ mod tests {
         for cycle in 0..4 {
             start(&mut pool, cycle, 7);
         }
-        let window = pool.swap_walk_window(Asid::GLOBAL, 400, 10, 8, tag_of_page(8), 4, true);
+        let window = pool.swap_walk_window(Asid::GLOBAL, 400, 10, 8, 4, true);
         assert_eq!(
             window,
             Some(WalkWindow {
@@ -1010,16 +995,16 @@ mod tests {
         assert_eq!(pool.next_completion(), Some(800));
         // The walks due next are of page 8 itself: no window admits page 8.
         assert_eq!(
-            pool.swap_walk_window(Asid::GLOBAL, 800, 10, 8, tag_of_page(8), 4, true),
+            pool.swap_walk_window(Asid::GLOBAL, 800, 10, 8, 4, true),
             None
         );
         // A window starts only on the earliest due cycle.
         assert_eq!(
-            pool.swap_walk_window(Asid::GLOBAL, 801, 10, 9, tag_of_page(9), 4, true),
+            pool.swap_walk_window(Asid::GLOBAL, 801, 10, 9, 4, true),
             None
         );
         // `max_walks` caps the window.
-        let capped = pool.swap_walk_window(Asid::GLOBAL, 800, 2, 9, tag_of_page(9), 4, true);
+        let capped = pool.swap_walk_window(Asid::GLOBAL, 800, 2, 9, 4, true);
         assert_eq!(capped.map(|w| (w.walks, w.retired_page)), Some((2, 8)));
         let retired: Vec<(u64, u64)> = pool
             .retire_completed(u64::MAX)
@@ -1037,7 +1022,7 @@ mod tests {
         start(&mut pool, 0, 7);
         start(&mut pool, 0, 7);
         assert_eq!(
-            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, tag_of_page(8), 4, true),
+            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
             None
         );
         assert_eq!(pool.retire_completed(400).len(), 2);
@@ -1045,9 +1030,124 @@ mod tests {
         start(&mut pool, 500, 7);
         start(&mut pool, 501, 6);
         pool.start_walk(502, 7, tag_of_page(7), 4, false);
-        let window = pool.swap_walk_window(Asid::GLOBAL, 900, 4, 8, tag_of_page(8), 4, true);
+        let window = pool.swap_walk_window(Asid::GLOBAL, 900, 4, 8, 4, true);
         assert_eq!(window.map(|w| w.walks), Some(1));
         assert_eq!(pool.next_completion(), Some(901));
+    }
+
+    /// Expands a window per walk on `pool`: one drain and one admission of
+    /// `page` on each of `walks` cycles from `cycle`. Returns the admitted
+    /// walkers.
+    fn expand_window(pool: &mut WalkerPool, cycle: u64, walks: u64, page: u64) -> Vec<usize> {
+        (cycle..cycle + walks)
+            .map(|at| {
+                assert_eq!(pool.retire_completed(at).len(), 1);
+                match start(pool, at, page) {
+                    WalkAdmission::Started { walker, .. } => walker,
+                    other => panic!("a retirement frees a walker, got {other:?}"),
+                }
+            })
+            .collect()
+    }
+
+    /// The walkers of the in-flight walks, in retirement order.
+    fn walkers_in_flight(pool: &WalkerPool) -> Vec<usize> {
+        pool.by_depth[3]
+            .iter()
+            .map(|&(_, slot)| pool.walks[slot].as_ref().unwrap().walker)
+            .collect()
+    }
+
+    #[test]
+    fn walk_window_swaps_eight_walks_in_one_call() {
+        // Saturated (8 walkers), each admission takes the walker its
+        // retirement freed. Unsaturated (32), walkers 8..16 lead the idle
+        // FIFO and the retired walkers 0..8 queue behind 16..32.
+        for (walkers, admitted, idle) in [
+            (8, 0..8, vec![]),
+            (32, 8..16, (16..32).chain(0..8).collect()),
+        ] {
+            let mut pool = WalkerPool::new(walkers, 0, 100, false);
+            for cycle in 0..8 {
+                start(&mut pool, cycle, 7);
+            }
+            let mut expanded = pool.clone();
+            let window = pool.swap_walk_window(Asid::GLOBAL, 400, 100, 8, 4, true);
+            assert_eq!(window.map(|w| w.walks), Some(8));
+            let admitted: Vec<usize> = admitted.collect();
+            assert_eq!(expand_window(&mut expanded, 400, 8, 8), admitted);
+            assert_eq!(walkers_in_flight(&pool), admitted);
+            assert_eq!(pool.free_walkers, idle);
+            assert_eq!(format!("{pool:?}"), format!("{expanded:?}"));
+        }
+    }
+
+    #[test]
+    fn walk_window_ends_at_its_bound() {
+        // A 3-level walk due at 402 ends the window of 4-level walks before
+        // the tie at 402.
+        let mut pool = WalkerPool::new(8, 0, 100, false);
+        for cycle in 0..4 {
+            start(&mut pool, cycle, 7);
+        }
+        pool.start_walk(102, 9, tag_of_page(9), 3, true);
+        let window = pool.swap_walk_window(Asid::GLOBAL, 400, 100, 8, 4, true);
+        assert_eq!(window.map(|w| w.walks), Some(2));
+        // Walks of 4 cycles due at 14..=18, in slots 4, 3, 2, 1, 0 (the
+        // LIFO free list hands back the slots of five retired walks): the
+        // first admission, key (18, 4), ends the window before its tie with
+        // the walk in slot 0 at 18.
+        let mut pool = WalkerPool::new(8, 0, 1, false);
+        for page in 1..=5 {
+            start(&mut pool, 0, page);
+        }
+        assert_eq!(pool.retire_completed(4).len(), 5);
+        for cycle in 10..15 {
+            start(&mut pool, cycle, 7);
+        }
+        let mut expanded = pool.clone();
+        let window = pool.swap_walk_window(Asid::GLOBAL, 14, 100, 8, 4, true);
+        assert_eq!(
+            window.map(|w| (w.walks, w.latest_completion)),
+            Some((4, 21))
+        );
+        expand_window(&mut expanded, 14, 4, 8);
+        assert_eq!(format!("{pool:?}"), format!("{expanded:?}"));
+    }
+
+    #[test]
+    fn walk_windows_need_a_pool_without_pts_or_tpregs() {
+        for (prmb, tpreg) in [(2, false), (0, true)] {
+            let mut pool = WalkerPool::new(4, prmb, 100, tpreg);
+            start(&mut pool, 0, 7);
+            assert_eq!(
+                pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
+                None
+            );
+        }
+        // A perturbed walk due first sits in the side heap: no window.
+        let mut pool = WalkerPool::new(4, 0, 100, false);
+        pool.start_walk_perturbed(Asid::GLOBAL, 0, 7, 4, 400, true, 0);
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
+            None
+        );
+        // A window admitting 3-level walks cannot retire 4-level ones.
+        let mut pool = WalkerPool::new(4, 0, 100, false);
+        start(&mut pool, 0, 7);
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 3, true),
+            None
+        );
+        // The FIFO's tail, due at 800 in slot 1, sorts after the first
+        // admission's key (800, slot 0): that admission would queue in the
+        // side heap, so no window opens.
+        start(&mut pool, 400, 6);
+        assert_eq!(
+            pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
+            None
+        );
+        assert_eq!(pool.in_flight(), 2);
     }
 
     #[test]

@@ -551,7 +551,9 @@ proptest! {
     /// decreasing admissions, TPreg on and off, 3- and 4-level walks,
     /// fault-perturbed walks with quarantine, PRMB merges and `flush_asid`
     /// mid-flight. `swap_walk_window` is checked against its per-walk
-    /// expansion: one drain and one admission per cycle of the window.
+    /// expansion: one drain and one admission per cycle of the window, then
+    /// one more admission on both pools. On pools with a PTS or TPregs it
+    /// must open no window.
     #[test]
     fn pool_matches_the_single_heap_reference(
         ops in pool_ops(),
@@ -628,13 +630,16 @@ proptest! {
                     }
                 }
                 // A window starting at the earliest completion (nothing is
-                // due before it, as in the engine's replay).
+                // due before it, as in the engine's replay). Only pools
+                // without PTS and TPregs have windows.
                 _ => {
                     let Some(cycle) = pool.next_completion() else {
                         continue;
                     };
-                    let window =
-                        pool.swap_walk_window(asid, cycle, c + 1, page, tag, levels, mapped);
+                    let window = pool.swap_walk_window(asid, cycle, c + 1, page, levels, mapped);
+                    if prmb > 0 || tpreg {
+                        prop_assert_eq!(window, None);
+                    }
                     let walks = window.map_or(0, |w| w.walks);
                     let (mut levels_read, mut latest) = (0u64, 0u64);
                     for k in 0..walks {
@@ -664,6 +669,12 @@ proptest! {
                         prop_assert_eq!(w.latest_completion, latest);
                         now = now.max(cycle + walks);
                     }
+                    // One more admission takes the same idle walker on both
+                    // pools: the window left the idle FIFO in per-walk order.
+                    prop_assert_eq!(
+                        pool.start_walk_tagged(asid, cycle + walks, page, tag, levels, mapped),
+                        reference.start_walk_tagged(asid, cycle + walks, page, tag, levels, mapped)
+                    );
                 }
             }
             prop_assert_eq!(pool.next_completion(), reference.next_completion());

@@ -28,7 +28,8 @@
 #
 # Defaults: 10 pairs (the number a claimed gain is judged on), every workload
 # of BENCHMARK.json. The raw result lines are kept under
-# `.bench_build/compare-runs/<sha>/`.
+# `.bench_build/compare-runs/<sha>/<workload>/`; a later call replaces only
+# the workloads it runs.
 set -euo pipefail
 
 usage() {
@@ -81,8 +82,10 @@ for side in base head; do
 done
 
 runs="$build_dir/compare-runs/$sha"
-rm -rf "$runs"
 for workload in "${workloads[@]}"; do
+    # Only this workload's earlier runs are replaced: a call on another
+    # workload against the same base keeps its raw runs.
+    rm -rf "$runs/$workload"
     mkdir -p "$runs/$workload"
     for pair in $(seq 1 "$pairs"); do
         if [ $((pair % 2)) -eq 1 ]; then order="base head"; else order="head base"; fi
