@@ -13,9 +13,16 @@ use std::time::Duration;
 use neummu_mmu::MmuConfig;
 use neummu_sim::dense::{DenseSimConfig, DenseSimulator};
 use neummu_sim::experiments::{characterization, mmu_cache_study, performance, ExperimentScale};
+use neummu_sim::ExperimentRunner;
 use neummu_workloads::{DenseWorkload, WorkloadId};
 
 const SCALE: ExperimentScale = ExperimentScale::Smoke;
+
+/// A fresh serial runner for each iteration, so every sample times a cold
+/// family rather than hits in a point cache an earlier iteration warmed.
+fn cold() -> ExperimentRunner {
+    ExperimentRunner::serial()
+}
 
 fn bench_characterization(c: &mut Criterion) {
     let mut group = c.benchmark_group("characterization");
@@ -23,15 +30,18 @@ fn bench_characterization(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("fig06_page_divergence", |b| {
-        b.iter(|| characterization::fig06_page_divergence(black_box(SCALE)).unwrap())
+        b.iter(|| characterization::fig06_page_divergence_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig07_translation_bursts_cnn1", |b| {
         b.iter(|| {
-            characterization::fig07_translation_bursts(black_box(WorkloadId::Cnn1), 1).unwrap()
+            characterization::fig07_translation_bursts_on(&cold(), black_box(WorkloadId::Cnn1), 1)
+                .unwrap()
         })
     });
     group.bench_function("fig14_va_trace_cnn1", |b| {
-        b.iter(|| characterization::fig14_va_trace(black_box(WorkloadId::Cnn1), 1).unwrap())
+        b.iter(|| {
+            characterization::fig14_va_trace_on(&cold(), black_box(WorkloadId::Cnn1), 1).unwrap()
+        })
     });
     group.finish();
 }
@@ -42,25 +52,25 @@ fn bench_performance_figures(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("fig08_baseline_iommu", |b| {
-        b.iter(|| performance::fig08_baseline_iommu(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig08_baseline_iommu_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig10_prmb_sweep", |b| {
-        b.iter(|| performance::fig10_prmb_sweep(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig10_prmb_sweep_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig11_ptw_sweep", |b| {
-        b.iter(|| performance::fig11_ptw_sweep(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig11_ptw_sweep_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig12a_ptw_no_prmb", |b| {
-        b.iter(|| performance::fig12a_ptw_no_prmb(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig12a_ptw_no_prmb_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig12b_energy_perf", |b| {
-        b.iter(|| performance::fig12b_energy_perf(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig12b_energy_perf_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig13_tpreg_hit_rate", |b| {
-        b.iter(|| performance::fig13_tpreg_hit_rate(black_box(SCALE)).unwrap())
+        b.iter(|| performance::fig13_tpreg_hit_rate_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("mmu_cache_uptc_vs_tpc", |b| {
-        b.iter(|| mmu_cache_study::run(black_box(SCALE)).unwrap())
+        b.iter(|| mmu_cache_study::run_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.finish();
 }
@@ -71,16 +81,16 @@ fn bench_section6_studies(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     group.bench_function("summary_neummu", |b| {
-        b.iter(|| performance::summary_neummu(black_box(SCALE)).unwrap())
+        b.iter(|| performance::summary_neummu_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("largepage_dense", |b| {
-        b.iter(|| performance::largepage_dense(black_box(SCALE)).unwrap())
+        b.iter(|| performance::largepage_dense_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("spatial_npu", |b| {
-        b.iter(|| performance::spatial_npu(black_box(SCALE)).unwrap())
+        b.iter(|| performance::spatial_npu_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("sensitivity", |b| {
-        b.iter(|| performance::sensitivity(black_box(SCALE)).unwrap())
+        b.iter(|| performance::sensitivity_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.finish();
 }

@@ -9,9 +9,16 @@ use neummu_mem::interconnect::TransferKind;
 use neummu_mmu::MmuConfig;
 use neummu_sim::embedding::{EmbeddingSimConfig, EmbeddingSimulator, GatherStrategy};
 use neummu_sim::experiments::{recommender, table1, ExperimentScale};
+use neummu_sim::ExperimentRunner;
 use neummu_workloads::EmbeddingModel;
 
 const SCALE: ExperimentScale = ExperimentScale::Smoke;
+
+/// A fresh serial runner for each iteration, so every sample times a cold
+/// family rather than hits in a point cache an earlier iteration warmed.
+fn cold() -> ExperimentRunner {
+    ExperimentRunner::serial()
+}
 
 fn bench_recommender_figures(c: &mut Criterion) {
     let mut group = c.benchmark_group("recommender_figures");
@@ -22,10 +29,10 @@ fn bench_recommender_figures(c: &mut Criterion) {
         b.iter(|| black_box(table1::run()))
     });
     group.bench_function("fig15_numa_breakdown", |b| {
-        b.iter(|| recommender::fig15_numa_breakdown(black_box(SCALE)).unwrap())
+        b.iter(|| recommender::fig15_numa_breakdown_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.bench_function("fig16_demand_paging", |b| {
-        b.iter(|| recommender::fig16_demand_paging(black_box(SCALE)).unwrap())
+        b.iter(|| recommender::fig16_demand_paging_on(&cold(), black_box(SCALE)).unwrap())
     });
     group.finish();
 }

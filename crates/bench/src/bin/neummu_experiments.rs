@@ -27,7 +27,7 @@
 //!   multiset, minus the runner's nondeterministic `wall/` kinds) is the
 //!   same for every thread count.
 //! * `--store` attaches a persistent slot store (see `neummu_store`):
-//!   memoized oracle baselines are restored from / committed to it, and each
+//!   memoized points are restored from / committed to it, and each
 //!   finished experiment family's artifacts are journaled so an interrupted
 //!   run, rerun with the same flags, resumes where it was killed instead of
 //!   recomputing — with a byte-identical artifact tree. A damaged store is
@@ -36,9 +36,9 @@
 //! Every experiment writes a Markdown table, a CSV file and a JSON dump into
 //! the artifact directory and prints the Markdown to stdout. After the run a
 //! self-profiling report shows where simulation time went, along with the
-//! oracle-memoization statistics (each oracle baseline simulates exactly once
-//! per `(workload, batch, page size, NPU)` key and is shared across
-//! experiments).
+//! point cache's statistics (each distinct simulated point, oracle or
+//! candidate, simulates exactly once and is shared across experiments, so
+//! without `--store` its simulation count equals its key count).
 
 use std::collections::BTreeSet;
 use std::process::ExitCode;
@@ -517,9 +517,9 @@ fn run_all(options: &Options) -> Result<(), Box<dyn std::error::Error>> {
             counters.hits, counters.misses, counters.recovered, counters.commits
         );
     }
-    let cache = runner.oracle_cache();
+    let cache = runner.cache();
     println!(
-        "oracle cache: {} baseline simulations, {} reuses across {} keys",
+        "point cache: {} simulations, {} reuses across {} keys",
         cache.simulations(),
         cache.hits(),
         cache.len()

@@ -6,7 +6,6 @@ use neummu_mmu::MmuConfig;
 use neummu_workloads::{DenseWorkload, WorkloadId};
 
 use neummu_npu::{NpuConfig, TensorKind};
-use neummu_vmem::PageSize;
 
 use crate::dense::{DenseSimConfig, DenseSimulator};
 use crate::error::SimError;
@@ -57,16 +56,9 @@ impl Fig06Result {
 /// Runs the Figure 6 experiment: page divergence is a property of the tiling
 /// and the DMA, so the oracle MMU is used (the MMU choice cannot change it).
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig06_page_divergence(scale: ExperimentScale) -> Result<Fig06Result, SimError> {
-    fig06_page_divergence_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig06_page_divergence`] on a caller-provided runner. The oracle runs it
-/// needs are exactly the memoized baselines of the performance sweeps, so on a
-/// shared runner this experiment costs no extra simulation at all.
+/// The oracle runs it needs are exactly the memoized oracle points of the
+/// performance sweeps, so on a shared runner this experiment costs no extra
+/// simulation at all.
 ///
 /// # Errors
 ///
@@ -76,10 +68,10 @@ pub fn fig06_page_divergence_on(
     scale: ExperimentScale,
 ) -> Result<Fig06Result, SimError> {
     let cells = scale.grid();
+    let npu = NpuConfig::tpu_like();
     let rows = runner.run_jobs("characterization/fig06", cells.len(), |i| {
         let (workload_id, batch) = cells[i];
-        let result =
-            runner.oracle_point(workload_id, batch, PageSize::Size4K, NpuConfig::tpu_like())?;
+        let result = runner.dense_point(workload_id, batch, MmuConfig::oracle(), npu)?;
         Ok(PageDivergenceRow {
             workload: workload_id,
             batch,
@@ -147,19 +139,8 @@ impl Fig07Result {
 /// Runs the Figure 7 experiment for one workload (the paper shows CNN-1 and
 /// RNN-1 at batch 1) under the baseline 4 KB oracle MMU.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig07_translation_bursts(
-    workload_id: WorkloadId,
-    batch: u64,
-) -> Result<Fig07Result, SimError> {
-    fig07_translation_bursts_on(&ExperimentRunner::serial(), workload_id, batch)
-}
-
-/// [`fig07_translation_bursts`] on a caller-provided runner. Trace-collecting
-/// runs are not cacheable (they carry per-cycle state the baselines do not),
-/// so this is a single profiled job.
+/// Trace-collecting runs are not cacheable (they carry per-cycle state the
+/// baselines do not), so this is a single profiled job.
 ///
 /// # Errors
 ///
@@ -283,14 +264,7 @@ impl Fig14Result {
 
 /// Runs the Figure 14 experiment (AlexNet, batch 1 in the paper).
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig14_va_trace(workload_id: WorkloadId, batch: u64) -> Result<Fig14Result, SimError> {
-    fig14_va_trace_on(&ExperimentRunner::serial(), workload_id, batch)
-}
-
-/// [`fig14_va_trace`] on a caller-provided runner (a single profiled job).
+/// It runs as a single profiled job.
 ///
 /// # Errors
 ///
@@ -322,7 +296,8 @@ mod tests {
 
     #[test]
     fn fig06_reports_kilo_page_tiles_for_rnns() {
-        let result = fig06_page_divergence(ExperimentScale::Smoke).unwrap();
+        let result =
+            fig06_page_divergence_on(&ExperimentRunner::serial(), ExperimentScale::Smoke).unwrap();
         assert_eq!(result.rows.len(), 2);
         let rnn = result
             .rows
@@ -338,7 +313,8 @@ mod tests {
 
     #[test]
     fn fig07_shows_full_rate_bursts() {
-        let result = fig07_translation_bursts(WorkloadId::Cnn1, 1).unwrap();
+        let result =
+            fig07_translation_bursts_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
         assert!(!result.counts.is_empty());
         // During a burst the DMA issues every cycle: the peak approaches the
         // window width.
@@ -349,7 +325,8 @@ mod tests {
 
     #[test]
     fn fig14_truncation_is_flagged_loudly_but_only_when_real() {
-        let mut result = fig14_va_trace(WorkloadId::Cnn1, 1).unwrap();
+        let mut result =
+            fig14_va_trace_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
         // The paper's traces stay under the cap: flag off, and the artifact
         // JSON is byte-identical to the historical three-field format.
         assert!(!result.windows_truncated);
@@ -368,7 +345,7 @@ mod tests {
 
     #[test]
     fn fig14_trace_is_streaming() {
-        let result = fig14_va_trace(WorkloadId::Cnn1, 1).unwrap();
+        let result = fig14_va_trace_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
         assert!(!result.windows.is_empty());
         assert!(result.is_streaming());
         let table = result.to_table();

@@ -98,15 +98,8 @@ const CACHE_ENTRIES: usize = 16;
 /// stream of every tile fetch (the pages a translation engine would walk when
 /// its TLB cannot keep up with the burst).
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn run(scale: ExperimentScale) -> Result<MmuCacheStudyResult, SimError> {
-    run_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`run`] on a caller-provided runner: one job per `(workload, batch)` cell,
-/// each replaying its own walk stream into private cache instances.
+/// One job per `(workload, batch)` cell, each replaying its own walk stream
+/// into private cache instances.
 ///
 /// # Errors
 ///
@@ -182,7 +175,7 @@ mod tests {
 
     #[test]
     fn tpc_is_at_least_as_effective_as_uptc() {
-        let result = run(ExperimentScale::Smoke).unwrap();
+        let result = run_on(&ExperimentRunner::serial(), ExperimentScale::Smoke).unwrap();
         assert_eq!(result.rows.len(), 2);
         for row in &result.rows {
             assert!(row.tpc_accesses <= row.uptc_accesses, "{:?}", row.workload);

@@ -210,19 +210,11 @@ impl MultiTenantSweepResult {
     }
 }
 
-/// Runs the tenant-count sweep on a serial runner.
+/// Runs the tenant-count sweep.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn tenant_sweep(scale: ExperimentScale) -> Result<MultiTenantSweepResult, SimError> {
-    tenant_sweep_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`tenant_sweep`] on a caller-provided runner: one parallel job per tenant
-/// count, with every tenant's contention-free baseline served from the
-/// runner's scenario-keyed memoization cache (each distinct tenant simulates
-/// its baseline once across the whole sweep).
+/// One parallel job per tenant count, with every tenant's contention-free
+/// baseline served from the runner's point cache (each distinct tenant
+/// simulates its baseline once across the whole sweep).
 ///
 /// # Errors
 ///
@@ -314,10 +306,15 @@ mod tests {
             );
         }
         assert!(result.mean_slowdown(2) > 1.0);
-        // The two-point sweep needs exactly two distinct isolated baselines,
-        // memoized across sweep points (CNN-1 appears in both).
-        assert_eq!(runner.oracle_cache().simulations(), 2);
-        assert!(runner.oracle_cache().hits() >= 1);
+        // Every sweep point asks for one isolated baseline per tenant, but the
+        // mixes share their tenants (CNN-1 appears at every count): each
+        // distinct tenant simulates once and every other request hits.
+        let counts = tenant_counts(SMOKE);
+        let requests: usize = counts.iter().sum();
+        let tenants = counts[counts.len() - 1].min(SMOKE.workloads().len());
+        assert_eq!(runner.cache().simulations() as usize, tenants);
+        assert_eq!(runner.cache().hits() as usize, requests - tenants);
+        assert_eq!(runner.cache().len(), tenants);
         // Tables render with the expected shapes.
         assert_eq!(result.to_table().rows().len(), 3);
         let counters = result.counters_table();

@@ -67,9 +67,10 @@ impl NormalizedSweep {
 }
 
 /// Runs a sweep of MMU configurations over the dense suite as one job per
-/// `(config, workload, batch)` cell. Every cell normalizes against the
-/// runner's memoized oracle baseline, so each baseline simulates once per
-/// `(workload, batch, page size)` instead of once per configuration column.
+/// `(config, workload, batch)` cell. Both sides of every cell come from the
+/// runner's point cache, so each oracle baseline simulates once per
+/// `(workload, batch, page size)` instead of once per configuration column,
+/// and a design point another family already ran is not simulated again.
 fn sweep(
     runner: &ExperimentRunner,
     parameter: &str,
@@ -114,15 +115,6 @@ fn sweep(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig08_baseline_iommu(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    fig08_baseline_iommu_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig08_baseline_iommu`] on a caller-provided runner.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn fig08_baseline_iommu_on(
     runner: &ExperimentRunner,
     scale: ExperimentScale,
@@ -137,15 +129,6 @@ pub fn fig08_baseline_iommu_on(
 }
 
 /// Figure 10: sensitivity to the number of PRMB mergeable slots (8 PTWs).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig10_prmb_sweep(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    fig10_prmb_sweep_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig10_prmb_sweep`] on a caller-provided runner.
 ///
 /// # Errors
 ///
@@ -167,15 +150,6 @@ pub fn fig10_prmb_sweep_on(
 }
 
 /// Figure 11: sensitivity to the number of PTWs with PRMB(32).
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig11_ptw_sweep(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    fig11_ptw_sweep_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig11_ptw_sweep`] on a caller-provided runner.
 ///
 /// # Errors
 ///
@@ -209,15 +183,6 @@ pub fn fig11_ptw_sweep_on(
 }
 
 /// Figure 12a: sensitivity to the number of PTWs *without* the PRMB.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig12a_ptw_no_prmb(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    fig12a_ptw_no_prmb_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig12a_ptw_no_prmb`] on a caller-provided runner.
 ///
 /// # Errors
 ///
@@ -292,15 +257,6 @@ impl Fig12bResult {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig12b_energy_perf(scale: ExperimentScale) -> Result<Fig12bResult, SimError> {
-    fig12b_energy_perf_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig12b_energy_perf`] on a caller-provided runner.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn fig12b_energy_perf_on(
     runner: &ExperimentRunner,
     scale: ExperimentScale,
@@ -329,7 +285,8 @@ pub fn fig12b_energy_perf_on(
     let values = runner.run_jobs("performance/fig12b", cells.len(), |i| {
         let ((prmb, ptws), workload_id, batch) = cells[i];
         let mmu = MmuConfig::neummu().with_prmb_slots(prmb).with_ptws(ptws);
-        let oracle = runner.oracle_point(workload_id, batch, mmu.page_size, npu)?;
+        let oracle = MmuConfig::oracle().with_page_size(mmu.page_size);
+        let oracle = runner.dense_point(workload_id, batch, oracle, npu)?;
         let run = runner.dense_point(workload_id, batch, mmu, npu)?;
         Ok((run.normalized_to(&oracle), run.translation_energy_nj))
     })?;
@@ -409,15 +366,6 @@ impl Fig13Result {
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn fig13_tpreg_hit_rate(scale: ExperimentScale) -> Result<Fig13Result, SimError> {
-    fig13_tpreg_hit_rate_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig13_tpreg_hit_rate`] on a caller-provided runner.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn fig13_tpreg_hit_rate_on(
     runner: &ExperimentRunner,
     scale: ExperimentScale,
@@ -480,15 +428,6 @@ impl SummaryResult {
     }
 }
 
-/// Runs the Section IV-D summary experiment.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn summary_neummu(scale: ExperimentScale) -> Result<SummaryResult, SimError> {
-    summary_neummu_on(&ExperimentRunner::serial(), scale)
-}
-
 /// Per-point measurements backing [`SummaryResult`].
 struct SummaryCell {
     iommu_perf: f64,
@@ -499,7 +438,7 @@ struct SummaryCell {
     neummu_walk_accesses: u64,
 }
 
-/// [`summary_neummu`] on a caller-provided runner.
+/// Runs the Section IV-D summary experiment.
 ///
 /// # Errors
 ///
@@ -512,7 +451,7 @@ pub fn summary_neummu_on(
     let cells = scale.grid();
     let measured = runner.run_jobs("performance/summary", cells.len(), |i| {
         let (workload_id, batch) = cells[i];
-        let oracle = runner.oracle_point(workload_id, batch, MmuConfig::oracle().page_size, npu)?;
+        let oracle = runner.dense_point(workload_id, batch, MmuConfig::oracle(), npu)?;
         let iommu = runner.dense_point(workload_id, batch, MmuConfig::baseline_iommu(), npu)?;
         let neummu = runner.dense_point(workload_id, batch, MmuConfig::neummu(), npu)?;
         Ok(SummaryCell {
@@ -552,15 +491,6 @@ pub fn summary_neummu_on(
 /// # Errors
 ///
 /// Propagates simulator errors.
-pub fn largepage_dense(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    largepage_dense_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`largepage_dense`] on a caller-provided runner.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
 pub fn largepage_dense_on(
     runner: &ExperimentRunner,
     scale: ExperimentScale,
@@ -585,15 +515,6 @@ pub fn largepage_dense_on(
 }
 
 /// Section VI-B: the spatial-array NPU with the baseline IOMMU and NeuMMU.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn spatial_npu(scale: ExperimentScale) -> Result<NormalizedSweep, SimError> {
-    spatial_npu_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`spatial_npu`] on a caller-provided runner.
 ///
 /// # Errors
 ///
@@ -691,15 +612,6 @@ impl SensitivityResult {
 
 /// Runs the Section VI-C sensitivity study: architecture sweeps over the
 /// dense suite plus large-batch common-layer runs.
-///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn sensitivity(scale: ExperimentScale) -> Result<SensitivityResult, SimError> {
-    sensitivity_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`sensitivity`] on a caller-provided runner.
 ///
 /// # Errors
 ///
@@ -804,7 +716,7 @@ mod tests {
 
     #[test]
     fn fig08_baseline_iommu_loses_most_of_its_performance() {
-        let sweep = fig08_baseline_iommu(SMOKE).unwrap();
+        let sweep = fig08_baseline_iommu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         let avg = sweep.averages()[0];
         assert!(avg < 0.6, "baseline IOMMU normalized perf {avg}");
         let table = sweep.to_table("Figure 8");
@@ -845,7 +757,8 @@ mod tests {
     fn sweeps_simulate_each_oracle_baseline_exactly_once() {
         // Two configuration columns over the smoke grid: the oracle baseline
         // of each (workload, batch, page size) key must simulate once, with
-        // every other request served from the memoization cache.
+        // the second column's request served from the point cache, and each
+        // column's candidate simulates once per cell.
         let runner = ExperimentRunner::serial();
         let configs = vec![
             ("IOMMU".to_string(), MmuConfig::baseline_iommu()),
@@ -859,23 +772,43 @@ mod tests {
             NpuConfig::tpu_like(),
         )
         .unwrap();
-        let grid_cells = SMOKE.workloads().len() * SMOKE.batches().len();
+        let grid_cells = SMOKE.grid().len();
+        let keys = grid_cells * (1 + configs.len());
         assert_eq!(sweep.points.len(), 2);
+        assert_eq!(runner.cache().simulations() as usize, keys);
+        assert_eq!(runner.cache().len(), keys);
         assert_eq!(
-            runner.oracle_cache().simulations() as usize,
-            grid_cells,
-            "one oracle simulation per (workload, batch, page size)"
-        );
-        assert_eq!(
-            runner.oracle_cache().hits() as usize,
+            runner.cache().hits() as usize,
             grid_cells * (configs.len() - 1),
             "every further baseline request is a cache hit"
         );
     }
 
     #[test]
+    fn a_design_point_simulates_once_across_families() {
+        // Figure 8's baseline IOMMU is Figure 12a's `PTW(8)` column (relabelled
+        // `Custom` by `with_ptws`) and the summary's IOMMU: on one runner it
+        // simulates once per grid cell, like the oracle each of them divides by.
+        let runner = ExperimentRunner::serial();
+        let cells = SMOKE.grid().len() as u64;
+        let counts = || (runner.cache().simulations(), runner.cache().hits());
+
+        // Figure 8: the oracle and the IOMMU per cell.
+        fig08_baseline_iommu_on(&runner, SMOKE).unwrap();
+        assert_eq!(counts(), (2 * cells, 0));
+        // Figure 12a at smoke scale, PTW(8) and PTW(1024): two oracle hits and
+        // a `PTW(8)` hit per cell; only `PTW(1024)` is new.
+        fig12a_ptw_no_prmb_on(&runner, SMOKE).unwrap();
+        assert_eq!(counts(), (3 * cells, 3 * cells));
+        // The summary: oracle and IOMMU hit; only NeuMMU is new.
+        summary_neummu_on(&runner, SMOKE).unwrap();
+        assert_eq!(counts(), (4 * cells, 5 * cells));
+        assert_eq!(runner.cache().len() as u64, 4 * cells);
+    }
+
+    #[test]
     fn fig11_more_ptws_close_the_gap() {
-        let sweep = fig11_ptw_sweep(SMOKE).unwrap();
+        let sweep = fig11_ptw_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         let avgs = sweep.averages();
         // 8 vs 128 walkers with PRMB(32).
         assert!(avgs[1] > avgs[0]);
@@ -888,7 +821,7 @@ mod tests {
 
     #[test]
     fn fig12_many_ptws_without_prmb_match_perf_but_waste_energy() {
-        let with_prmb = fig12b_energy_perf(SMOKE).unwrap();
+        let with_prmb = fig12b_energy_perf_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         let nominal = &with_prmb.points[0];
         let no_prmb_like = &with_prmb.points[1]; // [1, 4096]
         assert!(no_prmb_like.normalized_perf > 0.9);
@@ -903,7 +836,7 @@ mod tests {
 
     #[test]
     fn fig13_tpreg_hit_rates_are_high_at_l4_l3() {
-        let result = fig13_tpreg_hit_rate(SMOKE).unwrap();
+        let result = fig13_tpreg_hit_rate_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         for row in &result.rows {
             assert!(row.l4_rate > 0.9, "{:?} l4 {}", row.workload, row.l4_rate);
             assert!(row.l3_rate > 0.9);
@@ -913,7 +846,7 @@ mod tests {
 
     #[test]
     fn summary_shows_neummu_closing_the_gap() {
-        let summary = summary_neummu(SMOKE).unwrap();
+        let summary = summary_neummu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         assert!(
             summary.iommu_avg_overhead > 0.4,
             "iommu overhead {}",
@@ -931,8 +864,8 @@ mod tests {
 
     #[test]
     fn largepages_reduce_dense_overheads() {
-        let large = largepage_dense(SMOKE).unwrap();
-        let small = fig08_baseline_iommu(SMOKE).unwrap();
+        let large = largepage_dense_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let small = fig08_baseline_iommu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         // IOMMU with 2 MB pages performs much better than with 4 KB pages.
         assert!(large.averages()[0] > small.averages()[0]);
         // NeuMMU stays near the oracle under large pages too.
@@ -941,7 +874,7 @@ mod tests {
 
     #[test]
     fn spatial_array_npu_benefits_similarly() {
-        let result = spatial_npu(SMOKE).unwrap();
+        let result = spatial_npu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         let avgs = result.averages();
         assert!(
             avgs[1] > avgs[0],

@@ -102,15 +102,7 @@ impl Fig15Result {
 /// Runs the Figure 15 experiment: MMU-less CPU-relayed copies vs NUMA over
 /// PCIe vs NUMA over the NPU↔NPU link, for NCF and DLRM.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig15_numa_breakdown(scale: ExperimentScale) -> Result<Fig15Result, SimError> {
-    fig15_numa_breakdown_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig15_numa_breakdown`] on a caller-provided runner: one job per
-/// `(model, batch)` cell, each producing the three strategy rows.
+/// One job per `(model, batch)` cell, each producing the three strategy rows.
 ///
 /// # Errors
 ///
@@ -235,16 +227,8 @@ impl Fig16Result {
 /// Runs the Figure 16 experiment: demand paging with 4 KB vs 2 MB pages under
 /// the baseline IOMMU and NeuMMU, all normalized to a 4 KB oracle.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn fig16_demand_paging(scale: ExperimentScale) -> Result<Fig16Result, SimError> {
-    fig16_demand_paging_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`fig16_demand_paging`] on a caller-provided runner: one job per
-/// `(model, batch)` cell, each simulating its own oracle baseline and the four
-/// `(page size, MMU)` combinations.
+/// One job per `(model, batch)` cell, each simulating its own oracle baseline
+/// and the four `(page size, MMU)` combinations.
 ///
 /// # Errors
 ///
@@ -302,7 +286,7 @@ mod tests {
 
     #[test]
     fn fig15_numa_reduces_latency() {
-        let result = fig15_numa_breakdown(SMOKE).unwrap();
+        let result = fig15_numa_breakdown_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         assert!(!result.rows.is_empty());
         // The baseline rows are exactly 1.0 by construction.
         for row in result.rows.iter().filter(|r| r.strategy == "Baseline") {
@@ -320,7 +304,7 @@ mod tests {
 
     #[test]
     fn fig16_small_pages_beat_large_pages_for_sparse_access() {
-        let result = fig16_demand_paging(SMOKE).unwrap();
+        let result = fig16_demand_paging_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         let neummu_4k = result.average(PageSize::Size4K, MmuKind::NeuMmu);
         let neummu_2m = result.average(PageSize::Size2M, MmuKind::NeuMmu);
         let iommu_4k = result.average(PageSize::Size4K, MmuKind::BaselineIommu);

@@ -462,19 +462,11 @@ impl ResilienceSweepResult {
     }
 }
 
-/// Runs the fault-rate × mechanism sweep on a serial runner.
+/// Runs the fault-rate × mechanism sweep.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn resilience_sweep(scale: ExperimentScale) -> Result<ResilienceSweepResult, SimError> {
-    resilience_sweep_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`resilience_sweep`] on a caller-provided runner: one parallel job per
-/// `(mechanism, rate)` point. Job order is mechanism-major, rate-minor;
-/// results are reassembled in job-index order so the artifact is independent
-/// of thread count.
+/// One parallel job per `(mechanism, rate)` point. Job order is
+/// mechanism-major, rate-minor; results are reassembled in job-index order
+/// so the artifact is independent of thread count.
 ///
 /// # Errors
 ///
@@ -603,7 +595,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_resilience_artifacts() {
-        let result = resilience_sweep(SMOKE).unwrap();
+        let result = resilience_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         assert_eq!(result.points.len(), 3 * 2);
         for point in &result.points {
             // Conservation at drain: every offered request either completed

@@ -360,19 +360,11 @@ impl ServingSweepResult {
     }
 }
 
-/// Runs the load × policy sweep on a serial runner.
+/// Runs the load × policy sweep.
 ///
-/// # Errors
-///
-/// Propagates simulator errors.
-pub fn serving_sweep(scale: ExperimentScale) -> Result<ServingSweepResult, SimError> {
-    serving_sweep_on(&ExperimentRunner::serial(), scale)
-}
-
-/// [`serving_sweep`] on a caller-provided runner: one parallel job per
-/// `(policy, load)` point. Job order is policy-major, load-minor; results are
-/// reassembled in job-index order so the artifact is independent of thread
-/// count.
+/// One parallel job per `(policy, load)` point. Job order is policy-major,
+/// load-minor; results are reassembled in job-index order so the artifact is
+/// independent of thread count.
 ///
 /// # Errors
 ///
@@ -467,7 +459,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_slo_artifacts() {
-        let result = serving_sweep(SMOKE).unwrap();
+        let result = serving_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
         assert_eq!(result.points.len(), 4 * 2);
         assert_eq!(result.rows.len(), 4 * 2 * 4);
         for point in &result.points {

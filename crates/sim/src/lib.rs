@@ -20,8 +20,8 @@
 //! [`experiments`] contains one runner per table/figure of the paper; each
 //! returns a typed result that can be rendered with [`report`]. [`runner`]
 //! executes those experiments as parallel job graphs on a scoped thread pool,
-//! with memoized oracle baselines and a wall-clock self-profile; serial and
-//! parallel schedules produce bit-identical results.
+//! with every simulated point memoized once and a wall-clock self-profile;
+//! serial and parallel schedules produce bit-identical results.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -45,7 +45,7 @@ pub use multi_tenant::{
     MultiTenantConfig, MultiTenantResult, ResourceMode, TenantScheduler, TenantSpec, TenantStats,
 };
 pub use report::ResultTable;
-pub use runner::{ExperimentRunner, OracleCache, SelfProfile};
+pub use runner::{ExperimentRunner, PointCache, SelfProfile};
 pub use serving::{
     ArrivalConfig, ArrivalShape, CircuitBreakerConfig, LatencyHistogram, OverflowPolicy,
     ServingConfig, ServingFaults, ServingPolicy, ServingResult, ServingSimulator,
@@ -66,7 +66,7 @@ pub mod prelude {
         TenantStats,
     };
     pub use crate::report::ResultTable;
-    pub use crate::runner::{ExperimentRunner, OracleCache, SelfProfile};
+    pub use crate::runner::{ExperimentRunner, PointCache, SelfProfile};
     pub use crate::serving::{
         ArrivalConfig, ArrivalShape, CircuitBreakerConfig, LatencyHistogram, OverflowPolicy,
         ServingConfig, ServingFaults, ServingPolicy, ServingResult, ServingSimulator,

@@ -1,7 +1,7 @@
 //! Binary codecs that let simulation results live in a [`neummu_store`] slot.
 //!
 //! The vendored `serde` stand-in can serialize but not deserialize, so the
-//! persistent oracle store needs an explicit, versioned binary format. The
+//! persistent point store needs an explicit, versioned binary format. The
 //! codecs here are plain functions (not trait impls — both the types and any
 //! candidate trait are foreign to this pairing) that write every field in
 //! declaration order through [`neummu_store::ByteWriter`] and read them back
@@ -10,9 +10,9 @@
 //! writer and reader can never be silently absorbed.
 //!
 //! Versioning is carried by the store *key namespace*, not by the payload:
-//! keys are minted under [`ORACLE_NAMESPACE`] / [`TENANT_NAMESPACE`], and any
-//! change to the encoded layout must bump the namespace so old slots become
-//! key-mismatch misses (recomputed, never misread).
+//! keys are minted under [`POINT_NAMESPACE`], and any change to the encoded
+//! layout must bump the namespace so old slots become key-mismatch misses
+//! (recomputed, never misread).
 //!
 //! [`ByteReader::finish`]: neummu_store::ByteReader::finish
 
@@ -23,12 +23,10 @@ use neummu_vmem::Asid;
 use crate::dense::{LayerResult, TranslationTrace, WorkloadResult};
 use crate::multi_tenant::TenantStats;
 
-/// Key namespace for persisted dense/oracle [`WorkloadResult`] slots. Bump
-/// the `v` on any codec change.
-pub const ORACLE_NAMESPACE: &str = "oracle/v2";
-
-/// Key namespace for persisted multi-tenant [`TenantStats`] baselines.
-pub const TENANT_NAMESPACE: &str = "tenant/v1";
+/// Key namespace of the memoized points ([`crate::runner::PointCache`]):
+/// dense [`WorkloadResult`]s and isolated [`TenantStats`] baselines. Bump the
+/// `v` on any codec change.
+pub const POINT_NAMESPACE: &str = "point/v1";
 
 fn put_tensor_kind(writer: &mut ByteWriter, kind: TensorKind) {
     writer.u8(match kind {

@@ -5,10 +5,10 @@
 //! that grid into a job list executed on a hand-rolled scoped thread pool
 //! ([`pool`]), with two cross-cutting services:
 //!
-//! * an **oracle-memoization cache** ([`oracle_cache`]) so that each oracle
-//!   baseline — which depends only on `(workload, batch, page size, NPU)`,
-//!   never on the candidate MMU — is simulated exactly once per runner
-//!   lifetime instead of once per swept configuration, and
+//! * a **point cache** ([`point_cache`]) so that each distinct simulated
+//!   point — an oracle baseline, a candidate MMU on a dense point, or an
+//!   isolated tenant baseline — is simulated exactly once per runner lifetime,
+//!   however many figures ask for it, and
 //! * a **self-profile** ([`profile`]) recording per-job wall-clock time under
 //!   a phase label, so `neummu-experiments` can report where simulation time
 //!   goes.
@@ -17,17 +17,17 @@
 //!
 //! Parallel and serial schedules produce bit-identical results: each job is a
 //! pure function of its index, results are collected in index order, and all
-//! floating-point aggregation happens after collection, in that order. The
-//! memoized oracle result is produced by exactly the simulation the serial
-//! path would run, so sharing it cannot perturb a single bit. This is locked
-//! in by the `determinism` integration test and by the CI step that diffs a
+//! floating-point aggregation happens after collection, in that order. A
+//! memoized point is produced by exactly the simulation the uncached path
+//! would run, so sharing it cannot perturb a single bit. This is locked in by
+//! the `determinism` integration test and by the CI step that diffs a
 //! `--threads 4` artifact tree against a serial one.
 
-pub mod oracle_cache;
+pub mod point_cache;
 pub mod pool;
 pub mod profile;
 
-pub use oracle_cache::{OracleCache, OracleKey};
+pub use point_cache::PointCache;
 pub use profile::{PhaseStats, SelfProfile};
 
 use std::sync::Arc;
@@ -35,23 +35,23 @@ use std::time::Instant;
 
 use neummu_mmu::MmuConfig;
 use neummu_npu::NpuConfig;
-use neummu_vmem::PageSize;
-use neummu_workloads::{DenseWorkload, WorkloadId};
+use neummu_workloads::WorkloadId;
 
-use crate::dense::{DenseSimConfig, DenseSimulator, WorkloadResult};
+use crate::dense::{DenseSimConfig, WorkloadResult};
 use crate::error::SimError;
+use crate::multi_tenant::{MultiTenantConfig, TenantSpec, TenantStats};
 
-/// Executes experiment job graphs on a thread pool with shared oracle
-/// memoization and self-profiling.
+/// Executes experiment job graphs on a thread pool with a shared point cache
+/// and self-profiling.
 ///
 /// One runner is meant to live for a whole experiments run (the
-/// `neummu-experiments` binary builds exactly one), so oracle baselines are
-/// shared across experiment families: Figure 8 and the Section IV-D summary,
-/// for example, normalize against the very same memoized baselines.
+/// `neummu-experiments` binary builds exactly one), so points are shared
+/// across experiment families: Figure 8 and the Section IV-D summary, for
+/// example, read the very same memoized oracle and baseline-IOMMU points.
 #[derive(Debug)]
 pub struct ExperimentRunner {
     threads: usize,
-    oracle_cache: OracleCache,
+    cache: PointCache,
     profile: SelfProfile,
 }
 
@@ -74,7 +74,7 @@ impl ExperimentRunner {
         };
         ExperimentRunner {
             threads,
-            oracle_cache: OracleCache::new(),
+            cache: PointCache::new(),
             profile: SelfProfile::new(),
         }
     }
@@ -85,13 +85,13 @@ impl ExperimentRunner {
         Self::new(1)
     }
 
-    /// Attaches a persistent slot store (see
-    /// [`OracleCache::attach_store`]): memoized baselines are restored from
-    /// and committed to it, so interrupted sweeps resume instead of
-    /// recomputing. Builder-style, called before the runner is shared.
+    /// Attaches a persistent slot store (see [`PointCache::attach_store`]):
+    /// memoized points are restored from and committed to it, so interrupted
+    /// sweeps resume instead of recomputing. Builder-style, called before the
+    /// runner is shared.
     #[must_use]
     pub fn with_store(mut self, store: Arc<neummu_store::Store>) -> Self {
-        self.oracle_cache.attach_store(store);
+        self.cache.attach_store(store);
         self
     }
 
@@ -101,10 +101,10 @@ impl ExperimentRunner {
         self.threads
     }
 
-    /// The shared oracle-baseline cache.
+    /// The shared point cache.
     #[must_use]
-    pub fn oracle_cache(&self) -> &OracleCache {
-        &self.oracle_cache
+    pub fn cache(&self) -> &PointCache {
+        &self.cache
     }
 
     /// The wall-clock self-profile accumulated so far.
@@ -135,8 +135,13 @@ impl ExperimentRunner {
         .collect()
     }
 
-    /// Simulates one dense-suite point under the given MMU and NPU (the
-    /// uncached candidate leg of a normalized measurement).
+    /// The dense-suite point `(workload, batch)` under the given MMU and
+    /// NPU, from the runner's point cache: simulated on the first request for
+    /// its key, shared afterwards. A point that actually simulates here is
+    /// profiled under the `point/dense` phase as well as the phase of the job
+    /// that requested it. (Phase timings are inclusive wall-clock per job, so
+    /// a job blocked on another thread's in-flight point still counts that
+    /// wait in its own phase.)
     ///
     /// # Errors
     ///
@@ -147,78 +152,38 @@ impl ExperimentRunner {
         batch: u64,
         mmu: MmuConfig,
         npu: NpuConfig,
-    ) -> Result<WorkloadResult, SimError> {
-        let mut config = DenseSimConfig::with_mmu(mmu);
-        config.npu = npu;
-        let layers = DenseWorkload::new(workload).layers(batch);
-        DenseSimulator::new(config).simulate_workload(&layers)
-    }
-
-    /// The memoized oracle baseline for a dense-suite point. A baseline that
-    /// actually simulates here is profiled under the dedicated
-    /// `oracle/baseline` phase rather than the phase of whichever experiment
-    /// job happened to request its key first. (Phase timings are inclusive
-    /// wall-clock per job, so a job blocked on another thread's in-flight
-    /// baseline still counts that wait in its own phase.)
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulator errors.
-    pub fn oracle_point(
-        &self,
-        workload: WorkloadId,
-        batch: u64,
-        page_size: PageSize,
-        npu: NpuConfig,
     ) -> Result<Arc<WorkloadResult>, SimError> {
-        self.oracle_cache
-            .oracle_result_with(workload, batch, page_size, npu, |elapsed| {
-                self.profile.record("oracle/baseline", elapsed);
-            })
+        let config = DenseSimConfig {
+            npu,
+            ..DenseSimConfig::with_mmu(mmu)
+        };
+        self.cache.dense(workload, batch, config, |elapsed| {
+            self.profile.record("point/dense", elapsed);
+        })
     }
 
-    /// The memoized contention-free baseline of one tenant: its solo run
-    /// through the multi-tenant scheduler with isolation forced on. This is
-    /// the denominator of every per-tenant slowdown, keyed by the tenant
-    /// point *plus* the scenario fingerprint (MMU design point and
-    /// scheduling burst), so a tenant-count sweep simulates each distinct
-    /// baseline exactly once per runner lifetime.
+    /// The contention-free baseline of one tenant: its solo run through the
+    /// multi-tenant scheduler with isolation forced on, from the point cache.
+    /// This is the denominator of every per-tenant slowdown, so a
+    /// tenant-count sweep simulates each distinct baseline once.
     ///
     /// # Errors
     ///
     /// Propagates simulator errors.
     pub fn isolated_tenant_point(
         &self,
-        spec: crate::multi_tenant::TenantSpec,
-        config: crate::multi_tenant::MultiTenantConfig,
-    ) -> Result<Arc<crate::multi_tenant::TenantStats>, SimError> {
-        let isolated = config.isolated();
-        // The whole config is the scenario: every field (MMU design point,
-        // DRAM parameters, node, capacity, burst) can shift the baseline's
-        // completion cycles, so all of it goes into the fingerprint.
-        let key = oracle_cache::OracleKey::for_scenario(
-            spec.workload,
-            spec.batch,
-            isolated.mmu.page_size,
-            &isolated.npu,
-            format!("mt-isolated/{isolated:?}"),
-        );
-        self.oracle_cache.tenant_baseline_with(
-            key,
-            || {
-                crate::multi_tenant::TenantScheduler::new(isolated)
-                    .run(std::slice::from_ref(&spec))
-                    .map(|result| result.stats[0])
-            },
-            |elapsed| {
+        spec: TenantSpec,
+        config: MultiTenantConfig,
+    ) -> Result<Arc<TenantStats>, SimError> {
+        self.cache
+            .isolated_tenant(spec, config.isolated(), |elapsed| {
                 self.profile
-                    .record("multi_tenant/isolated-baseline", elapsed)
-            },
-        )
+                    .record("multi_tenant/isolated-baseline", elapsed);
+            })
     }
 
-    /// Performance of `mmu` on a point, normalized to the memoized oracle
-    /// baseline at the same page size.
+    /// Performance of `mmu` on a point, normalized to the oracle at the same
+    /// page size; both sides come from the point cache.
     ///
     /// # Errors
     ///
@@ -230,7 +195,8 @@ impl ExperimentRunner {
         mmu: MmuConfig,
         npu: NpuConfig,
     ) -> Result<f64, SimError> {
-        let oracle = self.oracle_point(workload, batch, mmu.page_size, npu)?;
+        let oracle = MmuConfig::oracle().with_page_size(mmu.page_size);
+        let oracle = self.dense_point(workload, batch, oracle, npu)?;
         let candidate = self.dense_point(workload, batch, mmu, npu)?;
         Ok(candidate.normalized_to(&oracle))
     }
@@ -288,7 +254,9 @@ mod tests {
             .normalized_point(WorkloadId::Cnn1, 1, MmuConfig::neummu(), npu)
             .unwrap();
         assert!(a > 0.0 && b > 0.0);
-        assert_eq!(runner.oracle_cache().simulations(), 1);
-        assert_eq!(runner.oracle_cache().hits(), 1);
+        // One oracle plus two candidates; the second oracle request hits.
+        assert_eq!(runner.cache().simulations(), 3);
+        assert_eq!(runner.cache().hits(), 1);
+        assert_eq!(runner.cache().len(), 3);
     }
 }

@@ -1,11 +1,11 @@
 //! Determinism guarantees of the parallel experiment runner.
 //!
 //! The contract: for any thread count, every experiment produces results that
-//! are bit-identical to the serial reference schedule, and the memoized oracle
-//! baselines are exactly the results a direct (uncached) oracle simulation
-//! would produce. These tests back the `--threads N` byte-identical-artifacts
-//! acceptance criterion at the typed-result level; the CI workflow adds the
-//! file-level `diff -r` on top.
+//! are bit-identical to the serial reference schedule, and the memoized points
+//! are exactly the results a direct (uncached) simulation would produce.
+//! These tests back the `--threads N` byte-identical-artifacts acceptance
+//! criterion at the typed-result level; the CI workflow adds the file-level
+//! `diff -r` on top.
 
 use neummu_mmu::MmuConfig;
 use neummu_npu::NpuConfig;
@@ -76,37 +76,49 @@ fn serving_sweep_is_identical_across_thread_counts() {
 fn memoized_oracle_equals_direct_oracle_simulation() {
     let runner = ExperimentRunner::new(4);
     let npu = NpuConfig::tpu_like();
-    // Warm the cache through a sweep, then compare every memoized baseline
+    // Warm the cache through a sweep, then compare every memoized point —
+    // the oracle, the baseline IOMMU, and the same IOMMU relabelled `Custom`
+    // by `with_ptws(8)`, which the cache serves from the IOMMU's key —
     // against a from-scratch simulation of the same point.
     performance::fig08_baseline_iommu_on(&runner, SMOKE).unwrap();
-    for workload_id in SMOKE.workloads() {
-        for &batch in &SMOKE.batches() {
-            let memoized = runner
-                .oracle_point(workload_id, batch, PageSize::Size4K, npu)
-                .unwrap();
-            let mut config = DenseSimConfig::with_mmu(MmuConfig::oracle());
-            config.npu = npu;
+    let warmed = runner.cache().simulations();
+    for (workload_id, batch) in SMOKE.grid() {
+        for mmu in [
+            MmuConfig::oracle().with_page_size(PageSize::Size4K),
+            MmuConfig::baseline_iommu(),
+            MmuConfig::baseline_iommu().with_ptws(8),
+        ] {
+            let memoized = runner.dense_point(workload_id, batch, mmu, npu).unwrap();
+            let config = DenseSimConfig {
+                npu,
+                ..DenseSimConfig::with_mmu(mmu)
+            };
             let direct = DenseSimulator::new(config)
                 .simulate_workload(&DenseWorkload::new(workload_id).layers(batch))
                 .unwrap();
-            assert_eq!(*memoized, direct, "{workload_id} b{batch}");
+            assert_eq!(*memoized, direct, "{workload_id} b{batch} {mmu:?}");
         }
     }
+    assert_eq!(
+        runner.cache().simulations(),
+        warmed,
+        "every point was served from Figure 8's keys"
+    );
 }
 
 #[test]
 fn oracle_simulates_once_per_key_within_a_sweep() {
     // Six PRMB configurations over the smoke grid: each (workload, batch,
-    // page size) baseline must simulate exactly once; the other five columns
-    // hit the cache.
+    // page size) baseline must simulate exactly once, the other five
+    // columns hit the cache, and each column's candidate simulates once.
     let runner = ExperimentRunner::new(4);
     performance::fig10_prmb_sweep_on(&runner, SMOKE).unwrap();
-    let grid = SMOKE.workloads().len() * SMOKE.batches().len();
+    let grid = SMOKE.grid().len();
     let configs = 6;
-    assert_eq!(runner.oracle_cache().simulations() as usize, grid);
-    assert_eq!(runner.oracle_cache().len(), grid);
+    assert_eq!(runner.cache().simulations() as usize, grid * (1 + configs));
+    assert_eq!(runner.cache().len(), grid * (1 + configs));
     assert_eq!(
-        runner.oracle_cache().hits() as usize,
+        runner.cache().hits() as usize,
         grid * (configs - 1),
         "every duplicate baseline request must be served from the cache"
     );
@@ -117,11 +129,13 @@ fn oracle_cache_is_shared_across_experiment_families() {
     // Figure 8 and Figure 6 normalize/measure against the same 4K oracle
     // baselines; on one runner the second family must not re-simulate them.
     let runner = ExperimentRunner::new(2);
+    let grid = SMOKE.grid().len() as u64;
     performance::fig08_baseline_iommu_on(&runner, SMOKE).unwrap();
-    let sims_after_fig08 = runner.oracle_cache().simulations();
+    assert_eq!(runner.cache().simulations(), 2 * grid);
+    assert_eq!(runner.cache().hits(), 0);
     characterization::fig06_page_divergence_on(&runner, SMOKE).unwrap();
-    assert_eq!(runner.oracle_cache().simulations(), sims_after_fig08);
-    assert!(runner.oracle_cache().hits() >= sims_after_fig08);
+    assert_eq!(runner.cache().simulations(), 2 * grid);
+    assert_eq!(runner.cache().hits(), grid);
 }
 
 #[test]
@@ -192,15 +206,15 @@ fn embedding_lookup_stream_matches_the_materialized_trace() {
 
 #[test]
 fn legacy_serial_entry_points_agree_with_runner_entry_points() {
-    // The scale-only signatures are wrappers over a private serial runner;
-    // they must produce the same bits as an explicit runner at any width.
+    // A fresh serial runner is the reference schedule; an explicit runner of
+    // any width must produce the same bits.
     let runner = ExperimentRunner::new(3);
     assert_eq!(
-        performance::fig13_tpreg_hit_rate(SMOKE).unwrap(),
+        performance::fig13_tpreg_hit_rate_on(&ExperimentRunner::serial(), SMOKE).unwrap(),
         performance::fig13_tpreg_hit_rate_on(&runner, SMOKE).unwrap(),
     );
     assert_eq!(
-        performance::sensitivity(SMOKE).unwrap(),
+        performance::sensitivity_on(&ExperimentRunner::serial(), SMOKE).unwrap(),
         performance::sensitivity_on(&runner, SMOKE).unwrap(),
     );
 }
