@@ -15,15 +15,18 @@
 //!
 //! ```text
 //! cargo run --release --bin neummu_experiments -- --quick --out /tmp/golden \
-//!     --only fig08,fig12b,fig13,mmu_cache,table1,serving
-//! cp /tmp/golden/{fig08_baseline_iommu,fig12b_energy_perf,fig13_tpreg_hit_rate,mmu_cache_uptc_vs_tpc,serving_sweep}.json \
+//!     --only fig08,fig12b,fig13,mmu_cache,table1,serving,multitenant
+//! cp /tmp/golden/{fig08_baseline_iommu,fig12b_energy_perf,fig13_tpreg_hit_rate,mmu_cache_uptc_vs_tpc,serving_sweep,multitenant_sweep}.json \
 //!    /tmp/golden/table1_configuration.{csv,md} /tmp/golden/serving_goodput.md \
-//!    /tmp/golden/serving_slo.csv crates/bench/tests/golden/
+//!    /tmp/golden/serving_slo.csv /tmp/golden/multitenant_tenant_counters.md \
+//!    crates/bench/tests/golden/
 //! ```
 
 use serde::Serialize;
 
-use neummu_sim::experiments::{mmu_cache_study, performance, serving, table1, ExperimentScale};
+use neummu_sim::experiments::{
+    mmu_cache_study, multi_tenant, performance, serving, table1, ExperimentScale,
+};
 use neummu_sim::ExperimentRunner;
 
 const SMOKE: ExperimentScale = ExperimentScale::Smoke;
@@ -107,6 +110,24 @@ fn serving_sweep_artifacts_match_golden() {
         "serving_slo.csv",
         include_str!("golden/serving_slo.csv"),
         &result.slo_table().to_csv(),
+    );
+}
+
+#[test]
+fn multitenant_sweep_artifacts_match_golden() {
+    // Pins the closed-loop tenant sweep: the shared runs at every tenant
+    // count, the memoized solo baselines and the per-tenant counter table.
+    let runner = ExperimentRunner::new(4);
+    let result = multi_tenant::tenant_sweep_on(&runner, SMOKE).unwrap();
+    assert_matches_golden(
+        "multitenant_sweep.json",
+        include_str!("golden/multitenant_sweep.json"),
+        &to_artifact_json(&result),
+    );
+    assert_matches_golden(
+        "multitenant_tenant_counters.md",
+        include_str!("golden/multitenant_tenant_counters.md"),
+        &result.counters_table().to_markdown(),
     );
 }
 
