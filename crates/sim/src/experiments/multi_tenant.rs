@@ -4,8 +4,9 @@
 //! deployment time-shares it. This family opens that scenario axis:
 //!
 //! * a **tenant-count sweep** (1 → 8 at full scale) over a fixed,
-//!   deterministic workload mix, every sweep point a shared-resource run of
-//!   the [`TenantScheduler`],
+//!   deterministic workload mix, every sweep point a closed-loop run of the
+//!   mix on one shared engine
+//!   ([`ServingSimulator::run_to_completion`]),
 //! * **per-tenant slowdown** — each tenant's shared-run completion divided by
 //!   its memoized contention-free baseline
 //!   ([`ExperimentRunner::isolated_tenant_point`]), and
@@ -20,9 +21,10 @@ use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
 use crate::experiments::ExperimentScale;
-use crate::multi_tenant::{MultiTenantConfig, TenantScheduler, TenantSpec, TenantStats};
+use crate::multi_tenant::{TenantSpec, TenantStats};
 use crate::report::{norm, pct, ResultTable};
 use crate::runner::ExperimentRunner;
+use crate::serving::{ServingConfig, ServingSimulator};
 
 /// The deterministic tenant mix of the sweep: the scale's workloads, cycled
 /// at batch 1 (batch 1 keeps the full 1→8 sweep tractable; the batch axis is
@@ -223,10 +225,11 @@ pub fn tenant_sweep_on(
     runner: &ExperimentRunner,
     scale: ExperimentScale,
 ) -> Result<MultiTenantSweepResult, SimError> {
-    let config = MultiTenantConfig::with_mmu(MmuConfig::neummu());
+    let simulator = ServingSimulator::new(ServingConfig::with_mmu(MmuConfig::neummu()));
+    let config = simulator.config();
     let counts = tenant_counts(scale);
     let shared_runs = runner.run_jobs("multi_tenant/shared", counts.len(), |i| {
-        TenantScheduler::new(config).run(&tenant_mix(scale, counts[i]))
+        simulator.run_to_completion(&tenant_mix(scale, counts[i]))
     })?;
 
     let mut rows = Vec::new();

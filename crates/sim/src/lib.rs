@@ -12,10 +12,11 @@
 //!   (Figures 15 and 16): model-parallel embedding tables, CPU-relayed copies
 //!   vs. fine-grained NUMA gathers vs. demand paging.
 //!
-//! Two schedulers stack on top: [`multi_tenant`] runs a closed-loop batch of
-//! tenants to completion on one shared engine, and [`serving`] is the
-//! open-loop datacenter leg — seeded arrival generators, bounded admission
-//! queues, pluggable scheduling policies and exact SLO percentiles.
+//! One multi-tenant driver stacks on top: [`serving`]'s turn loop shares one
+//! engine between tenants, either closed loop (a batch of [`multi_tenant`]
+//! tenants run to completion) or as the open-loop datacenter leg — seeded
+//! arrival generators, bounded admission queues, pluggable scheduling
+//! policies and exact SLO percentiles.
 //!
 //! [`experiments`] contains one runner per table/figure of the paper; each
 //! returns a typed result that can be rendered with [`report`]. [`runner`]
@@ -41,9 +42,7 @@ pub use embedding::{
     EmbeddingPhaseBreakdown, EmbeddingSimConfig, EmbeddingSimulator, GatherStrategy,
 };
 pub use error::SimError;
-pub use multi_tenant::{
-    MultiTenantConfig, MultiTenantResult, ResourceMode, TenantScheduler, TenantSpec, TenantStats,
-};
+pub use multi_tenant::{MultiTenantResult, TenantSpec, TenantStats};
 pub use report::ResultTable;
 pub use runner::{ExperimentRunner, PointCache, SelfProfile};
 pub use serving::{
@@ -61,10 +60,7 @@ pub mod prelude {
         EmbeddingPhaseBreakdown, EmbeddingSimConfig, EmbeddingSimulator, GatherStrategy,
     };
     pub use crate::error::SimError;
-    pub use crate::multi_tenant::{
-        MultiTenantConfig, MultiTenantResult, ResourceMode, TenantScheduler, TenantSpec,
-        TenantStats,
-    };
+    pub use crate::multi_tenant::{MultiTenantResult, TenantSpec, TenantStats};
     pub use crate::report::ResultTable;
     pub use crate::runner::{ExperimentRunner, PointCache, SelfProfile};
     pub use crate::serving::{

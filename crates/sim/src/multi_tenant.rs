@@ -2,22 +2,27 @@
 //!
 //! The paper models a single address space per NPU, but the serving scenario
 //! it motivates — a TPU-style accelerator behind heavy inference traffic —
-//! time-shares one NPU between many models and users. This module supplies
-//! the timing model for that scenario:
+//! time-shares one NPU between many models and users. This module holds the
+//! per-tenant pieces of that scenario:
 //!
-//! * every tenant is a dense workload with a **private page table** (its own
-//!   [`neummu_vmem::AddressSpace`], registered under an [`Asid`] in an
-//!   [`AddressSpaceRegistry`]),
-//! * a [`TenantScheduler`] multiplexes the tenants' DMA translation streams
-//!   onto **one shared cycle-accounted translation engine and one shared
-//!   HBM** with round-robin, burst-interleaved scheduling (the DMA front end
-//!   accepts at most one translation request per cycle, so tenants contend
-//!   for IOTLB capacity, PTS/PRMB slots, walker bandwidth and DRAM
-//!   bandwidth),
+//! * every tenant is a dense workload ([`TenantSpec`]) with a **private page
+//!   table** (its own [`neummu_vmem::AddressSpace`], registered under an
+//!   [`Asid`] in an [`neummu_vmem::AddressSpaceRegistry`]),
+//! * a tenant's DMA translation stream is the page-run decomposition of its
+//!   layers' tile fetches (`map_tenant_fetches`, `TenantStream`),
 //! * per-tenant [`TenantStats`] event counters (in the spirit of
 //!   CounterPoint's cheap measured counters) expose exactly where the
 //!   cross-tenant interference lands: TLB hit-rate collapse, lost merges,
 //!   extra walker occupancy, stall cycles.
+//!
+//! One driver multiplexes the streams onto **one shared cycle-accounted
+//! translation engine and one shared HBM**: the turn loop of
+//! [`crate::serving::ServingSimulator`]. Its closed-loop entry point,
+//! [`ServingSimulator::run_to_completion`], runs a tenant mix to completion
+//! and returns a [`MultiTenantResult`]; the open-loop
+//! [`ServingSimulator::run`] serves arrivals on the same turns. The DMA front
+//! end accepts at most one translation request per cycle, so tenants contend
+//! for IOTLB capacity, PTS/PRMB slots, walker bandwidth and DRAM bandwidth.
 //!
 //! The model follows the dense simulator's accounting of the *memory phase*:
 //! each tenant's stream is the exact per-transaction DMA decomposition of its
@@ -27,25 +32,19 @@
 //! are not modelled here — translation throughput under contention is the
 //! quantity of interest, and it is unaffected by the overlap structure.
 //!
-//! [`ResourceMode::Isolated`] runs the same interleaved schedule with
-//! per-tenant private engines, DRAM servers and clocks — contention
-//! disabled. A tenant's stats in that mode are *identical* to a run of that
-//! tenant alone, which is both the baseline that defines per-tenant slowdown
-//! and a sharp correctness check on the scheduler's bookkeeping (locked in by
-//! a proptest in `crates/sim/tests/multi_tenant.rs`).
+//! A tenant's contention-free baseline, the denominator of its slowdown, is
+//! its solo run: with one tenant there is nobody to contend with.
+//!
+//! [`ServingSimulator::run_to_completion`]: crate::serving::ServingSimulator::run_to_completion
+//! [`ServingSimulator::run`]: crate::serving::ServingSimulator::run
 
 use serde::{Deserialize, Serialize};
 
-use neummu_mem::dram::{DramConfig, DramModel};
-use neummu_mmu::{MmuConfig, MmuKind, TranslationEngine, TranslationSource};
 use neummu_npu::{DmaEngine, NpuConfig, PageRun, PageRunIter, TileFetch, TilingPlan};
-use neummu_vmem::{
-    AddressSpaceRegistry, Asid, MemNode, NodeSpec, PhysicalMemory, SegmentOptions, VirtAddr,
-};
+use neummu_vmem::{Asid, MemNode, NodeSpec, PhysicalMemory, SegmentOptions};
 use neummu_workloads::{DenseWorkload, WorkloadId};
 
 use crate::error::SimError;
-use crate::serving::{PolicyState, ServingPolicy};
 
 /// One tenant time-sharing the NPU: a dense workload at a batch size.
 ///
@@ -80,74 +79,7 @@ impl TenantSpec {
     }
 }
 
-/// Whether tenants contend for the translation and memory hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ResourceMode {
-    /// One IOTLB, one walker pool, one DRAM shared by every tenant — the
-    /// contended serving scenario.
-    Shared,
-    /// Contention disabled: every tenant gets private resources and a
-    /// private clock. Per-tenant results are identical to running each
-    /// tenant alone (the slowdown baseline).
-    Isolated,
-}
-
-/// Configuration of a multi-tenant scheduler run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MultiTenantConfig {
-    /// MMU design point of the (shared or per-tenant) translation engine.
-    /// Must be cycle-accounted ([`MmuKind::Oracle`] is rejected: an oracle
-    /// translates for free, so there is nothing to contend for).
-    pub mmu: MmuConfig,
-    /// NPU architecture parameters (tiling, DMA transaction size).
-    pub npu: NpuConfig,
-    /// Local memory system parameters.
-    pub dram: DramConfig,
-    /// Memory node the tenants' operands live on.
-    pub node: MemNode,
-    /// Backing capacity allocated to each tenant's operands.
-    pub memory_capacity_bytes: u64,
-    /// Scheduling quantum: how many DMA transactions a tenant issues before
-    /// the front end switches to the next tenant (burst interleaving; `1` is
-    /// fine-grained round-robin).
-    pub burst_transactions: u64,
-    /// Shared (contended) or isolated (contention-free baseline) resources.
-    pub mode: ResourceMode,
-}
-
-impl MultiTenantConfig {
-    /// The paper's default setup (TPU-like NPU, Table I memory system) with
-    /// the given MMU design point, shared resources and a 64-transaction
-    /// scheduling burst.
-    #[must_use]
-    pub fn with_mmu(mmu: MmuConfig) -> Self {
-        MultiTenantConfig {
-            mmu,
-            npu: NpuConfig::tpu_like(),
-            dram: DramConfig::table1(),
-            node: MemNode::Npu(0),
-            memory_capacity_bytes: 64 << 30,
-            burst_transactions: 64,
-            mode: ResourceMode::Shared,
-        }
-    }
-
-    /// Disables contention: per-tenant private engines, DRAM and clocks.
-    #[must_use]
-    pub fn isolated(mut self) -> Self {
-        self.mode = ResourceMode::Isolated;
-        self
-    }
-
-    /// Overrides the scheduling burst (transactions per tenant turn).
-    #[must_use]
-    pub fn with_burst(mut self, burst_transactions: u64) -> Self {
-        self.burst_transactions = burst_transactions;
-        self
-    }
-}
-
-/// Per-tenant event counters and timing of one scheduler run.
+/// Per-tenant event counters and timing of one run on the shared engine.
 ///
 /// The counters are the multi-tenant extension of the repo's telemetry
 /// philosophy: cheap measured event counts that validate (or refute) the
@@ -213,7 +145,7 @@ impl TenantStats {
     }
 }
 
-/// The outcome of one multi-tenant scheduler run.
+/// The outcome of one closed-loop run of a tenant mix.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MultiTenantResult {
     /// Tenant mix the run executed, in ASID order.
@@ -249,16 +181,16 @@ impl MultiTenantResult {
 /// One tenant's DMA translation stream: the page-run decomposition of its
 /// layers' tile fetches, yielded lazily in program order.
 ///
-/// The stream hands out [`PageRun`]s clipped to the scheduler's remaining
-/// burst quota, so a run never spans a tenant switch; a run the shared
-/// engine could not fully replay is pushed back and resumes from its suffix.
-/// The transaction sequence this produces is exactly the per-transaction
-/// decomposition the scheduler used to iterate.
+/// The stream hands out [`PageRun`]s clipped to the turn's remaining quota,
+/// so a run never spans a tenant switch; a run the shared engine could not
+/// fully replay is pushed back and resumes from its suffix. The transaction
+/// sequence this produces is exactly the per-transaction decomposition of
+/// the fetches.
 ///
-/// A *cyclic* stream (the open-loop serving simulator's mode) restarts from
-/// the first fetch when the last one is exhausted — each inference request
-/// re-fetches the model's operands at the same virtual addresses — and
-/// therefore never runs dry.
+/// A *cyclic* stream (open-loop serving) restarts from the first fetch when
+/// the last one is exhausted — each inference request re-fetches the model's
+/// operands at the same virtual addresses — and therefore never runs dry. A
+/// non-cyclic stream (closed loop) ends, and its end completes the tenant.
 pub(crate) struct TenantStream {
     dma: DmaEngine,
     /// `(segment base, fetch)` for every IA/W fetch of every tile of every
@@ -283,12 +215,6 @@ impl TenantStream {
             pending: None,
             cyclic,
         }
-    }
-
-    /// Fetches not yet started (a backlog proxy for depth-aware policies; the
-    /// in-progress fetch is not counted).
-    pub(crate) fn fetches_remaining(&self) -> u64 {
-        (self.fetches.len() - self.next_fetch) as u64
     }
 
     /// The next same-page run of at most `max_txns` transactions, with the
@@ -338,9 +264,7 @@ impl TenantStream {
 
 /// Maps one tenant's dense operands (per-layer IA and weight segments) into
 /// its private address space and returns the `(segment base, fetch)` pairs of
-/// its tile fetch stream, in issue order. Shared between the closed-loop
-/// scheduler and the open-loop serving simulator so both drive the engine
-/// with identical per-tenant streams.
+/// its tile fetch stream, in issue order.
 pub(crate) fn map_tenant_fetches(
     space: &mut neummu_vmem::AddressSpace,
     workload: WorkloadId,
@@ -383,335 +307,53 @@ pub(crate) fn map_tenant_fetches(
     Ok(fetches)
 }
 
-/// Per-tenant or shared simulation resources, depending on the mode.
-struct Resources {
-    engines: Vec<TranslationEngine>,
-    drams: Vec<DramModel>,
-    clocks: Vec<u64>,
-}
-
-impl Resources {
-    fn index_for(&self, tenant: usize) -> usize {
-        if self.engines.len() == 1 {
-            0
-        } else {
-            tenant
-        }
-    }
-}
-
-/// Burst-interleaving scheduler that multiplexes N tenants' translation
-/// streams onto one NPU's translation front end under a pluggable
-/// [`ServingPolicy`] (round-robin by default — the historical behaviour,
-/// bit-identical to the original rotation).
-#[derive(Debug, Clone)]
-pub struct TenantScheduler {
-    config: MultiTenantConfig,
-    policy: ServingPolicy,
-    /// Per-tenant WFQ weights (tenant-indexed; missing entries default to 1).
-    weights: Vec<u64>,
-}
-
-impl TenantScheduler {
-    /// Creates a round-robin scheduler with the given configuration.
-    #[must_use]
-    pub fn new(config: MultiTenantConfig) -> Self {
-        TenantScheduler {
-            config,
-            policy: ServingPolicy::RoundRobin,
-            weights: Vec::new(),
-        }
-    }
-
-    /// Overrides the scheduling policy (round-robin if never called).
-    #[must_use]
-    pub fn with_policy(mut self, policy: ServingPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets per-tenant weighted-fair weights (tenant-indexed; missing entries
-    /// default to 1; only read by [`ServingPolicy::WeightedFair`]).
-    #[must_use]
-    pub fn with_weights(mut self, weights: Vec<u64>) -> Self {
-        self.weights = weights;
-        self
-    }
-
-    /// The scheduler's configuration.
-    #[must_use]
-    pub fn config(&self) -> &MultiTenantConfig {
-        &self.config
-    }
-
-    /// The scheduler's policy.
-    #[must_use]
-    pub fn policy(&self) -> ServingPolicy {
-        self.policy
-    }
-
-    /// Runs the tenant mix to completion and returns per-tenant counters.
-    ///
-    /// Tenants are registered in order (tenant `i` gets ASID `i`), their
-    /// streams are interleaved in bursts of
-    /// [`MultiTenantConfig::burst_transactions`] transactions, and the run
-    /// ends when every stream is exhausted and its data has arrived.
-    ///
-    /// # Errors
-    ///
-    /// * [`SimError::InvalidConfig`] for an empty tenant list, a zero burst,
-    ///   or an oracular MMU (nothing to contend for).
-    /// * Propagates tiling and mapping errors.
-    pub fn run(&self, tenants: &[TenantSpec]) -> Result<MultiTenantResult, SimError> {
-        let config = &self.config;
-        if tenants.is_empty() {
-            return Err(SimError::InvalidConfig {
-                reason: "multi-tenant run needs at least one tenant".to_string(),
-            });
-        }
-        if config.burst_transactions == 0 {
-            return Err(SimError::InvalidConfig {
-                reason: "scheduling burst must be at least one transaction".to_string(),
-            });
-        }
-        if config.mmu.kind == MmuKind::Oracle {
-            return Err(SimError::InvalidConfig {
-                reason: "the multi-tenant scheduler models contention on a cycle-accounted \
-                         engine; the oracular MMU has nothing to contend for"
-                    .to_string(),
-            });
-        }
-        config.npu.validate()?;
-
-        // Per-tenant address spaces (private page tables) and streams.
-        let mut registry = AddressSpaceRegistry::new();
-        let mut streams = Vec::with_capacity(tenants.len());
-        let mut stats: Vec<TenantStats> = Vec::with_capacity(tenants.len());
-        for spec in tenants {
-            let asid = registry.create(format!("tenant-{}", spec.label()));
-            let space = registry.get_mut(asid).expect("just created");
-            let fetches = map_tenant_fetches(
-                space,
-                spec.workload,
-                spec.batch,
-                &config.npu,
-                config.node,
-                config.memory_capacity_bytes,
-                config.mmu.page_size,
-            )?;
-            streams.push(TenantStream::new(
-                DmaEngine::new(config.npu.dma),
-                fetches,
-                false,
-            ));
-            stats.push(TenantStats::new(asid));
-        }
-
-        // Shared mode: one engine/DRAM/clock. Isolated mode: one per tenant.
-        let replicas = match config.mode {
-            ResourceMode::Shared => 1,
-            ResourceMode::Isolated => tenants.len(),
-        };
-        let mut resources = Resources {
-            engines: (0..replicas)
-                .map(|_| TranslationEngine::new(config.mmu))
-                .collect(),
-            drams: (0..replicas).map(|_| DramModel::new(config.dram)).collect(),
-            clocks: vec![0u64; replicas],
-        };
-
-        // Policy-picked turns over live tenants, `burst_transactions` per
-        // turn. Each turn consumes its quantum as same-page runs through the
-        // run-coalesced engine path: runs are clipped to the remaining quota
-        // (a run never spans a tenant switch), and a partially replayed run
-        // resumes from its suffix — so the request sequence the shared
-        // engine observes is exactly the old per-transaction interleaving.
-        // Under the default round-robin policy the cyclic cursor visits live
-        // tenants in exactly the order the original `VecDeque` rotation did
-        // (pop front, serve, push back), so default runs are bit-identical to
-        // the pre-policy scheduler.
-        let page_bytes = config.mmu.page_size.bytes();
-        // One `tenant/turn` trace span per scheduler turn: the tenant's slice
-        // of the shared front end, in simulated cycles, with the number of
-        // transactions it got through as the payload.
-        let turn_trace = neummu_trace::global().map(|sink| (sink, sink.kind("tenant/turn")));
-        let mut policy_state = PolicyState::new(self.policy, tenants.len(), &self.weights);
-        let mut live = vec![true; tenants.len()];
-        let mut live_count = tenants.len();
-        let mut depths = vec![0u64; tenants.len()];
-        let mut occupancies = vec![0u64; tenants.len()];
-        while live_count > 0 {
-            if self.policy.needs_depths() {
-                for (tenant, depth) in depths.iter_mut().enumerate() {
-                    *depth = if live[tenant] {
-                        streams[tenant].fetches_remaining()
-                    } else {
-                        0
-                    };
-                }
-            }
-            if self.policy.needs_occupancy() {
-                for (tenant, occupancy) in occupancies.iter_mut().enumerate() {
-                    *occupancy = resources.engines[resources.index_for(tenant)]
-                        .tlb()
-                        .occupancy_of(stats[tenant].asid) as u64;
-                }
-            }
-            let tlb_capacity = resources.engines[0].tlb().capacity() as u64;
-            let tenant = policy_state
-                .pick(&live, &depths, &occupancies, tlb_capacity)
-                .expect("at least one tenant is live");
-            use neummu_mmu::AddressTranslator as _;
-            let slot = resources.index_for(tenant);
-            let asid = stats[tenant].asid;
-            let turn_start = resources.clocks[slot];
-            let space = registry.get(asid).expect("registered above");
-            let page_table = space.page_table();
-            let mut exhausted = false;
-            let mut quota = config.burst_transactions;
-            while quota > 0 {
-                let Some((base, run)) = streams[tenant].next_run(quota, page_bytes) else {
-                    exhausted = true;
-                    break;
-                };
-                let issue = resources.clocks[slot];
-                let va = VirtAddr::new(base + run.first.offset);
-                let out = resources.engines[slot].translate_run_tagged(
-                    page_table,
-                    asid,
-                    va,
-                    run.txn_count,
-                    issue,
-                );
-                let tenant_stats = &mut stats[tenant];
-                tenant_stats.requests += out.consumed;
-                tenant_stats.stall_cycles += out.first.accept_cycle - issue;
-                for (source, requests) in
-                    [(out.first.source, 1), (out.replay_source, out.replayed())]
-                {
-                    if requests == 0 {
-                        continue;
-                    }
-                    match source {
-                        TranslationSource::TlbHit => tenant_stats.tlb_hits += requests,
-                        TranslationSource::Merged => tenant_stats.merged += requests,
-                        TranslationSource::PageWalk { levels_read } => {
-                            tenant_stats.walks += requests;
-                            tenant_stats.walk_levels_read += requests * u64::from(levels_read);
-                        }
-                        TranslationSource::Oracle => unreachable!("oracle configs are rejected"),
-                    }
-                }
-                if out.first.fault {
-                    tenant_stats.faults += 1;
-                }
-                if out.replay_fault {
-                    tenant_stats.faults += out.replayed();
-                }
-                resources.clocks[slot] = out.last_accept() + 1;
-                let scheduled = run.prefix(out.consumed);
-                let data_ready = resources.drams[slot].schedule_run(
-                    out.first.complete_cycle,
-                    out.complete_stride,
-                    scheduled.txn_count,
-                    scheduled.first.bytes,
-                    scheduled.interior_txn_bytes(),
-                    scheduled.txn_len(scheduled.txn_count - 1),
-                );
-                tenant_stats.completion_cycle = tenant_stats.completion_cycle.max(data_ready);
-                quota -= out.consumed;
-                if out.consumed < run.txn_count {
-                    streams[tenant].push_back(base, run.suffix(out.consumed));
-                }
-            }
-            let consumed = config.burst_transactions - quota;
-            if let Some((sink, kind)) = turn_trace {
-                if consumed > 0 {
-                    sink.emit(neummu_trace::Event {
-                        kind,
-                        asid: asid.raw(),
-                        start: turn_start,
-                        end: resources.clocks[slot],
-                        payload: consumed,
-                    });
-                }
-            }
-            policy_state.charge(tenant, consumed);
-            if exhausted {
-                stats[tenant].final_tlb_occupancy = resources.engines[resources.index_for(tenant)]
-                    .tlb()
-                    .occupancy_of(asid) as u64;
-                live[tenant] = false;
-                live_count -= 1;
-            }
-        }
-
-        let makespan_cycles = stats.iter().map(|s| s.completion_cycle).max().unwrap_or(0);
-        Ok(MultiTenantResult {
-            tenants: tenants.to_vec(),
-            stats,
-            makespan_cycles,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serving::{ServingConfig, ServingSimulator};
+    use neummu_mmu::MmuConfig;
 
     fn smoke_tenants(n: usize) -> Vec<TenantSpec> {
         let mix = [WorkloadId::Cnn1, WorkloadId::Rnn2];
         (0..n).map(|i| TenantSpec::new(mix[i % 2], 1)).collect()
     }
 
-    #[test]
-    fn empty_zero_burst_and_oracle_configs_are_rejected() {
-        let scheduler = TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()));
-        assert!(matches!(
-            scheduler.run(&[]),
-            Err(SimError::InvalidConfig { .. })
-        ));
-        let zero_burst =
-            TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()).with_burst(0));
-        assert!(matches!(
-            zero_burst.run(&smoke_tenants(1)),
-            Err(SimError::InvalidConfig { .. })
-        ));
-        let oracle = TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::oracle()));
-        assert!(matches!(
-            oracle.run(&smoke_tenants(1)),
-            Err(SimError::InvalidConfig { .. })
-        ));
+    fn run(config: ServingConfig, tenants: &[TenantSpec]) -> MultiTenantResult {
+        ServingSimulator::new(config)
+            .run_to_completion(tenants)
+            .unwrap()
     }
 
     #[test]
-    fn single_tenant_shared_equals_isolated() {
-        // With one tenant there is nobody to contend with: shared and
-        // isolated modes must agree bit for bit.
-        let tenants = smoke_tenants(1);
-        let shared = TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()))
-            .run(&tenants)
-            .unwrap();
-        let isolated =
-            TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()).isolated())
-                .run(&tenants)
-                .unwrap();
-        assert_eq!(shared, isolated);
-        assert!(shared.stats[0].requests > 0);
-        assert_eq!(shared.makespan_cycles, shared.stats[0].completion_cycle);
+    fn empty_zero_burst_and_oracle_configs_are_rejected() {
+        let neummu = ServingSimulator::new(ServingConfig::with_mmu(MmuConfig::neummu()));
+        assert!(matches!(
+            neummu.run_to_completion(&[]),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        let zero_burst =
+            ServingSimulator::new(ServingConfig::with_mmu(MmuConfig::neummu()).with_burst(0));
+        assert!(matches!(
+            zero_burst.run_to_completion(&smoke_tenants(1)),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        let oracle = ServingSimulator::new(ServingConfig::with_mmu(MmuConfig::oracle()));
+        assert!(matches!(
+            oracle.run_to_completion(&smoke_tenants(1)),
+            Err(SimError::InvalidConfig { .. })
+        ));
     }
 
     #[test]
     fn contention_slows_tenants_down() {
+        let config = ServingConfig::with_mmu(MmuConfig::neummu());
         let tenants = smoke_tenants(2);
-        let shared = TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()))
-            .run(&tenants)
-            .unwrap();
-        let isolated =
-            TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()).isolated())
-                .run(&tenants)
-                .unwrap();
-        for (s, i) in shared.stats.iter().zip(&isolated.stats) {
+        let shared = run(config.clone(), &tenants);
+        let solo: Vec<TenantStats> = tenants
+            .iter()
+            .map(|&spec| run(config.clone(), &[spec]).stats[0])
+            .collect();
+        for (s, i) in shared.stats.iter().zip(&solo) {
             assert_eq!(s.requests, i.requests, "same stream either way");
             assert!(
                 s.completion_cycle >= i.completion_cycle,
@@ -721,31 +363,9 @@ mod tests {
             );
         }
         assert!(
-            shared.makespan_cycles
-                > isolated
-                    .stats
-                    .iter()
-                    .map(|s| s.completion_cycle)
-                    .max()
-                    .unwrap()
-                    / 2,
-            "two interleaved tenants cannot be faster than half an isolated tenant"
+            shared.makespan_cycles > solo.iter().map(|s| s.completion_cycle).max().unwrap() / 2,
+            "two interleaved tenants cannot be faster than half a solo tenant"
         );
-    }
-
-    #[test]
-    fn isolated_interleaved_matches_solo_runs() {
-        // The contention-disabled interleaved run must reproduce each
-        // tenant's solo run exactly (modulo the ASID tag).
-        let tenants = smoke_tenants(2);
-        let config = MultiTenantConfig::with_mmu(MmuConfig::neummu()).isolated();
-        let interleaved = TenantScheduler::new(config).run(&tenants).unwrap();
-        for (index, spec) in tenants.iter().enumerate() {
-            let solo = TenantScheduler::new(config).run(&[*spec]).unwrap();
-            let mut expected = solo.stats[0];
-            expected.asid = Asid::new(index as u16);
-            assert_eq!(interleaved.stats[index], expected, "{}", spec.label());
-        }
     }
 
     #[test]
@@ -759,13 +379,9 @@ mod tests {
         // serves as the reference stream length.
         let tenants = smoke_tenants(2);
         let mmu = MmuConfig::neummu().with_ptws(2).with_prmb_slots(1);
-        let reference = TenantScheduler::new(MultiTenantConfig::with_mmu(mmu).with_burst(1))
-            .run(&tenants)
-            .unwrap();
+        let reference = run(ServingConfig::with_mmu(mmu).with_burst(1), &tenants);
         for burst in [3u64, 5, 64] {
-            let clipped = TenantScheduler::new(MultiTenantConfig::with_mmu(mmu).with_burst(burst))
-                .run(&tenants)
-                .unwrap();
+            let clipped = run(ServingConfig::with_mmu(mmu).with_burst(burst), &tenants);
             for (tenant, (c, r)) in clipped.stats.iter().zip(&reference.stats).enumerate() {
                 assert_eq!(
                     c.requests, r.requests,
@@ -778,9 +394,10 @@ mod tests {
 
     #[test]
     fn walker_occupancy_shares_sum_to_one() {
-        let result = TenantScheduler::new(MultiTenantConfig::with_mmu(MmuConfig::neummu()))
-            .run(&smoke_tenants(2))
-            .unwrap();
+        let result = run(
+            ServingConfig::with_mmu(MmuConfig::neummu()),
+            &smoke_tenants(2),
+        );
         let shares = result.walker_occupancy_shares();
         assert_eq!(shares.len(), 2);
         let sum: f64 = shares.iter().sum();

@@ -30,8 +30,9 @@ pub mod profile;
 pub use point_cache::PointCache;
 pub use profile::{PhaseStats, SelfProfile};
 
+use std::cell::Cell;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use neummu_mmu::MmuConfig;
 use neummu_npu::NpuConfig;
@@ -39,7 +40,14 @@ use neummu_workloads::WorkloadId;
 
 use crate::dense::{DenseSimConfig, WorkloadResult};
 use crate::error::SimError;
-use crate::multi_tenant::{MultiTenantConfig, TenantSpec, TenantStats};
+use crate::multi_tenant::{TenantSpec, TenantStats};
+use crate::serving::ServingConfig;
+
+thread_local! {
+    /// Set while this thread runs a [`ExperimentRunner::run_jobs`] job: time
+    /// recorded then is already inside the job's own recorded time.
+    static IN_JOB: Cell<bool> = const { Cell::new(false) };
+}
 
 /// Executes experiment job graphs on a thread pool with a shared point cache
 /// and self-profiling.
@@ -127,7 +135,9 @@ impl ExperimentRunner {
     {
         pool::run_indexed(self.threads, count, |index| {
             let started = Instant::now();
+            let outer = IN_JOB.replace(true);
             let result = job(index);
+            IN_JOB.set(outer);
             self.profile.record(phase, started.elapsed());
             result
         })
@@ -135,13 +145,23 @@ impl ExperimentRunner {
         .collect()
     }
 
+    /// Records a point's simulation time under `phase`: as nested time when
+    /// a job requested the point, as a job of its own otherwise.
+    fn record_point(&self, phase: &str, elapsed: Duration) {
+        if IN_JOB.get() {
+            self.profile.record_nested(phase, elapsed);
+        } else {
+            self.profile.record(phase, elapsed);
+        }
+    }
+
     /// The dense-suite point `(workload, batch)` under the given MMU and
     /// NPU, from the runner's point cache: simulated on the first request for
     /// its key, shared afterwards. A point that actually simulates here is
-    /// profiled under the `point/dense` phase as well as the phase of the job
-    /// that requested it. (Phase timings are inclusive wall-clock per job, so
-    /// a job blocked on another thread's in-flight point still counts that
-    /// wait in its own phase.)
+    /// profiled under the `point/dense` phase — as nested time when a job
+    /// requested it, since the job's phase already contains it. (Phase
+    /// timings are inclusive wall-clock per job, so a job blocked on another
+    /// thread's in-flight point still counts that wait in its own phase.)
     ///
     /// # Errors
     ///
@@ -158,14 +178,14 @@ impl ExperimentRunner {
             ..DenseSimConfig::with_mmu(mmu)
         };
         self.cache.dense(workload, batch, config, |elapsed| {
-            self.profile.record("point/dense", elapsed);
+            self.record_point("point/dense", elapsed);
         })
     }
 
-    /// The contention-free baseline of one tenant: its solo run through the
-    /// multi-tenant scheduler with isolation forced on, from the point cache.
-    /// This is the denominator of every per-tenant slowdown, so a
-    /// tenant-count sweep simulates each distinct baseline once.
+    /// The contention-free baseline of one tenant: its solo closed-loop run
+    /// under `config`, from the point cache. This is the denominator of every
+    /// per-tenant slowdown, so a tenant-count sweep simulates each distinct
+    /// baseline once.
     ///
     /// # Errors
     ///
@@ -173,13 +193,11 @@ impl ExperimentRunner {
     pub fn isolated_tenant_point(
         &self,
         spec: TenantSpec,
-        config: MultiTenantConfig,
+        config: &ServingConfig,
     ) -> Result<Arc<TenantStats>, SimError> {
-        self.cache
-            .isolated_tenant(spec, config.isolated(), |elapsed| {
-                self.profile
-                    .record("multi_tenant/isolated-baseline", elapsed);
-            })
+        self.cache.isolated_tenant(spec, config, |elapsed| {
+            self.record_point("multi_tenant/isolated-baseline", elapsed);
+        })
     }
 
     /// Performance of `mmu` on a point, normalized to the oracle at the same
@@ -241,6 +259,29 @@ mod tests {
             Err(SimError::InvalidConfig { reason }) => assert_eq!(reason, "job 1"),
             other => panic!("expected the job-1 error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn points_simulated_inside_a_job_are_nested_time() {
+        let runner = ExperimentRunner::serial();
+        let npu = NpuConfig::tpu_like();
+        runner
+            .run_jobs("outer", 1, |_| {
+                runner.dense_point(WorkloadId::Cnn1, 1, MmuConfig::oracle(), npu)
+            })
+            .unwrap();
+        // Outside any job, a point is a job of its own.
+        runner
+            .dense_point(WorkloadId::Rnn2, 1, MmuConfig::oracle(), npu)
+            .unwrap();
+        let profile = runner.profile();
+        let phases = profile.phases();
+        assert_eq!(profile.nested_phases()["point/dense"].jobs, 1);
+        assert_eq!(phases["point/dense"].jobs, 1);
+        assert_eq!(
+            profile.total_busy(),
+            phases["outer"].total + phases["point/dense"].total
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! The multi-tenant family's *isolated tenant baselines* (a tenant's
 //! contention-free solo run, the denominator of every per-tenant slowdown)
 //! are served by the same exactly-once core from their own slot map. Their
-//! key is the tenant plus the whole isolated [`MultiTenantConfig`], so a
+//! key is the tenant plus the whole [`ServingConfig`] of the solo run, so a
 //! tenant-count sweep 1→8 simulates each distinct tenant's baseline once.
 //!
 //! Every key is also the point's store key, under [`POINT_NAMESPACE`]: with a
@@ -42,11 +42,12 @@ use neummu_workloads::{DenseWorkload, WorkloadId};
 
 use crate::dense::{DenseSimConfig, DenseSimulator, WorkloadResult};
 use crate::error::SimError;
-use crate::multi_tenant::{MultiTenantConfig, TenantScheduler, TenantSpec, TenantStats};
+use crate::multi_tenant::{TenantSpec, TenantStats};
 use crate::persist::{
     decode_tenant_stats, decode_workload_result, encode_tenant_stats, encode_workload_result,
     POINT_NAMESPACE,
 };
+use crate::serving::{ServingConfig, ServingSimulator};
 
 type Slot<T> = Arc<OnceLock<Result<Arc<T>, SimError>>>;
 type SlotMap<T> = Mutex<HashMap<String, Slot<T>>>;
@@ -163,9 +164,9 @@ impl PointCache {
         )
     }
 
-    /// The contention-free baseline of `tenant`: its solo run through the
-    /// multi-tenant scheduler under `isolated`, memoized exactly like
-    /// [`PointCache::dense`].
+    /// The contention-free baseline of `tenant`: its solo closed-loop run
+    /// ([`ServingSimulator::run_to_completion`]) under `config`, memoized
+    /// exactly like [`PointCache::dense`].
     ///
     /// # Errors
     ///
@@ -173,15 +174,15 @@ impl PointCache {
     pub fn isolated_tenant(
         &self,
         tenant: TenantSpec,
-        isolated: MultiTenantConfig,
+        config: &ServingConfig,
         on_simulated: impl FnOnce(Duration),
     ) -> Result<Arc<TenantStats>, SimError> {
         self.memoized(
             &self.tenants,
-            point_key(tenant.workload, tenant.batch, &isolated),
+            point_key(tenant.workload, tenant.batch, config),
             || {
-                TenantScheduler::new(isolated)
-                    .run(std::slice::from_ref(&tenant))
+                ServingSimulator::new(config.clone())
+                    .run_to_completion(&[tenant])
                     .map(|result| result.stats[0])
             },
             on_simulated,
@@ -362,10 +363,10 @@ mod tests {
     fn scenario_tagged_tenant_baselines_memoize_exactly_once() {
         let cache = PointCache::new();
         let tenant = TenantSpec::new(WorkloadId::Cnn1, 1);
-        let isolated = MultiTenantConfig::with_mmu(MmuConfig::neummu()).isolated();
-        let a = cache.isolated_tenant(tenant, isolated, |_| {}).unwrap();
+        let solo = ServingConfig::with_mmu(MmuConfig::neummu());
+        let a = cache.isolated_tenant(tenant, &solo, |_| {}).unwrap();
         let b = cache
-            .isolated_tenant(tenant, isolated, |_| panic!("second request must hit"))
+            .isolated_tenant(tenant, &solo, |_| panic!("second request must hit"))
             .unwrap();
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.simulations(), 1);
@@ -376,7 +377,7 @@ mod tests {
             .dense(
                 WorkloadId::Cnn1,
                 1,
-                config(MmuConfig::neummu(), isolated.npu),
+                config(MmuConfig::neummu(), solo.npu),
                 |_| {},
             )
             .unwrap();

@@ -4,8 +4,10 @@
 //!
 //! Since PR 7 the profile is a *view over the event-trace sink*
 //! (`neummu_trace`) rather than a parallel `Mutex<BTreeMap>` accumulator:
-//! each job becomes one `wall/job/<phase>` event and each named counter one
-//! `count/<name>` event, emitted to the process-wide sink when
+//! each job becomes one `wall/job/<phase>` event, each piece of work timed
+//! inside a job (a memoized point it simulated) one `wall/nested/<phase>`
+//! event, and each named counter one `count/<name>` event, emitted to the
+//! process-wide sink when
 //! `--profile-trace` installed one (so the analyzer sees the same jobs the
 //! stdout tables summarize) and to a private in-memory sink otherwise. The
 //! aggregate tables are reconstructed from the sink's per-kind aggregates.
@@ -14,7 +16,8 @@
 //! D002 allowlist); this module itself reads no clock. Job events are placed
 //! on a virtual busy-time line — a monotone counter advanced by each job's
 //! duration — so their spans are exactly the measured durations without
-//! another clock read. Wall-clock numbers are inherently nondeterministic,
+//! another clock read. Nested events do not advance the line: their time is
+//! already part of their job's, so busy time counts every nanosecond once. Wall-clock numbers are inherently nondeterministic,
 //! so `wall/…` and `count/…` kinds are reported to stdout only, never
 //! written into the artifact directory, and excluded from a trace's
 //! canonical (determinism-checked) content.
@@ -94,6 +97,8 @@ impl Default for SelfProfile {
 
 /// Label prefix of per-job phase events.
 const JOB_PREFIX: &str = "wall/job/";
+/// Label prefix of phase events timed inside a job.
+const NESTED_PREFIX: &str = "wall/nested/";
 /// Label prefix of named counter events.
 const COUNT_PREFIX: &str = "count/";
 
@@ -117,8 +122,20 @@ impl SelfProfile {
     pub fn record(&self, phase: &str, elapsed: Duration) {
         let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
         let start = self.busy_ns.fetch_add(elapsed_ns, Ordering::Relaxed);
+        self.emit_span(JOB_PREFIX, phase, start, elapsed_ns);
+    }
+
+    /// Records `elapsed` wall-clock time under `phase`, spent inside a job
+    /// that records its own (containing) time: listed, but not busy time.
+    pub fn record_nested(&self, phase: &str, elapsed: Duration) {
+        let elapsed_ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        let start = self.busy_ns.load(Ordering::Relaxed);
+        self.emit_span(NESTED_PREFIX, phase, start, elapsed_ns);
+    }
+
+    fn emit_span(&self, prefix: &str, phase: &str, start: u64, elapsed_ns: u64) {
         let sink = self.sink.sink();
-        let kind = sink.kind(&format!("{JOB_PREFIX}{phase}"));
+        let kind = sink.kind(&format!("{prefix}{phase}"));
         sink.emit(Event {
             kind,
             asid: 0,
@@ -128,16 +145,27 @@ impl SelfProfile {
         });
     }
 
-    /// Snapshot of every phase, sorted by label, reconstructed from the
+    /// Snapshot of every job phase, sorted by label, reconstructed from the
     /// sink's per-kind aggregates.
     #[must_use]
     pub fn phases(&self) -> BTreeMap<String, PhaseStats> {
+        self.phases_under(JOB_PREFIX)
+    }
+
+    /// Snapshot of every nested phase (time recorded inside jobs), sorted by
+    /// label.
+    #[must_use]
+    pub fn nested_phases(&self) -> BTreeMap<String, PhaseStats> {
+        self.phases_under(NESTED_PREFIX)
+    }
+
+    fn phases_under(&self, prefix: &str) -> BTreeMap<String, PhaseStats> {
         self.sink
             .sink()
             .aggregates()
             .into_iter()
             .filter_map(|(label, agg)| {
-                let phase = label.strip_prefix(JOB_PREFIX)?;
+                let phase = label.strip_prefix(prefix)?;
                 Some((
                     phase.to_string(),
                     PhaseStats {
@@ -188,21 +216,32 @@ impl SelfProfile {
         table
     }
 
-    /// Total busy time across all phases (CPU-seconds of simulation work; with
-    /// N threads this exceeds elapsed wall-clock time by up to N×).
+    /// Total busy time across all job phases (CPU-seconds of simulation work;
+    /// with N threads this exceeds elapsed wall-clock time by up to N×).
+    /// Nested phases are inside jobs, so they are not added again.
     #[must_use]
     pub fn total_busy(&self) -> Duration {
         self.phases().values().map(|p| p.total).sum()
     }
 
     /// Renders the profile as a table, phases sorted by total time spent,
-    /// descending — the "where does simulation time go" report.
+    /// descending — the "where does simulation time go" report. The shares
+    /// of job phases sum to 100%; a nested phase is marked `(nested)` and its
+    /// share, in parentheses, is part of its jobs' shares.
     #[must_use]
     pub fn to_table(&self) -> ResultTable {
-        let snapshot = self.phases();
         let busy = self.total_busy().as_secs_f64().max(1e-12);
-        let mut rows: Vec<(&String, &PhaseStats)> = snapshot.iter().collect();
-        rows.sort_by(|a, b| b.1.total.cmp(&a.1.total).then_with(|| a.0.cmp(b.0)));
+        let mut rows: Vec<(String, PhaseStats, bool)> = self
+            .phases()
+            .into_iter()
+            .map(|(label, stats)| (label, stats, false))
+            .chain(
+                self.nested_phases()
+                    .into_iter()
+                    .map(|(label, stats)| (format!("{label} (nested)"), stats, true)),
+            )
+            .collect();
+        rows.sort_by(|a, b| b.1.total.cmp(&a.1.total).then_with(|| a.0.cmp(&b.0)));
         let mut table = ResultTable::new(
             "Self-profile: where simulation time goes",
             &[
@@ -214,14 +253,15 @@ impl SelfProfile {
                 "Share",
             ],
         );
-        for (label, stats) in rows {
+        for (label, stats, nested) in rows {
+            let share = format!("{:.1}%", stats.total.as_secs_f64() / busy * 100.0);
             table.push_row(&[
-                label.clone(),
+                label,
                 stats.jobs.to_string(),
                 format!("{:.1}", stats.total.as_secs_f64() * 1e3),
                 format!("{:.2}", stats.mean().as_secs_f64() * 1e3),
                 format!("{:.1}", stats.max.as_secs_f64() * 1e3),
-                format!("{:.1}%", stats.total.as_secs_f64() / busy * 100.0),
+                if nested { format!("({share})") } else { share },
             ]);
         }
         table
@@ -258,6 +298,27 @@ mod tests {
         assert_eq!(table.rows().len(), 2);
         assert_eq!(table.rows()[0][0], "big");
         assert!(table.rows()[0][5].ends_with('%'));
+    }
+
+    #[test]
+    fn nested_time_is_listed_but_counted_once() {
+        // A point simulated inside a job: the job's 5 ms already contain the
+        // point's 3 ms, so busy time is the job's time alone.
+        let profile = SelfProfile::new();
+        profile.record_nested("point/dense", Duration::from_millis(3));
+        profile.record("performance/fig12b", Duration::from_millis(5));
+        assert_eq!(profile.total_busy(), Duration::from_millis(5));
+        assert_eq!(
+            profile.nested_phases()["point/dense"].total,
+            Duration::from_millis(3)
+        );
+        assert!(!profile.phases().contains_key("point/dense"));
+        let table = profile.to_table();
+        assert_eq!(table.rows().len(), 2);
+        assert_eq!(table.rows()[0][0], "performance/fig12b");
+        assert_eq!(table.rows()[0][5], "100.0%");
+        assert_eq!(table.rows()[1][0], "point/dense (nested)");
+        assert_eq!(table.rows()[1][5], "(60.0%)");
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Open-loop datacenter serving on one shared translation front end.
+//! Multi-tenant serving on one shared translation front end.
 //!
-//! The closed-loop [`crate::multi_tenant`] scheduler runs every tenant's
-//! stream to completion as fast as the hardware allows. A datacenter does not
-//! get that luxury: requests arrive when users send them ("heavy traffic from
-//! millions of users" — the ROADMAP's north star), queue at the front end,
-//! and either meet their latency SLO or don't. This module is that serving
-//! leg, built as three orthogonal pieces plus a simulator that composes them:
+//! A closed-loop run ([`ServingSimulator::run_to_completion`]) runs every
+//! tenant's stream to completion as fast as the hardware allows. A
+//! datacenter does not get that luxury: requests arrive when users send them
+//! ("heavy traffic from millions of users" — the ROADMAP's north star), queue
+//! at the front end, and either meet their latency SLO or don't
+//! ([`ServingSimulator::run`]). Both are one turn loop, built from three
+//! orthogonal pieces plus the simulator that composes them:
 //!
 //! * [`arrivals`] — deterministic seeded arrival-time generators (Poisson,
 //!   bursty, diurnal), one ChaCha8 stream per tenant;
@@ -13,19 +14,20 @@
 //!   overflow accounting and a conservation law the proptests lock;
 //! * [`policy`] — pluggable tenant-scheduling policies (round-robin,
 //!   weighted-fair, burst-quantum preemption, TLB-occupancy-aware
-//!   throttling) shared with the closed-loop scheduler;
+//!   throttling);
 //! * [`histogram`] — exact integer latency histograms with non-interpolated
 //!   nearest-rank percentiles (p50/p99/p99.9 — the SLO numbers).
 //!
 //! The [`ServingSimulator`] drives admitted requests through the **same**
 //! tagged, run-coalesced translation path as every other simulator in this
 //! repo (one shared [`TranslationEngine`], one shared DRAM bandwidth
-//! server): a request is a fixed-length slice of its tenant's cyclic DMA
-//! tile-fetch stream — each inference re-touches the model's operands at the
-//! same virtual addresses — so IOTLB reach, PRMB merging and walker
-//! bandwidth shape the tail latencies exactly as they do the closed-loop
-//! figures. Everything is deterministic: identical configs produce
-//! bit-identical results on every thread count.
+//! server). Open loop, a request is a fixed-length slice of its tenant's
+//! cyclic DMA tile-fetch stream — each inference re-touches the model's
+//! operands at the same virtual addresses — so IOTLB reach, PRMB merging and
+//! walker bandwidth shape the tail latencies exactly as they do the
+//! closed-loop figures, where a tenant's one request is its whole stream.
+//! Everything is deterministic: identical configs produce bit-identical
+//! results on every thread count.
 //!
 //! [`TranslationEngine`]: neummu_mmu::TranslationEngine
 
@@ -51,7 +53,9 @@ use neummu_vmem::{AddressSpaceRegistry, MemNode, VirtAddr};
 use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
-use crate::multi_tenant::{map_tenant_fetches, TenantStats, TenantStream};
+use crate::multi_tenant::{
+    map_tenant_fetches, MultiTenantResult, TenantSpec, TenantStats, TenantStream,
+};
 
 /// One tenant of a serving run: a model, a scheduling weight and an arrival
 /// process.
@@ -244,7 +248,7 @@ impl ServingConfig {
 /// accounting, exact latency histograms and the completion order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantServingStats {
-    /// Translation-path counters (shared with the closed-loop scheduler).
+    /// Translation-path counters (the closed-loop runs report the same).
     pub translation: TenantStats,
     /// Admission-queue accounting.
     pub queue: QueueStats,
@@ -381,10 +385,10 @@ impl ServingSimulator {
         &self.config
     }
 
-    fn validate(&self, tenants: &[ServingTenantSpec]) -> Result<(), SimError> {
+    fn validate(&self, tenant_count: usize) -> Result<(), SimError> {
         let config = &self.config;
         let invalid = |reason: String| Err(SimError::InvalidConfig { reason });
-        if tenants.is_empty() {
+        if tenant_count == 0 {
             return invalid("a serving run needs at least one tenant".to_string());
         }
         if config.burst_transactions == 0 {
@@ -417,9 +421,6 @@ impl ServingSimulator {
             faults.device.validate().map_err(invalid_fault)?;
             faults.resilience.validate().map_err(invalid_fault)?;
         }
-        for spec in tenants {
-            spec.arrivals.validate()?;
-        }
         Ok(())
     }
 
@@ -436,19 +437,78 @@ impl ServingSimulator {
     ///   invalid arrival config (NaN or non-positive rates are rejected here
     ///   rather than looping forever).
     /// * Propagates tiling and mapping errors.
-    #[allow(clippy::too_many_lines)]
     pub fn run(&self, tenants: &[ServingTenantSpec]) -> Result<ServingResult, SimError> {
+        self.validate(tenants.len())?;
+        let mut lanes = Vec::with_capacity(tenants.len());
+        for spec in tenants {
+            spec.arrivals.validate()?;
+            lanes.push((
+                TenantSpec::new(spec.workload, spec.batch),
+                spec.arrivals.generate()?,
+            ));
+        }
+        let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
+        let mut result = self.turn_loop(lanes, &weights, false)?;
+        result.tenants = tenants.to_vec();
+        Ok(result)
+    }
+
+    /// Runs a tenant mix to completion, closed loop: every tenant has one
+    /// request, arriving at cycle 0 and lasting until the tenant's tile-fetch
+    /// stream runs dry. The turns are the ones [`ServingSimulator::run`]
+    /// grants: quanta of [`ServingConfig::burst_transactions`] picked by the
+    /// configured policy, on one shared engine and one shared DRAM. Tenant
+    /// `i` gets ASID `i`, and each granted quantum is one `tenant/turn` trace
+    /// span.
+    ///
+    /// A mix of one tenant is that tenant's contention-free baseline. The
+    /// request size, queue and sampling fields of the configuration do not
+    /// shape a closed-loop run.
+    ///
+    /// # Errors
+    ///
+    /// * [`SimError::InvalidConfig`] for an empty tenant list, zero
+    ///   quantum/request/queue/sampling parameters or an oracular MMU.
+    /// * Propagates tiling and mapping errors.
+    pub fn run_to_completion(&self, tenants: &[TenantSpec]) -> Result<MultiTenantResult, SimError> {
+        self.validate(tenants.len())?;
+        let lanes = tenants.iter().map(|&spec| (spec, vec![0])).collect();
+        let result = self.turn_loop(lanes, &[], true)?;
+        Ok(MultiTenantResult {
+            tenants: tenants.to_vec(),
+            stats: result.stats.into_iter().map(|s| s.translation).collect(),
+            makespan_cycles: result.makespan_cycles,
+        })
+    }
+
+    /// The one turn loop behind both entry points. `tenants` holds each
+    /// tenant's spec and arrival cycles (ASID order). Open loop, a request is
+    /// [`ServingConfig::txns_per_request`] transactions of the tenant's
+    /// cyclic stream; `closed_loop`, a request lasts until the non-cyclic
+    /// stream runs dry. The result's `tenants` is left for the caller.
+    #[allow(clippy::too_many_lines)]
+    fn turn_loop(
+        &self,
+        tenants: Vec<(TenantSpec, Vec<u64>)>,
+        weights: &[u64],
+        closed_loop: bool,
+    ) -> Result<ServingResult, SimError> {
         use neummu_mmu::AddressTranslator as _;
         let config = &self.config;
-        self.validate(tenants)?;
+        let tenant_count = tenants.len();
+        let txns_per_request = if closed_loop {
+            u64::MAX
+        } else {
+            config.txns_per_request
+        };
 
-        // Per-tenant address spaces, cyclic fetch streams, arrival sequences
-        // and admission queues.
+        // Per-tenant address spaces, fetch streams, arrival sequences and
+        // admission queues.
         let mut registry = AddressSpaceRegistry::new();
-        let mut lanes = Vec::with_capacity(tenants.len());
-        let mut stats = Vec::with_capacity(tenants.len());
-        for spec in tenants {
-            let asid = registry.create(format!("serving-{}", spec.label()));
+        let mut lanes = Vec::with_capacity(tenant_count);
+        let mut stats = Vec::with_capacity(tenant_count);
+        for (spec, arrivals) in tenants {
+            let asid = registry.create(format!("tenant-{}", spec.label()));
             let space = registry.get_mut(asid).expect("just created");
             let fetches = map_tenant_fetches(
                 space,
@@ -460,8 +520,8 @@ impl ServingSimulator {
                 config.mmu.page_size,
             )?;
             lanes.push(TenantLane {
-                stream: TenantStream::new(DmaEngine::new(config.npu.dma), fetches, true),
-                arrivals: spec.arrivals.generate()?,
+                stream: TenantStream::new(DmaEngine::new(config.npu.dma), fetches, !closed_loop),
+                arrivals,
                 next_arrival: 0,
                 queue: AdmissionQueue::new(config.queue_depth, config.overflow),
                 in_service: None,
@@ -491,15 +551,19 @@ impl ServingSimulator {
         let mut dram = DramModel::new(config.dram);
         let tlb_capacity = engine.tlb().capacity() as u64;
         let page_bytes = config.mmu.page_size.bytes();
-        let weights: Vec<u64> = tenants.iter().map(|t| t.weight).collect();
-        let mut policy_state = PolicyState::new(config.policy, tenants.len(), &weights);
-        let mut depths = vec![0u64; tenants.len()];
-        let mut occupancies = vec![0u64; tenants.len()];
-        let mut runnable = vec![false; tenants.len()];
+        let mut policy_state = PolicyState::new(config.policy, tenant_count, weights);
+        let mut depths = vec![0u64; tenant_count];
+        let mut occupancies = vec![0u64; tenant_count];
+        let mut runnable = vec![false; tenant_count];
         let mut timeline = Vec::new();
-        // One `serving/turn` trace span per granted quantum, mirroring the
-        // closed-loop scheduler's `tenant/turn` spans.
-        let turn_trace = neummu_trace::global().map(|sink| (sink, sink.kind("serving/turn")));
+        // One trace span per granted quantum: `serving/turn` open loop,
+        // `tenant/turn` closed loop.
+        let span = if closed_loop {
+            "tenant/turn"
+        } else {
+            "serving/turn"
+        };
+        let turn_trace = neummu_trace::global().map(|sink| (sink, sink.kind(span)));
 
         let mut now = 0u64;
         let mut next_sample = 0u64;
@@ -581,7 +645,7 @@ impl ServingSimulator {
             let asid = tenant_stats.translation.asid;
             if lane.in_service.is_none() {
                 let request = lane.queue.pop_for_service().expect("runnable tenant");
-                lane.in_service = Some((request, config.txns_per_request, 0, 0));
+                lane.in_service = Some((request, txns_per_request, 0, 0));
             }
             let space = registry.get(asid).expect("registered above");
             let page_table = space.page_table();
@@ -590,10 +654,11 @@ impl ServingSimulator {
             let mut quota = config.burst_transactions.min(txns_left);
             let granted = quota;
             while quota > 0 {
-                let (base, run) = lane
-                    .stream
-                    .next_run(quota, page_bytes)
-                    .expect("cyclic streams never run dry");
+                // Only a closed-loop stream runs dry: that ends its request.
+                let Some((base, run)) = lane.stream.next_run(quota, page_bytes) else {
+                    lane.in_service.as_mut().expect("in service").1 = 0;
+                    break;
+                };
                 let issue = now;
                 let va = VirtAddr::new(base + run.first.offset);
                 let out = engine.translate_run_tagged(page_table, asid, va, run.txn_count, issue);
@@ -651,6 +716,8 @@ impl ServingSimulator {
                 tenant_stats.sojourn.record(sojourn);
                 tenant_stats.stall.record(stall);
                 tenant_stats.completion_order.push(request.seq);
+                tenant_stats.translation.final_tlb_occupancy =
+                    engine.tlb().occupancy_of(asid) as u64;
                 if let Some(breaker) = &config.breaker {
                     lane.breaker_window.record(sojourn);
                     if lane.breaker_window.total() >= breaker.window_requests {
@@ -678,13 +745,11 @@ impl ServingSimulator {
             }
         }
 
-        // Final bookkeeping: queue counters and capacity shares.
+        // Final bookkeeping: queue counters.
         for (lane, tenant_stats) in lanes.iter().zip(&mut stats) {
             tenant_stats.queue = lane.queue.stats();
             tenant_stats.shed = lane.shed;
             tenant_stats.breaker_trips = lane.breaker_trips;
-            tenant_stats.translation.final_tlb_occupancy =
-                engine.tlb().occupancy_of(tenant_stats.translation.asid) as u64;
         }
         let makespan_cycles = stats
             .iter()
@@ -692,11 +757,51 @@ impl ServingSimulator {
             .max()
             .unwrap_or(0);
         Ok(ServingResult {
-            tenants: tenants.to_vec(),
+            tenants: Vec::new(),
             stats,
             timeline,
             makespan_cycles,
             fault_counters: engine.fault_counters().cloned(),
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn tenant(workload: WorkloadId, horizon_cycles: u64, seed: u64) -> ServingTenantSpec {
+        ServingTenantSpec {
+            workload,
+            batch: 1,
+            weight: 1,
+            arrivals: ArrivalConfig::poisson(20.0, horizon_cycles, seed),
+        }
+    }
+
+    #[test]
+    fn final_tlb_occupancy_is_taken_when_the_tenant_finishes() {
+        // The short tenant's last request completes long before the run
+        // ends; the long tenant keeps filling the shared IOTLB afterwards.
+        // Cutting the long tenant's arrivals at the short tenant's finish
+        // leaves everything up to that finish unchanged, so the short
+        // tenant's counters (its final IOTLB occupancy included) must agree.
+        let simulator = ServingSimulator::new(ServingConfig::with_mmu(
+            MmuConfig::neummu().with_tlb_entries(128),
+        ));
+        let short = tenant(WorkloadId::Cnn1, 200_000, 1);
+        let full = simulator
+            .run(&[short, tenant(WorkloadId::Rnn2, 2_000_000, 2)])
+            .unwrap();
+        let finish = full.stats[0].translation.completion_cycle;
+        assert!(
+            finish < full.makespan_cycles / 2,
+            "the long tenant outlives the short one"
+        );
+        let cut = simulator
+            .run(&[short, tenant(WorkloadId::Rnn2, finish, 2)])
+            .unwrap();
+        assert!(full.stats[0].translation.final_tlb_occupancy > 0);
+        assert_eq!(full.stats[0], cut.stats[0]);
     }
 }

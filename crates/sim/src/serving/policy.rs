@@ -15,10 +15,9 @@
 //! | [`ServingPolicy::BurstQuantum`] | deepest backlog, re-evaluated every quantum | drains bursts first |
 //! | [`ServingPolicy::TlbAware`] | round-robin, skipping IOTLB hogs | bounds capacity share |
 //!
-//! Round-robin's cursor scan is the same cyclic ascending order the closed-
-//! loop scheduler's original `VecDeque` rotation produced (pop front, serve,
-//! push back), so the default policy is bit-identical to the pre-policy
-//! scheduler — a property the multi-tenant proptests lock.
+//! Round-robin's cursor scan visits runnable tenants in cyclic ascending
+//! order, starting after the previous pick; a tenant that finishes drops out
+//! of the scan without moving the cursor.
 
 use serde::{Deserialize, Serialize};
 
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ServingPolicy {
     /// Equal turns in cyclic ASID order (the classic time-share baseline and
-    /// the closed-loop scheduler's historical behaviour).
+    /// the multitenant sweep's policy).
     RoundRobin,
     /// Weighted fair queueing: each tenant accrues virtual service
     /// `transactions / weight`; the runnable tenant with the least virtual
@@ -181,9 +180,8 @@ impl PolicyState {
 
     /// Cyclic cursor scan: the first tenant at or after the cursor that is
     /// runnable and passes `eligible`; the cursor advances past the pick.
-    /// This reproduces the `VecDeque` rotation order exactly: tenants are
-    /// visited in ascending index order, wrapping, starting from the slot
-    /// after the previous pick.
+    /// Tenants are visited in ascending index order, wrapping, starting from
+    /// the slot after the previous pick.
     fn pick_cyclic(
         &mut self,
         runnable: &[bool],

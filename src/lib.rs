@@ -70,8 +70,8 @@ mod workspace_sanity {
         let _page_size = crate::vmem::PageSize::Size4K;
         let _asid = crate::vmem::Asid::GLOBAL;
         let _registry = crate::vmem::AddressSpaceRegistry::new();
-        let _scheduler: fn() -> crate::sim::TenantScheduler = || {
-            crate::sim::TenantScheduler::new(crate::sim::MultiTenantConfig::with_mmu(
+        let _serving: fn() -> crate::sim::ServingSimulator = || {
+            crate::sim::ServingSimulator::new(crate::sim::ServingConfig::with_mmu(
                 crate::mmu::MmuConfig::neummu(),
             ))
         };
