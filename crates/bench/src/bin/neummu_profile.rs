@@ -11,8 +11,10 @@
 //! Prints four Markdown tables:
 //!
 //! 1. **Wall-clock phases** — the runner's `wall/job/<phase>` spans: jobs,
-//!    total/mean/p99/max per-job wall time. Matches the self-profile table
-//!    the run printed, plus percentiles the aggregate table cannot show.
+//!    total/mean/p99/max per-job wall time, plus `wall/nested/<phase>` spans
+//!    (time spent inside a job) marked `(nested)`. Matches the self-profile
+//!    table the run printed, plus percentiles the aggregate table cannot
+//!    show.
 //! 2. **Hottest event kinds** — simulated-cycle kinds sorted by total span,
 //!    clipped to `--top <n>` (default 20). Engine kinds are binned, so
 //!    `Weight` (the payload sum) is the number of underlying requests.
@@ -111,9 +113,16 @@ fn report(options: &Options, out: &mut impl Write) -> Result<(), Box<dyn std::er
         ],
     );
     for stat in kinds.iter().filter(|s| s.class == EventClass::Wall) {
-        let phase = stat.label.strip_prefix("wall/job/").unwrap_or(&stat.label);
+        let phase = match stat.label.strip_prefix("wall/nested/") {
+            Some(nested) => format!("{nested} (nested)"),
+            None => stat
+                .label
+                .strip_prefix("wall/job/")
+                .unwrap_or(&stat.label)
+                .to_string(),
+        };
         phases.push_row(&[
-            phase.to_string(),
+            phase,
             stat.events.to_string(),
             ms(stat.span_total),
             ms(stat.span_mean()),

@@ -7,20 +7,21 @@
 //! each job becomes one `wall/job/<phase>` event, each piece of work timed
 //! inside a job (a memoized point it simulated) one `wall/nested/<phase>`
 //! event, and each named counter one `count/<name>` event, emitted to the
-//! process-wide sink when
-//! `--profile-trace` installed one (so the analyzer sees the same jobs the
-//! stdout tables summarize) and to a private in-memory sink otherwise. The
-//! aggregate tables are reconstructed from the sink's per-kind aggregates.
+//! process-wide sink when `--profile-trace` installed one (so the analyzer
+//! sees the same jobs the stdout tables summarize) and to a private
+//! in-memory sink otherwise. The aggregate tables are reconstructed from the
+//! sink's per-kind aggregates.
 //!
 //! Wall-clock durations are measured by the *callers* in the runner (the
 //! D002 allowlist); this module itself reads no clock. Job events are placed
 //! on a virtual busy-time line — a monotone counter advanced by each job's
 //! duration — so their spans are exactly the measured durations without
 //! another clock read. Nested events do not advance the line: their time is
-//! already part of their job's, so busy time counts every nanosecond once. Wall-clock numbers are inherently nondeterministic,
-//! so `wall/…` and `count/…` kinds are reported to stdout only, never
-//! written into the artifact directory, and excluded from a trace's
-//! canonical (determinism-checked) content.
+//! already part of their job's, so busy time counts every nanosecond once.
+//! Wall-clock numbers are inherently nondeterministic, so `wall/…` and
+//! `count/…` kinds are reported to stdout only, never written into the
+//! artifact directory, and excluded from a trace's canonical
+//! (determinism-checked) content.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
