@@ -441,7 +441,6 @@ impl ServingSimulator {
         self.validate(tenants.len())?;
         let mut lanes = Vec::with_capacity(tenants.len());
         for spec in tenants {
-            spec.arrivals.validate()?;
             lanes.push((
                 TenantSpec::new(spec.workload, spec.batch),
                 spec.arrivals.generate()?,
