@@ -234,6 +234,36 @@ fn bench_vmem_paging(c: &mut Criterion) {
             space.stats().migrations
         })
     });
+    // The embedding gather's shape: the same 4096 fault-then-migrates on
+    // random rows of an 8 GiB lazy table, so nearly every fault opens a leaf
+    // table of its own instead of appending to a warm one. An odd multiplier
+    // permutes the table's 2^21 pages, so the rows are distinct.
+    let table_pages = (8u64 << 30) >> 12;
+    let rows: Vec<u64> = (0..pages)
+        .map(|i| i.wrapping_mul(0x9E37_79B9) % table_pages)
+        .collect();
+    group.bench_function("fault_migrate_4k_random", |b| {
+        b.iter(|| {
+            let mut memory = PhysicalMemory::with_npus(1, 1 << 30);
+            let mut space = AddressSpace::new("bench");
+            let lazy = space
+                .alloc_segment(
+                    "lazy",
+                    table_pages << 12,
+                    SegmentOptions::new(MemNode::Host, PageSize::Size4K).lazy(),
+                    &mut memory,
+                )
+                .unwrap();
+            for &row in &rows {
+                let va = lazy.start().add(row << 12);
+                space.ensure_mapped(black_box(va), &mut memory).unwrap();
+                space
+                    .migrate_page(va, MemNode::Npu(0), &mut memory)
+                    .unwrap();
+            }
+            space.stats().migrations
+        })
+    });
     group.finish();
 }
 

@@ -293,7 +293,7 @@ impl EmbeddingSimulator {
             let va = seg.start().add(row * *vector_bytes);
             // The table shard is resident on its owning node; materialize
             // the mapping (this models residency, not a data transfer).
-            space.ensure_mapped(va, &mut memory)?;
+            let resident = space.ensure_mapped(va, &mut memory)?.translation();
             let is_remote = *owner != local_node;
             if is_remote {
                 remote_vectors += 1;
@@ -373,8 +373,9 @@ impl EmbeddingSimulator {
                     )
                     .first;
                     let mut ready = outcome.complete_cycle;
-                    let translation = space.translate(va)?;
-                    if translation.node != local_node {
+                    // The engine's walk does not change the page table, so
+                    // the fault path's translation still holds.
+                    if resident.node != local_node {
                         // Far fault: migrate the whole page into local
                         // memory before accessing it.
                         let page_bytes = page_size.bytes();

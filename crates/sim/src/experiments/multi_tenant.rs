@@ -214,9 +214,10 @@ impl MultiTenantSweepResult {
 
 /// Runs the tenant-count sweep.
 ///
-/// One parallel job per tenant count, with every tenant's contention-free
-/// baseline served from the runner's point cache (each distinct tenant
-/// simulates its baseline once across the whole sweep).
+/// One parallel job per tenant count, then one parallel job per distinct
+/// tenant of the sweep for its contention-free baseline, served from the
+/// runner's point cache (each distinct tenant simulates its baseline once
+/// across the whole sweep).
 ///
 /// # Errors
 ///
@@ -231,6 +232,16 @@ pub fn tenant_sweep_on(
     let shared_runs = runner.run_jobs("multi_tenant/shared", counts.len(), |i| {
         simulator.run_to_completion(&tenant_mix(scale, counts[i]))
     })?;
+    // The distinct tenants in order of first appearance.
+    let mut solo: Vec<TenantSpec> = Vec::new();
+    for spec in shared_runs.iter().flat_map(|run| &run.tenants) {
+        if !solo.contains(spec) {
+            solo.push(*spec);
+        }
+    }
+    let baselines = runner.run_jobs("multi_tenant/isolated", solo.len(), |i| {
+        runner.isolated_tenant_point(solo[i], config)
+    })?;
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -240,12 +251,15 @@ pub fn tenant_sweep_on(
             makespan_cycles: shared.makespan_cycles,
         });
         for (spec, stats) in shared.tenants.iter().zip(&shared.stats) {
-            let isolated = runner.isolated_tenant_point(*spec, config)?;
+            let baseline = solo
+                .iter()
+                .position(|s| s == spec)
+                .expect("every tenant has a baseline");
             rows.push(TenantContentionRow {
                 tenant_count,
                 tenant: *spec,
                 shared: *stats,
-                isolated: *isolated,
+                isolated: *baselines[baseline],
             });
         }
     }
@@ -309,15 +323,27 @@ mod tests {
             );
         }
         assert!(result.mean_slowdown(2) > 1.0);
-        // Every sweep point asks for one isolated baseline per tenant, but the
-        // mixes share their tenants (CNN-1 appears at every count): each
-        // distinct tenant simulates once and every other request hits.
+        // The mixes share their tenants (CNN-1 appears at every count): the
+        // sweep asks for each distinct tenant's baseline once, in one batch,
+        // and each simulates once.
         let counts = tenant_counts(SMOKE);
-        let requests: usize = counts.iter().sum();
         let tenants = counts[counts.len() - 1].min(SMOKE.workloads().len());
         assert_eq!(runner.cache().simulations() as usize, tenants);
-        assert_eq!(runner.cache().hits() as usize, requests - tenants);
+        assert_eq!(runner.cache().hits(), 0);
         assert_eq!(runner.cache().len(), tenants);
+        // The baselines are simulated inside the batch's jobs.
+        let profile = runner.profile();
+        assert_eq!(
+            profile.phases()["multi_tenant/isolated"].jobs as usize,
+            tenants
+        );
+        assert_eq!(
+            profile.nested_phases()["multi_tenant/isolated-baseline"].jobs as usize,
+            tenants
+        );
+        assert!(!profile
+            .phases()
+            .contains_key("multi_tenant/isolated-baseline"));
         // Tables render with the expected shapes.
         assert_eq!(result.to_table().rows().len(), 3);
         let counters = result.counters_table();

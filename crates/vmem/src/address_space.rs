@@ -182,14 +182,15 @@ pub struct SpaceStats {
 pub struct AddressSpace {
     name: String,
     page_table: PageTable,
-    segments: HashMap<String, Segment>,
-    segment_order: Vec<String>,
-    /// `(base VA, name)` pairs sorted by base VA: the deterministic lookup
-    /// index behind [`AddressSpace::segment_containing`]. The `segments` map
-    /// itself is only ever queried by name — resolving a VA through the map
-    /// would make the answer depend on `RandomState` iteration order the
-    /// moment two segments claimed the same address.
-    by_base: Vec<(u64, String)>,
+    /// The segments, in allocation order.
+    segments: Vec<Segment>,
+    /// Index into `segments` by name; only ever queried by key.
+    by_name: HashMap<String, usize>,
+    /// `(base VA, index into segments)` pairs sorted by base VA: the
+    /// deterministic, hash-free lookup index behind
+    /// [`AddressSpace::segment_containing`], which every demand-paging fault
+    /// consults.
+    by_base: Vec<(u64, usize)>,
     next_va: VirtAddr,
     stats: SpaceStats,
 }
@@ -201,8 +202,8 @@ impl AddressSpace {
         AddressSpace {
             name: name.into(),
             page_table: PageTable::new(),
-            segments: HashMap::new(),
-            segment_order: Vec::new(),
+            segments: Vec::new(),
+            by_name: HashMap::new(),
             by_base: Vec::new(),
             next_va: VirtAddr::new(SEGMENT_BASE),
             stats: SpaceStats::default(),
@@ -239,7 +240,7 @@ impl AddressSpace {
         if size == 0 {
             return Err(VmemError::EmptySegment { name });
         }
-        if self.segments.contains_key(&name) {
+        if self.by_name.contains_key(&name) {
             return Err(VmemError::SegmentExists { name });
         }
         let start = self.next_va.align_up(PageSize::Size2M);
@@ -266,7 +267,8 @@ impl AddressSpace {
         Ok(segment)
     }
 
-    /// Registers a segment in the name map and the base-VA-sorted index.
+    /// Appends a segment and registers it in the name map and the
+    /// base-VA-sorted index.
     ///
     /// In debug builds the insertion position is checked against both
     /// neighbours: a new segment overlapping an existing one would make
@@ -278,7 +280,7 @@ impl AddressSpace {
             .partition_point(|(base, _)| *base < segment.start.raw());
         #[cfg(debug_assertions)]
         {
-            if let Some((_, prev)) = at.checked_sub(1).and_then(|i| self.by_base.get(i)) {
+            if let Some(&(_, prev)) = at.checked_sub(1).and_then(|i| self.by_base.get(i)) {
                 let prev = &self.segments[prev];
                 debug_assert!(
                     prev.end() <= segment.start,
@@ -287,7 +289,7 @@ impl AddressSpace {
                     prev.name
                 );
             }
-            if let Some((_, next)) = self.by_base.get(at) {
+            if let Some(&(_, next)) = self.by_base.get(at) {
                 let next = &self.segments[next];
                 debug_assert!(
                     segment.end() <= next.start,
@@ -297,34 +299,34 @@ impl AddressSpace {
                 );
             }
         }
-        let name = segment.name.clone();
-        self.by_base.insert(at, (segment.start.raw(), name.clone()));
-        self.segments.insert(name.clone(), segment);
-        self.segment_order.push(name);
+        let index = self.segments.len();
+        self.by_base.insert(at, (segment.start.raw(), index));
+        self.by_name.insert(segment.name.clone(), index);
+        self.segments.push(segment);
     }
 
     /// Looks up a segment by name.
     #[must_use]
     pub fn segment(&self, name: &str) -> Option<&Segment> {
-        self.segments.get(name)
+        self.by_name.get(name).map(|&index| &self.segments[index])
     }
 
     /// All segments in allocation order.
     pub fn segments(&self) -> impl Iterator<Item = &Segment> {
-        self.segment_order.iter().map(|n| &self.segments[n])
+        self.segments.iter()
     }
 
     /// The segment containing `va`, if any.
     ///
     /// Resolved through the base-VA-sorted index: the candidate is the
     /// segment with the greatest base at or below `va` (segments never
-    /// overlap, so at most one can contain the address). This keeps the
-    /// answer independent of the name map's hash order.
+    /// overlap, so at most one can contain the address). No name is hashed
+    /// and the answer cannot depend on the name map's hash order.
     #[must_use]
     pub fn segment_containing(&self, va: VirtAddr) -> Option<&Segment> {
         let at = self.by_base.partition_point(|(base, _)| *base <= va.raw());
-        let (_, name) = at.checked_sub(1).and_then(|i| self.by_base.get(i))?;
-        let segment = &self.segments[name];
+        let &(_, index) = at.checked_sub(1).and_then(|i| self.by_base.get(i))?;
+        let segment = &self.segments[index];
         segment.contains(va).then_some(segment)
     }
 
@@ -353,6 +355,10 @@ impl AddressSpace {
     /// Ensures the page containing `va` is mapped, faulting it in from the
     /// segment's backing node if necessary (demand paging).
     ///
+    /// The page table is probed once: a hit is returned as it is, and a miss
+    /// is mapped by resuming that probe's descent where it stopped
+    /// ([`PageTable::map_at_miss`]).
+    ///
     /// # Errors
     ///
     /// * [`VmemError::NotMapped`] if `va` does not belong to any segment.
@@ -362,7 +368,8 @@ impl AddressSpace {
         va: VirtAddr,
         memory: &mut PhysicalMemory,
     ) -> Result<FaultOutcome, VmemError> {
-        if let Ok(t) = self.page_table.translate(va) {
+        let probe = self.page_table.probe(va);
+        if let Some(t) = probe.translation {
             return Ok(FaultOutcome::AlreadyMapped(t));
         }
         let SegmentOptions {
@@ -373,10 +380,9 @@ impl AddressSpace {
             .options;
         // Segments are 2 MB aligned, so the page base is also the segment's
         // page boundary.
-        let pfn = memory.alloc_page(node, page_size)?;
-        self.page_table
-            .map(va.page_base(page_size), page_size, pfn, node)?;
-        let translation = Translation::of(va, pfn, page_size, node);
+        let translation = self.page_table.map_at_miss(&probe, page_size, node, || {
+            memory.alloc_page(node, page_size)
+        })?;
         self.stats.faults += 1;
         self.stats.fault_bytes += page_size.bytes();
         Ok(FaultOutcome::Populated {
@@ -389,6 +395,9 @@ impl AddressSpace {
     /// backing page there and freeing the old one.
     ///
     /// Returns the translation that was in effect *before* the migration.
+    /// The page table is probed once, and the leaf that probe found is
+    /// rewritten ([`PageTable::remap_at`]); the new page is allocated before
+    /// the old one is freed.
     ///
     /// # Errors
     ///
@@ -400,14 +409,14 @@ impl AddressSpace {
         dst_node: MemNode,
         memory: &mut PhysicalMemory,
     ) -> Result<Translation, VmemError> {
-        let old = self.page_table.translate(va)?;
+        let probe = self.page_table.probe(va);
+        let old = probe.translation.ok_or(VmemError::NotMapped { va })?;
         if old.node == dst_node {
             return Ok(old);
         }
         let new_pfn = memory.alloc_page(dst_node, old.page_size)?;
         memory.free_page(old.pfn, old.page_size)?;
-        self.page_table
-            .remap(va.page_base(old.page_size), new_pfn, dst_node)?;
+        self.page_table.remap_at(&probe, new_pfn, dst_node)?;
         self.stats.migrations += 1;
         self.stats.migration_bytes += old.page_size.bytes();
         Ok(old)

@@ -18,7 +18,11 @@
 //! leaf's entries once and appends them in ascending index order.
 //! [`PageTable::map`] is its one-page case, so there is one mapping
 //! implementation; a run leaves exactly the table, frames and errors that
-//! mapping its pages one at a time would.
+//! mapping its pages one at a time would. A demand-paging fault has already
+//! probed the page: [`PageTable::map_at_miss`] maps it through the same
+//! descent, resumed at the step where the probe stopped, and
+//! [`PageTable::remap_at`] rewrites the leaf a hit probe found, which is all
+//! [`PageTable::remap`] does after its own probe.
 //!
 //! Two query paths exist. [`PageTable::walk`] records every entry access as a
 //! [`WalkPath`] — an allocating trace used by tests, inspection tooling and
@@ -32,8 +36,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use serde::{Deserialize, Serialize};
 
 use crate::addr::{
-    PageSize, PathTag, PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum, WalkIndexLevel,
-    ENTRIES_PER_TABLE, PAGE_SHIFT_2M, PAGE_SHIFT_4K,
+    PageSize, PathTag, PhysAddr, PhysFrameNum, VirtAddr, WalkIndexLevel, ENTRIES_PER_TABLE,
+    PAGE_SHIFT_2M, PAGE_SHIFT_4K,
 };
 use crate::error::VmemError;
 use crate::numa::MemNode;
@@ -324,6 +328,17 @@ fn fresh_revision() -> u64 {
     NEXT_REVISION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Where a descent from the root starts: the root table, read at L4.
+const ROOT_STEP: (TableId, WalkIndexLevel) = (PageTable::ROOT, WalkIndexLevel::L4);
+
+/// The level whose tables hold the leaves of `page_size`.
+fn leaf_level(page_size: PageSize) -> WalkIndexLevel {
+    match page_size {
+        PageSize::Size4K => WalkIndexLevel::L1,
+        PageSize::Size2M => WalkIndexLevel::L2,
+    }
+}
+
 /// A 4-level radix page table with 4 KB and 2 MB leaves.
 #[derive(Debug, Clone)]
 pub struct PageTable {
@@ -427,28 +442,84 @@ impl PageTable {
         if !va.is_aligned(page_size) {
             return Err(VmemError::MisalignedMapping { va, page_size });
         }
-        let leaves = |stats: PageTableStats| stats.leaf_4k + stats.leaf_2m;
-        let before = leaves(self.stats);
-        let result = self.map_leaf_runs(va, page_size, count, node, &mut next_frame);
-        if leaves(self.stats) != before {
-            self.revision = fresh_revision();
-        }
-        result
+        self.map_from(ROOT_STEP, va, page_size, count, node, &mut next_frame)
     }
 
-    /// The body of [`PageTable::map_pages`] for an aligned `va`.
-    fn map_leaf_runs(
+    /// Maps the page of `page_size` holding the address `miss` probed, on
+    /// `node`, with its frame drawn from `next_frame`, and returns the
+    /// probed address's new translation: the fault-in path of demand
+    /// paging, which has just probed the address and found it unmapped.
+    ///
+    /// The descent resumes at the step where the probe stopped, so the
+    /// levels above it are not walked again. The table, frames, statistics
+    /// and revision come out exactly as `map(va.page_base(page_size), ...)`
+    /// would leave them, with the same interior nodes allocated in the same
+    /// order. `miss` must be a probe of this table, taken since its last
+    /// mapping change.
+    ///
+    /// # Errors
+    ///
+    /// * [`VmemError::AlreadyMapped`] if the probe hit, or stopped below the
+    ///   leaf level of `page_size` (smaller pages already occupy the slot);
+    ///   no frame is drawn.
+    /// * Any error of `next_frame`; no node is allocated.
+    pub fn map_at_miss(
         &mut self,
+        miss: &WalkProbe,
+        page_size: PageSize,
+        node: MemNode,
+        next_frame: impl FnOnce() -> Result<PhysFrameNum, VmemError>,
+    ) -> Result<Translation, VmemError> {
+        let page = miss.va.page_base(page_size);
+        let step = miss.last_step;
+        if miss.is_hit() || step.level < leaf_level(page_size) {
+            return Err(VmemError::AlreadyMapped { vpn: page.vpn() });
+        }
+        let pfn = next_frame()?;
+        self.map_from(
+            (step.table, step.level),
+            page,
+            page_size,
+            1,
+            node,
+            &mut || Ok(pfn),
+        )?;
+        Ok(Translation::of(miss.va, pfn, page_size, node))
+    }
+
+    /// [`PageTable::map_pages`] for an aligned `va`, with the first leaf
+    /// table's descent starting at `from`: the redraw of the revision around
+    /// [`PageTable::map_leaf_runs`].
+    fn map_from(
+        &mut self,
+        from: (TableId, WalkIndexLevel),
         va: VirtAddr,
         page_size: PageSize,
         count: u64,
         node: MemNode,
         next_frame: &mut impl FnMut() -> Result<PhysFrameNum, VmemError>,
     ) -> Result<(), VmemError> {
-        let leaf_level = match page_size {
-            PageSize::Size4K => WalkIndexLevel::L1,
-            PageSize::Size2M => WalkIndexLevel::L2,
-        };
+        let leaves = |stats: PageTableStats| stats.leaf_4k + stats.leaf_2m;
+        let before = leaves(self.stats);
+        let result = self.map_leaf_runs(from, va, page_size, count, node, next_frame);
+        if leaves(self.stats) != before {
+            self.revision = fresh_revision();
+        }
+        result
+    }
+
+    /// The body of [`PageTable::map_pages`]: the first leaf table's descent
+    /// starts at `from`, every later one at the root.
+    fn map_leaf_runs(
+        &mut self,
+        mut from: (TableId, WalkIndexLevel),
+        va: VirtAddr,
+        page_size: PageSize,
+        count: u64,
+        node: MemNode,
+        next_frame: &mut impl FnMut() -> Result<PhysFrameNum, VmemError>,
+    ) -> Result<(), VmemError> {
+        let leaf_level = leaf_level(page_size);
         let mut page = 0;
         while page < count {
             let run_va = va.add(page * page_size.bytes());
@@ -457,7 +528,8 @@ impl PageTable {
             // The first frame is drawn before the descent, as a lone `map`
             // caller would: a failed draw allocates no interior node.
             let mut pfn = next_frame()?;
-            let leaf = self.descend(run_va, leaf_level)?;
+            let leaf = self.descend(from, run_va, leaf_level)?;
+            from = ROOT_STEP;
             let table = &mut self.nodes[leaf.0 as usize];
             // Exact on a fresh leaf; amortized on one that already holds
             // entries, so one-page maps (demand paging) keep doubling.
@@ -485,15 +557,21 @@ impl PageTable {
         Ok(())
     }
 
-    /// Descends from the root to the table at `leaf_level` covering `va`,
+    /// Descends from the table `from` names (the node read at that level on
+    /// the way to `va`) to the table at `leaf_level` covering `va`,
     /// allocating missing interior nodes on the way.
     ///
     /// # Errors
     ///
     /// [`VmemError::AlreadyMapped`] if a larger leaf already covers `va`.
-    fn descend(&mut self, va: VirtAddr, leaf_level: WalkIndexLevel) -> Result<TableId, VmemError> {
-        let mut current = Self::ROOT;
-        for level in WalkIndexLevel::WALK_ORDER {
+    fn descend(
+        &mut self,
+        (mut current, from): (TableId, WalkIndexLevel),
+        va: VirtAddr,
+        leaf_level: WalkIndexLevel,
+    ) -> Result<TableId, VmemError> {
+        let levels = WalkIndexLevel::WALK_ORDER.into_iter();
+        for level in levels.skip_while(|&level| level > from) {
             if level == leaf_level {
                 return Ok(current);
             }
@@ -545,8 +623,26 @@ impl PageTable {
         new_node: MemNode,
     ) -> Result<Translation, VmemError> {
         let probe = self.probe(va);
-        let old = probe.translation.ok_or(VmemError::NotMapped { va })?;
-        let leaf_step = probe.last_step;
+        self.remap_at(&probe, new_pfn, new_node)
+    }
+
+    /// Rewrites the leaf a probe of this table hit to back its page with
+    /// `new_pfn` on `new_node`, and returns the translation it replaced: the
+    /// leaf rewrite of [`PageTable::remap`], for a caller that has just
+    /// probed the address (page migration). `hit` must be taken since the
+    /// table's last mapping change.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VmemError::NotMapped`] if the probe missed.
+    pub fn remap_at(
+        &mut self,
+        hit: &WalkProbe,
+        new_pfn: PhysFrameNum,
+        new_node: MemNode,
+    ) -> Result<Translation, VmemError> {
+        let old = hit.translation.ok_or(VmemError::NotMapped { va: hit.va })?;
+        let leaf_step = hit.last_step;
         self.nodes[leaf_step.table.0 as usize].set(
             leaf_step.index,
             Entry::Leaf {
@@ -704,12 +800,6 @@ impl PageTable {
         self.probe(va).is_hit()
     }
 
-    /// True if the 4 KB virtual page is covered by a mapping.
-    #[must_use]
-    pub fn is_vpn_mapped(&self, vpn: VirtPageNum) -> bool {
-        self.is_mapped(vpn.base_addr())
-    }
-
     /// Structural statistics of the table.
     #[must_use]
     pub fn stats(&self) -> PageTableStats {
@@ -732,6 +822,7 @@ pub fn pages_2m(bytes: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::VirtPageNum;
 
     fn map_4k(pt: &mut PageTable, va: u64, pfn: u64) {
         pt.map(
@@ -1146,6 +1237,78 @@ mod tests {
         assert!(map_run_4k(&mut pt, 0x1000, 4).0.is_err());
         assert_eq!(pt.revision(), revision_after_map);
         assert_eq!(pt.stats().leaf_4k, 1);
+    }
+
+    #[test]
+    fn map_at_miss_builds_what_map_builds_from_every_missed_level() {
+        // One 4 KB page at 4 MB: L4 and L3 index 0, L2 index 2, L1 index 0.
+        let mut base = PageTable::new();
+        map_4k(&mut base, 0x40_0000, 1);
+        let cases = [
+            (1u64 << 39, PageSize::Size4K, WalkIndexLevel::L4),
+            (1 << 30, PageSize::Size4K, WalkIndexLevel::L3),
+            (0x60_0000, PageSize::Size4K, WalkIndexLevel::L2),
+            (0x40_1000, PageSize::Size4K, WalkIndexLevel::L1),
+            (0x80_0000, PageSize::Size2M, WalkIndexLevel::L2),
+        ];
+        for (raw, page_size, missed_at) in cases {
+            let va = VirtAddr::new(raw + 0x123);
+            let node = MemNode::Npu(1);
+            let mut want = base.clone();
+            want.map(
+                va.page_base(page_size),
+                page_size,
+                PhysFrameNum::new(512),
+                node,
+            )
+            .unwrap();
+            let mut got = base.clone();
+            let miss = got.probe(va);
+            assert_eq!(miss.last_step.level, missed_at, "{va}");
+            let translation = got
+                .map_at_miss(&miss, page_size, node, || Ok(PhysFrameNum::new(512)))
+                .unwrap();
+            assert_eq!(Ok(translation), want.translate(va), "{va}");
+            assert_eq!(got.walk(va), want.walk(va), "{va}");
+            assert_eq!(got.stats(), want.stats(), "{va}");
+            assert_ne!(got.revision(), base.revision(), "{va}");
+            // The next allocated node gets the same id on both tables.
+            map_4k(&mut got, 0x7f_0000_0000, 9);
+            map_4k(&mut want, 0x7f_0000_0000, 9);
+            assert_eq!(
+                got.walk(VirtAddr::new(0x7f_0000_0000)),
+                want.walk(VirtAddr::new(0x7f_0000_0000))
+            );
+        }
+    }
+
+    #[test]
+    fn map_at_miss_rejects_hits_and_slots_of_smaller_pages_before_drawing() {
+        let mut pt = PageTable::new();
+        map_4k(&mut pt, 0x40_0000, 1);
+        let (stats, revision) = (pt.stats(), pt.revision());
+        let no_frame = || -> Result<PhysFrameNum, VmemError> { panic!("no frame may be drawn") };
+        // A hit, and a 2 MB page whose probe stopped at the L1 table below.
+        for (raw, page_size) in [(0x40_0000, PageSize::Size4K), (0x40_1000, PageSize::Size2M)] {
+            let miss = pt.probe(VirtAddr::new(raw));
+            assert_eq!(
+                pt.map_at_miss(&miss, page_size, MemNode::Host, no_frame),
+                Err(VmemError::AlreadyMapped {
+                    vpn: VirtAddr::new(raw).page_base(page_size).vpn()
+                })
+            );
+        }
+        // A failed draw allocates no node.
+        let miss = pt.probe(VirtAddr::new(1 << 39));
+        let oom = VmemError::OutOfMemory {
+            node: MemNode::Host,
+            frames_requested: 1,
+        };
+        assert_eq!(
+            pt.map_at_miss(&miss, PageSize::Size4K, MemNode::Host, || Err(oom.clone())),
+            Err(oom.clone())
+        );
+        assert_eq!((pt.stats(), pt.revision()), (stats, revision));
     }
 
     /// A node holding `indices` (sorted, distinct), each pointing at a table.

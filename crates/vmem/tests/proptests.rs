@@ -497,12 +497,16 @@ proptest! {
 
     /// `AddressSpace::alloc_segment` maps eager segments exactly as one
     /// `alloc_page` + `map` per page would, interleaved with lazy segments
-    /// whose pages `ensure_mapped` faults in: the same walks, `TableId`s,
-    /// statistics, frames and node occupancy, and the same error with the
-    /// same mapped prefix when the node runs out of frames mid-segment.
+    /// whose pages `ensure_mapped` faults in, and with `migrate_page` on any
+    /// page of any segment, checked against translate → `alloc_page(dst)` →
+    /// `free_page` → `remap`: the same walks, `TableId`s, statistics, frames
+    /// and node occupancy, the same error with the same mapped prefix when
+    /// the node runs out of frames mid-segment, the same `NotMapped` and
+    /// out-of-memory errors from migrations, and no revision redraw on a
+    /// migration.
     #[test]
     fn alloc_segment_matches_per_page_reference(
-        ops in prop::collection::vec((0u32..5, 0u32..2, 1u64..1400, 0usize..3, 0usize..64), 1..14),
+        ops in prop::collection::vec((0u32..6, 0u32..2, 1u64..1400, 0usize..3, 0usize..64), 1..14),
     ) {
         let (specs, nodes) = map_nodes();
         let mut space = AddressSpace::new("npu0");
@@ -537,6 +541,27 @@ proptest! {
                     ref_pt.translate(va)
                 })();
                 prop_assert_eq!(got, want);
+            } else if kind == 5 {
+                // Migrate every page of one segment, mapped or not, to
+                // `node`, until the node may run out of frames.
+                let range = ranges[pick % ranges.len()];
+                let (start, seg_size, seg_pages) = range;
+                for page in 0..seg_pages {
+                    let va = start.add(page * seg_size.bytes() + 123);
+                    let got = space.migrate_page(va, node, &mut mem);
+                    let want = (|| {
+                        let old = ref_pt.translate(va)?;
+                        if old.node != node {
+                            let pfn = ref_mem.alloc_page(node, old.page_size)?;
+                            ref_mem.free_page(old.pfn, old.page_size)?;
+                            ref_pt.remap(va, pfn, node)?;
+                        }
+                        Ok(old)
+                    })();
+                    prop_assert_eq!(got, want);
+                }
+                prop_assert_eq!(space.page_table().revision(), revision);
+                assert_same_build((space.page_table(), &mem), (&ref_pt, &ref_mem), &[range], &nodes);
             } else {
                 let mut options = SegmentOptions::new(node, page_size);
                 if kind == 3 {
