@@ -629,6 +629,65 @@ fn bench_serving_throughput(c: &mut Criterion) {
                 .completed_requests()
         })
     });
+
+    // perfbench's `serving_multitenant` shape at a 200k-cycle horizon: 32
+    // tenants cycling the six dense networks at batch 1, arrival shapes
+    // cycling Poisson → bursty → diurnal, weights 1..=4, offered at the front
+    // end's capacity, run once under each of the four policies. Elements =
+    // completed requests across the four runs, so ns/element is the turn
+    // loop's cost per served request (set-up included).
+    use neummu_sim::serving::{derive_seed, ArrivalConfig, ArrivalShape, ServingTenantSpec};
+    use neummu_workloads::WorkloadId;
+    const TENANTS: u64 = 32;
+    const HORIZON: u64 = 200_000;
+    let base = neummu_sim::ServingConfig::with_mmu(MmuConfig::neummu());
+    let rate_per_mcycle = 1e6 / (TENANTS * base.txns_per_request) as f64;
+    let tenants: Vec<ServingTenantSpec> = (0..TENANTS)
+        .map(|index| ServingTenantSpec {
+            workload: WorkloadId::ALL[index as usize % WorkloadId::ALL.len()],
+            batch: 1,
+            weight: 1 + index % 4,
+            arrivals: ArrivalConfig {
+                shape: match index % 3 {
+                    0 => ArrivalShape::Poisson,
+                    1 => ArrivalShape::Bursty {
+                        mean_burst_arrivals: 8.0,
+                        duty_fraction: 0.25,
+                    },
+                    _ => ArrivalShape::Diurnal {
+                        period_cycles: HORIZON / 4,
+                        trough_fraction: 0.3,
+                    },
+                },
+                rate_per_mcycle,
+                horizon_cycles: HORIZON,
+                seed: derive_seed(1, index),
+            },
+        })
+        .collect();
+    let simulators: Vec<ServingSimulator> = [
+        ServingPolicy::RoundRobin,
+        ServingPolicy::WeightedFair,
+        ServingPolicy::BurstQuantum,
+        ServingPolicy::TlbAware {
+            occupancy_cap_pct: 8,
+        },
+    ]
+    .into_iter()
+    .map(|policy| ServingSimulator::new(base.clone().with_policy(policy)))
+    .collect();
+    let run_all = |tenants: &[ServingTenantSpec]| -> u64 {
+        simulators
+            .iter()
+            .map(|simulator| simulator.run(tenants).unwrap().completed_requests())
+            .sum()
+    };
+    let completed = run_all(&tenants);
+    assert!(completed > 0);
+    group.throughput(Throughput::Elements(completed));
+    group.bench_function("open_loop_32_tenants", |b| {
+        b.iter(|| run_all(black_box(&tenants)))
+    });
     group.finish();
 }
 

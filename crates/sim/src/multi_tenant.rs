@@ -5,9 +5,10 @@
 //! time-shares one NPU between many models and users. This module holds the
 //! per-tenant pieces of that scenario:
 //!
-//! * every tenant is a dense workload ([`TenantSpec`]) with a **private page
-//!   table** (its own [`neummu_vmem::AddressSpace`], registered under an
-//!   [`Asid`] in an [`neummu_vmem::AddressSpaceRegistry`]),
+//! * every tenant is a dense workload ([`TenantSpec`]) under its own
+//!   [`Asid`], translating through the page table of its network's
+//!   [`neummu_vmem::AddressSpace`] (tenants of one spec map identical
+//!   spaces, so a run builds each distinct spec once and shares it),
 //! * a tenant's DMA translation stream is the page-run decomposition of its
 //!   layers' tile fetches (`map_tenant_fetches`, `TenantStream`),
 //! * per-tenant [`TenantStats`] event counters (in the spirit of
@@ -191,11 +192,14 @@ impl MultiTenantResult {
 /// the last one is exhausted — each inference request re-fetches the model's
 /// operands at the same virtual addresses — and therefore never runs dry. A
 /// non-cyclic stream (closed loop) ends, and its end completes the tenant.
-pub(crate) struct TenantStream {
+///
+/// The fetch list is borrowed: every tenant that runs the same network reads
+/// the one list that network's mapping produced.
+pub(crate) struct TenantStream<'a> {
     dma: DmaEngine,
     /// `(segment base, fetch)` for every IA/W fetch of every tile of every
     /// layer, in issue order.
-    fetches: Vec<(u64, TileFetch)>,
+    fetches: &'a [(u64, TileFetch)],
     next_fetch: usize,
     current: Option<(u64, PageRunIter)>,
     /// Remainder of a clipped or partially consumed run (with its base VA).
@@ -204,9 +208,9 @@ pub(crate) struct TenantStream {
     cyclic: bool,
 }
 
-impl TenantStream {
+impl<'a> TenantStream<'a> {
     /// Creates a stream over the given fetch list.
-    pub(crate) fn new(dma: DmaEngine, fetches: Vec<(u64, TileFetch)>, cyclic: bool) -> Self {
+    pub(crate) fn new(dma: DmaEngine, fetches: &'a [(u64, TileFetch)], cyclic: bool) -> Self {
         TenantStream {
             dma,
             fetches,
@@ -312,6 +316,7 @@ mod tests {
     use super::*;
     use crate::serving::{ServingConfig, ServingSimulator};
     use neummu_mmu::MmuConfig;
+    use neummu_vmem::{AddressSpace, PageSize, VirtAddr};
 
     fn smoke_tenants(n: usize) -> Vec<TenantSpec> {
         let mix = [WorkloadId::Cnn1, WorkloadId::Rnn2];
@@ -389,6 +394,48 @@ mod tests {
                 );
                 assert_eq!(c.tlb_hits + c.merged + c.walks, c.requests);
             }
+        }
+    }
+
+    #[test]
+    fn one_spec_maps_the_same_network_into_every_fresh_space() {
+        // The serving turn loop maps each distinct (workload, batch) once and
+        // lets every tenant of that spec read the one build. That is exact
+        // only if two builds into fresh spaces agree: the same fetch list, and
+        // the same probe and translation on every page a fetch's runs touch.
+        let npu = NpuConfig::tpu_like();
+        let node = MemNode::Npu(0);
+        for page_size in [PageSize::Size4K, PageSize::Size2M] {
+            let build = |name: &str| {
+                let mut space = AddressSpace::new(name);
+                let fetches = map_tenant_fetches(
+                    &mut space,
+                    WorkloadId::Cnn1,
+                    2,
+                    &npu,
+                    node,
+                    64 << 30,
+                    page_size,
+                )
+                .unwrap();
+                (space, fetches)
+            };
+            let (a, fetches_a) = build("tenant-a");
+            let (b, fetches_b) = build("tenant-b");
+            assert_eq!(fetches_a, fetches_b, "{page_size:?}: fetch lists");
+            let dma = DmaEngine::new(npu.dma);
+            let mut pages = 0u64;
+            for &(base, fetch) in &fetches_a {
+                for run in dma.page_runs(&fetch, base, page_size.bytes()) {
+                    let va = VirtAddr::new(base + run.first.offset);
+                    let probe = a.page_table().probe(va);
+                    assert!(probe.is_hit(), "{page_size:?}: {va:?} is mapped");
+                    assert_eq!(probe, b.page_table().probe(va), "{page_size:?}: {va:?}");
+                    assert_eq!(a.translate(va), b.translate(va), "{page_size:?}: {va:?}");
+                    pages += 1;
+                }
+            }
+            assert!(pages > 0, "{page_size:?}: the fetches touch pages");
         }
     }
 

@@ -41,6 +41,9 @@ pub use histogram::LatencyHistogram;
 pub use policy::{PolicyState, ServingPolicy};
 pub use queue::{AdmissionQueue, OverflowPolicy, QueueStats, Request};
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use serde::{Deserialize, Serialize};
 
 use neummu_mem::dram::{DramConfig, DramModel};
@@ -49,7 +52,7 @@ use neummu_mmu::{
     TranslationSource,
 };
 use neummu_npu::{DmaEngine, NpuConfig};
-use neummu_vmem::{AddressSpaceRegistry, MemNode, VirtAddr};
+use neummu_vmem::{AddressSpace, Asid, MemNode, PageTable, VirtAddr};
 use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
@@ -335,9 +338,11 @@ impl ServingResult {
     }
 }
 
-/// One tenant's live state during the run.
-struct TenantLane {
-    stream: TenantStream,
+/// One tenant's live state during the run. `'n` borrows the mapped network
+/// the tenant runs, which every tenant of the same spec shares.
+struct TenantLane<'n> {
+    page_table: &'n PageTable,
+    stream: TenantStream<'n>,
     arrivals: Vec<u64>,
     next_arrival: usize,
     queue: AdmissionQueue,
@@ -354,14 +359,35 @@ struct TenantLane {
     breaker_trips: u64,
 }
 
-impl TenantLane {
+impl TenantLane<'_> {
     fn runnable(&self) -> bool {
         self.in_service.is_some() || self.queue.depth() > 0
     }
 
-    /// The tenant's next not-yet-offered arrival time, if any.
-    fn next_arrival_cycle(&self) -> Option<u64> {
-        self.arrivals.get(self.next_arrival).copied()
+    /// Requests waiting or in service (the burst-quantum observable).
+    fn depth(&self) -> u64 {
+        self.queue.waiting() + u64::from(self.in_service.is_some())
+    }
+
+    /// Offers every arrival stamped at or before `now` and returns the cycle
+    /// of the next one, if any. An open breaker sheds arrivals stamped inside
+    /// its interval: consumed, never offered, so the backlog drains while the
+    /// tenant's SLO recovers.
+    fn admit_due(&mut self, now: u64) -> Option<u64> {
+        let mut seq = self.queue.stats().offered;
+        while let Some(&arrival_cycle) = self.arrivals.get(self.next_arrival) {
+            if arrival_cycle > now {
+                return Some(arrival_cycle);
+            }
+            self.next_arrival += 1;
+            if arrival_cycle < self.breaker_open_until {
+                self.shed += 1;
+                continue;
+            }
+            self.queue.offer(Request { seq, arrival_cycle });
+            seq += 1;
+        }
+        None
     }
 }
 
@@ -484,7 +510,8 @@ impl ServingSimulator {
     /// tenant's spec and arrival cycles (ASID order). Open loop, a request is
     /// [`ServingConfig::txns_per_request`] transactions of the tenant's
     /// cyclic stream; `closed_loop`, a request lasts until the non-cyclic
-    /// stream runs dry. The result's `tenants` is left for the caller.
+    /// stream runs dry, and no queue-depth timeline is sampled. The result's
+    /// `tenants` is left for the caller.
     #[allow(clippy::too_many_lines)]
     fn turn_loop(
         &self,
@@ -501,16 +528,18 @@ impl ServingSimulator {
             config.txns_per_request
         };
 
-        // Per-tenant address spaces, fetch streams, arrival sequences and
-        // admission queues.
-        let mut registry = AddressSpaceRegistry::new();
-        let mut lanes = Vec::with_capacity(tenant_count);
-        let mut stats = Vec::with_capacity(tenant_count);
-        for (spec, arrivals) in tenants {
-            let asid = registry.create(format!("tenant-{}", spec.label()));
-            let space = registry.get_mut(asid).expect("just created");
+        // One mapped network per distinct spec. A mapping draws from its own
+        // fresh backing pool and lays segments out from a fixed base, so
+        // every tenant of one spec would map the very same space: each reads
+        // the one build, under its own ASID.
+        let mut networks: Vec<(TenantSpec, AddressSpace, _)> = Vec::new();
+        for (spec, _) in &tenants {
+            if networks.iter().any(|(built, ..)| built == spec) {
+                continue;
+            }
+            let mut space = AddressSpace::new(format!("tenant-{}", spec.label()));
             let fetches = map_tenant_fetches(
-                space,
+                &mut space,
                 spec.workload,
                 spec.batch,
                 &config.npu,
@@ -518,7 +547,20 @@ impl ServingSimulator {
                 config.memory_capacity_bytes,
                 config.mmu.page_size,
             )?;
+            networks.push((*spec, space, fetches));
+        }
+
+        // Per-tenant fetch streams, arrival sequences and admission queues.
+        let mut lanes = Vec::with_capacity(tenant_count);
+        let mut stats = Vec::with_capacity(tenant_count);
+        for (tenant, (spec, arrivals)) in tenants.into_iter().enumerate() {
+            let asid = Asid::new(u16::try_from(tenant).expect("ASID space exhausted"));
+            let (_, space, fetches) = networks
+                .iter()
+                .find(|(built, ..)| *built == spec)
+                .expect("every spec was built above");
             lanes.push(TenantLane {
+                page_table: space.page_table(),
                 stream: TenantStream::new(DmaEngine::new(config.npu.dma), fetches, !closed_loop),
                 arrivals,
                 next_arrival: 0,
@@ -554,6 +596,13 @@ impl ServingSimulator {
         let mut depths = vec![0u64; tenant_count];
         let mut occupancies = vec![0u64; tenant_count];
         let mut runnable = vec![false; tenant_count];
+        let mut runnable_count = 0usize;
+        // `(next arrival cycle, tenant)` of every lane with arrivals left.
+        let mut due: BinaryHeap<Reverse<(u64, usize)>> = lanes
+            .iter()
+            .enumerate()
+            .filter_map(|(tenant, lane)| Some(Reverse((*lane.arrivals.first()?, tenant))))
+            .collect();
         let mut timeline = Vec::new();
         // One trace span per granted quantum: `serving/turn` open loop,
         // `tenant/turn` closed loop.
@@ -567,32 +616,30 @@ impl ServingSimulator {
         let mut now = 0u64;
         let mut next_sample = 0u64;
         loop {
-            // Admit every arrival at or before the current cycle. A tenant
-            // waking from idle catches its WFQ virtual service up to the
-            // global virtual time (no retroactive credit for idling).
-            for (tenant, lane) in lanes.iter_mut().enumerate() {
-                let was_runnable = lane.runnable();
-                let mut seq = lane.queue.stats().offered;
-                while lane.next_arrival_cycle().is_some_and(|cycle| cycle <= now) {
-                    let arrival_cycle = lane.arrivals[lane.next_arrival];
-                    lane.next_arrival += 1;
-                    // An open breaker sheds arrivals stamped inside its
-                    // interval: consumed, never offered, so the backlog
-                    // drains while the tenant's SLO recovers.
-                    if arrival_cycle < lane.breaker_open_until {
-                        lane.shed += 1;
-                        continue;
-                    }
-                    lane.queue.offer(Request { seq, arrival_cycle });
-                    seq += 1;
+            // Admit every arrival at or before the current cycle, visiting
+            // only the lanes with one due. A tenant waking from idle catches
+            // its WFQ virtual service up to the global virtual time (no
+            // retroactive credit for idling); only `pick` moves that time, so
+            // the order of the lanes woken here does not matter.
+            while let Some(&Reverse((cycle, tenant))) = due.peek() {
+                if cycle > now {
+                    break;
                 }
-                if !was_runnable && lane.runnable() {
+                due.pop();
+                let lane = &mut lanes[tenant];
+                if let Some(next) = lane.admit_due(now) {
+                    due.push(Reverse((next, tenant)));
+                }
+                if !runnable[tenant] && lane.runnable() {
+                    runnable[tenant] = true;
+                    runnable_count += 1;
                     policy_state.note_backlogged(tenant);
                 }
+                depths[tenant] = lane.depth();
             }
 
-            // Queue-depth timeline sample.
-            if now >= next_sample {
+            // Queue-depth timeline sample (the closed loop reports none).
+            if !closed_loop && now >= next_sample {
                 let mut waiting_total = 0u64;
                 let mut waiting_max = 0u64;
                 for lane in &lanes {
@@ -610,24 +657,12 @@ impl ServingSimulator {
 
             // Find someone to serve, or jump the clock to the next arrival,
             // or finish.
-            for (tenant, lane) in lanes.iter().enumerate() {
-                runnable[tenant] = lane.runnable();
-            }
-            if !runnable.iter().any(|&r| r) {
-                let Some(next) = lanes
-                    .iter()
-                    .filter_map(TenantLane::next_arrival_cycle)
-                    .min()
-                else {
+            if runnable_count == 0 {
+                let Some(&Reverse((next, _))) = due.peek() else {
                     break; // All arrivals offered, all queues drained: done.
                 };
-                now = now.max(next);
+                now = next;
                 continue;
-            }
-            if config.policy.needs_depths() {
-                for (tenant, lane) in lanes.iter().enumerate() {
-                    depths[tenant] = lane.queue.waiting() + u64::from(lane.in_service.is_some());
-                }
             }
             if config.policy.needs_occupancy() {
                 for (tenant, occupancy) in occupancies.iter_mut().enumerate() {
@@ -646,8 +681,6 @@ impl ServingSimulator {
                 let request = lane.queue.pop_for_service().expect("runnable tenant");
                 lane.in_service = Some((request, txns_per_request, 0, 0));
             }
-            let space = registry.get(asid).expect("registered above");
-            let page_table = space.page_table();
             let turn_start = now;
             let (_, txns_left, _, _) = lane.in_service.expect("set above");
             let mut quota = config.burst_transactions.min(txns_left);
@@ -660,7 +693,8 @@ impl ServingSimulator {
                 };
                 let issue = now;
                 let va = VirtAddr::new(base + run.first.offset);
-                let out = engine.translate_run_tagged(page_table, asid, va, run.txn_count, issue);
+                let out =
+                    engine.translate_run_tagged(lane.page_table, asid, va, run.txn_count, issue);
                 let translation = &mut tenant_stats.translation;
                 translation.requests += out.consumed;
                 translation.stall_cycles += out.first.accept_cycle - issue;
@@ -729,6 +763,11 @@ impl ServingSimulator {
                     }
                 }
             }
+            if !lane.runnable() {
+                runnable[tenant] = false;
+                runnable_count -= 1;
+            }
+            depths[tenant] = lane.depth();
             policy_state.charge(tenant, granted - quota);
             if let Some((sink, kind)) = turn_trace {
                 let consumed = granted - quota;

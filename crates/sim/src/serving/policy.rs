@@ -77,12 +77,6 @@ impl ServingPolicy {
     pub fn needs_occupancy(&self) -> bool {
         matches!(self, ServingPolicy::TlbAware { .. })
     }
-
-    /// True if [`PolicyState::pick`] reads the `depths` observable.
-    #[must_use]
-    pub fn needs_depths(&self) -> bool {
-        matches!(self, ServingPolicy::BurstQuantum)
-    }
 }
 
 /// The mutable bookkeeping of one policy across one scheduler run.
