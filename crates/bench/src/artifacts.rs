@@ -96,24 +96,6 @@ impl ExperimentArtifacts {
     }
 }
 
-/// Convenience wrapper: write one table into `dir` under `name`.
-///
-/// # Errors
-///
-/// Returns an I/O error if the directory or files cannot be written.
-pub fn write_table(dir: impl Into<PathBuf>, name: &str, table: &ResultTable) -> io::Result<()> {
-    ExperimentArtifacts::new(dir)?.table(name, table)
-}
-
-/// Convenience wrapper: write one JSON document into `dir` under `name`.
-///
-/// # Errors
-///
-/// Returns an I/O error if the directory or files cannot be written.
-pub fn write_json<T: Serialize>(dir: impl Into<PathBuf>, name: &str, value: &T) -> io::Result<()> {
-    ExperimentArtifacts::new(dir)?.json(name, value)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

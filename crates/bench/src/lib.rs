@@ -19,5 +19,5 @@
 pub mod artifacts;
 pub mod family;
 
-pub use artifacts::{write_json, write_table, ExperimentArtifacts};
+pub use artifacts::ExperimentArtifacts;
 pub use family::{commit_family, family_key, restore_family};

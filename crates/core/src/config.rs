@@ -1,11 +1,11 @@
 //! MMU configuration and the paper's named design points.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_vmem::PageSize;
 
 /// Named MMU design points evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum MmuKind {
     /// Oracular MMU: every translation hits with zero latency (the baseline
     /// all figures are normalized against).
@@ -37,7 +37,7 @@ impl MmuKind {
 /// Defaults follow Table I of the paper; the named constructors give the three
 /// design points used throughout the evaluation, and the `with_*` builder
 /// methods support the sensitivity sweeps of Figures 10–12 and Section VI-C.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MmuConfig {
     /// Which named design point this configuration corresponds to.
     pub kind: MmuKind,

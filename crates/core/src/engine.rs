@@ -19,7 +19,7 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_energy::{EnergyEvent, EnergyMeter, EnergyTable};
 use neummu_faults::{
@@ -34,7 +34,7 @@ use crate::tlb::Tlb;
 use crate::walker::{WalkAdmission, WalkerPool};
 
 /// How a translation request was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TranslationSource {
     /// Satisfied with zero latency by the oracular MMU.
     Oracle,
@@ -50,7 +50,7 @@ pub enum TranslationSource {
 }
 
 /// The timing outcome of one translation request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TranslationOutcome {
     /// Cycle at which the engine accepted the request. Always at least the
     /// issue cycle; later when the request had to stall for translation
@@ -80,7 +80,7 @@ pub struct TranslationOutcome {
 /// per-request [`TranslationOutcome`]s reconstructed by
 /// [`RunOutcome::outcome`] are bit-identical to what `consumed` individual
 /// `translate` calls would have returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOutcome {
     /// Outcome of the run's first request (full translation path).
     pub first: TranslationOutcome,
@@ -143,13 +143,6 @@ impl RunOutcome {
     #[must_use]
     pub fn last_accept(&self) -> u64 {
         self.accept(self.consumed - 1)
-    }
-
-    /// Completion cycle of the run's last resolved request. Completions are
-    /// non-decreasing across the run, so this is also the run's maximum.
-    #[must_use]
-    pub fn last_complete(&self) -> u64 {
-        self.complete(self.consumed - 1)
     }
 
     /// The full per-request outcome of the `index`-th request, bit-identical
@@ -285,7 +278,7 @@ pub trait AddressTranslator: Send {
 /// two different page tables, and stays put across `remap` (page migration),
 /// which cannot change mapped-ness. Like the engine's IOTLB, the memo
 /// additionally honors [`AddressTranslator::invalidate_page`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MappedRangeMemo {
     stamp: u64,
     start: u64,
@@ -333,7 +326,7 @@ const TAP_CAPS: [u32; TAP_KIND_COUNT] = [1024, 1024, 256, 1, 256, 256, 256, 1024
 /// One accumulating bin of the engine's trace tap: `events` same-kind events
 /// of one ASID, covering the cycle span `start..end`, with summed `weight`
 /// (request count).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct TraceBin {
     asid: u16,
     events: u32,
@@ -353,7 +346,7 @@ struct TraceBin {
 /// captured at construction: a sink installed later misses at most the
 /// engines already built, and no sink ever means zero work per event beyond
 /// one predictable branch.
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 struct EngineTap {
     enabled: bool,
     bins: [TraceBin; TAP_KIND_COUNT],
@@ -520,7 +513,7 @@ impl Clone for EngineTap {
 }
 
 /// The oracular MMU: every translation hits with zero latency.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct OracleTranslator {
     page_size: PageSize,
     stats: TranslationStats,
@@ -682,14 +675,14 @@ impl AddressTranslator for OracleTranslator {
 /// behind an `Option` so a fault-free engine pays exactly one `is_none`
 /// branch per walk admission and stays bit-identical to the pre-fault
 /// engine.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct EngineFaults {
     plan: DeviceFaultPlan,
     resilience: ResilienceConfig,
 }
 
 /// The cycle-accounted IOMMU / NeuMMU translation engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TranslationEngine {
     config: MmuConfig,
     tlb: Tlb,

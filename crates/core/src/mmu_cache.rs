@@ -17,12 +17,12 @@
 //! more effective at capturing NPU translation locality and eliminates more
 //! walks than UPTC).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_vmem::{PathTag, VirtAddr, WalkIndexLevel, WalkPath};
 
 /// Which MMU-cache organization a [`WalkCache`] implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MmuCacheKind {
     /// Unified page-table cache (physically tagged individual entries).
     Uptc,
@@ -31,7 +31,7 @@ pub enum MmuCacheKind {
 }
 
 /// The outcome of probing an MMU cache with one walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkCacheOutcome {
     /// Page-table levels whose memory reads the cache eliminated.
     pub skipped_levels: u32,
@@ -64,7 +64,7 @@ pub trait WalkCache {
 /// deterministic order instead of `RandomState` hash order. Eviction picks
 /// the unique stamp minimum, so victims are identical to the previous
 /// hash-map implementation's.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 struct LruCore<K: PartialEq + Clone> {
     keys: Vec<K>,
     stamps: Vec<u64>,
@@ -126,7 +126,7 @@ impl<K: PartialEq + Clone> LruCore<K> {
 }
 
 /// A unified page-table cache: individual entries tagged by physical address.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct UnifiedPageTableCache {
     lru: LruCore<(u32, u16)>,
     lookups: u64,
@@ -193,7 +193,7 @@ impl WalkCache for UnifiedPageTableCache {
 }
 
 /// A translation path cache: whole upper paths tagged by virtual indices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct TranslationPathCache {
     lru: LruCore<(u16, u16, u16)>,
     lookups: u64,

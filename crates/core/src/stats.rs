@@ -1,9 +1,9 @@
 //! Translation statistics collected by the engines.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Counters describing one translation engine's activity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TranslationStats {
     /// Translation requests presented to the engine.
     pub requests: u64,

@@ -17,12 +17,10 @@
 //! the set index is computed from the page number alone, so a single-tenant
 //! run is bit-identical either way.
 
-use serde::{Deserialize, Serialize};
-
 use neummu_vmem::Asid;
 
 /// A set-associative TLB with true-LRU replacement within each set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Tlb {
     sets: Vec<Vec<TlbEntry>>,
     ways: usize,
@@ -42,7 +40,7 @@ pub struct Tlb {
     occupancy_by_asid: Vec<u64>,
 }
 
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 struct TlbEntry {
     asid: Asid,
     page_number: u64,

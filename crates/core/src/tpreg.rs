@@ -7,12 +7,12 @@
 //! walker skips reading those levels from memory, which is where the paper's
 //! 2.5×+ reduction in walk-invoked memory transactions comes from.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_vmem::PathTag;
 
 /// How much of a walk's upper path matched the register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct PathMatch {
     /// The L4 index matched.
     pub l4: bool,
@@ -42,7 +42,7 @@ impl PathMatch {
 }
 
 /// A single-entry translation path register.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct TranslationPathRegister {
     tag: Option<PathTag>,
 }

@@ -37,8 +37,6 @@ use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::tpreg::{PathMatch, TranslationPathRegister};
 use neummu_vmem::{Asid, PathTag};
 
@@ -87,7 +85,7 @@ impl Hasher for PtsHasher {
 type PtsMap = HashMap<(Asid, u64), usize, BuildHasherDefault<PtsHasher>>;
 
 /// The result of asking the pool to start a walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalkAdmission {
     /// A new walk was started on the given walker.
     Started {
@@ -110,7 +108,7 @@ pub enum WalkAdmission {
 
 /// A walk that has completed and should be retired (its translation inserted
 /// into the TLB and its merged requests released).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompletedWalk {
     /// Context the walk belongs to.
     pub asid: Asid,
@@ -124,7 +122,7 @@ pub struct CompletedWalk {
     pub mapped: bool,
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct InFlightWalk {
     asid: Asid,
     page_number: u64,
@@ -148,7 +146,7 @@ struct InFlightWalk {
 type DueKey = (u64, usize);
 
 /// A [`DueKey`] ordered so that the side heap pops the least key first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct MinDue(DueKey);
 
 impl Ord for MinDue {
@@ -185,7 +183,7 @@ fn fifo_of(levels_read: u32) -> Option<usize> {
 
 /// Summary of one [`WalkerPool::swap_walk_window`] call: `walks` walks of
 /// one page retired on consecutive cycles, and as many walks admitted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WalkWindow {
     /// Number of walks retired, and of walks admitted.
     pub walks: u64,
@@ -203,7 +201,7 @@ pub struct WalkWindow {
 }
 
 /// The pool of hardware page-table walkers.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct WalkerPool {
     num_walkers: usize,
     prmb_slots: usize,

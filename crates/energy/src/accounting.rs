@@ -2,12 +2,12 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::tables::EnergyTable;
 
 /// An energy-relevant event in the translation pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum EnergyEvent {
     /// One DRAM access performed by a page-table walk (one visited level).
     PageWalkMemoryAccess,
@@ -54,7 +54,7 @@ impl fmt::Display for EnergyEvent {
 }
 
 /// Per-event-kind energy totals, in nanojoules.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct EnergyBreakdown {
     /// Energy spent on page-walk DRAM accesses.
     pub dram_nj: f64,
@@ -74,7 +74,7 @@ impl EnergyBreakdown {
 ///
 /// A meter is a value, not an accumulator: translators keep their counts in
 /// their statistics and build a meter from them on demand.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct EnergyMeter {
     table: EnergyTable,
     counts: [u64; EnergyEvent::ALL.len()],

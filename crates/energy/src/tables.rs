@@ -7,10 +7,10 @@
 //! picojoules — a three-orders-of-magnitude gap, which is what makes redundant
 //! page-table walks so expensive (Figure 12b).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-event energy constants, in nanojoules.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EnergyTable {
     /// One DRAM access performed by a page-table walk (one level).
     pub dram_access_nj: f64,

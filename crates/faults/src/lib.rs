@@ -50,13 +50,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of distinct fault kinds; the length of [`FaultKind::ALL`].
 pub const FAULT_KINDS: usize = 4;
 
 /// A kind of injectable device fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum FaultKind {
     /// A page walk stops making progress; the timeout detector (if the retry
     /// mechanism is enabled) notices after `timeout_cycles`.
@@ -105,7 +105,7 @@ impl FaultKind {
 }
 
 /// Per-kind injection knobs: a Bernoulli rate and a burst length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FaultRate {
     /// Probability in `[0.0, 1.0]` that a walk admission draws this fault.
     pub rate: f64,
@@ -161,7 +161,7 @@ fn invalid<T>(reason: String) -> Result<T, FaultError> {
 }
 
 /// Seeded device-fault injection rates, one [`FaultRate`] per kind.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DeviceFaultConfig {
     /// Seed for the per-kind splitmix64 draw streams.
     pub seed: u64,
@@ -259,7 +259,7 @@ impl DeviceFaultConfig {
 /// model an impossible instantaneous detector — and the livelock bound must
 /// exceed both detection delays, because an *undetected* fault is by
 /// definition the one the enabled mechanisms never noticed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct ResilienceConfig {
     /// Bounded retry with exponential backoff for timed-out walks and
     /// transient PTE errors.
@@ -390,7 +390,7 @@ impl ResilienceConfig {
 }
 
 /// The resolved outcome of one injected fault, computed at walk admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct InjectedFault {
     /// Which kind struck.
     pub kind: FaultKind,
@@ -413,7 +413,7 @@ pub struct InjectedFault {
 }
 
 /// Exact per-kind fault accounting.
-#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Default, Serialize)]
 pub struct FaultCounters {
     /// Faults injected, indexed by [`FaultKind::index`].
     pub injected: [u64; FAULT_KINDS],
@@ -467,7 +467,7 @@ impl FaultCounters {
 
 /// One per-kind draw stream: a splitmix64 counter, a strike threshold and
 /// burst state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 struct Lane {
     state: u64,
     threshold: u64,
@@ -523,7 +523,7 @@ impl Lane {
 /// [`DeviceFaultConfig::seed`], so two plans built from the same config
 /// produce identical fault schedules regardless of host, thread count or
 /// wall-clock time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DeviceFaultPlan {
     config: DeviceFaultConfig,
     lanes: [Lane; FAULT_KINDS],

@@ -1,4 +1,4 @@
-//! The three project-specific rules.
+//! The four project-specific rules.
 //!
 //! * **D001 nondeterministic-iteration** — in non-test code of
 //!   artifact-producing crates, (a) declaring a std `HashMap`/`HashSet` with
@@ -14,13 +14,26 @@
 //! * **H001 hot-path-allocation** — functions registered in `lint.toml` must
 //!   not allocate (`Vec::new`, `vec!`, `collect`, `format!`, `to_string`,
 //!   `Box::new`, ...), locking in the PR 3 allocation-free guarantee.
+//! * **U001 unreferenced-public-item** — a non-test `pub` `fn`, `struct`,
+//!   `enum`, `trait`, `const`, `static` or `type` in a scanned `src/` tree
+//!   that nothing in the workspace uses, so dead public API fails CI instead
+//!   of piling up. A use is an identifier token of a scanned file or of the
+//!   workspace's tests, benches, examples and `perfbench/src`, outside `use`
+//!   declarations and the name position of item definitions, or an
+//!   identifier in a string literal's `{}` hole (an inline format argument
+//!   such as `"{NAME}/..."`). Comments, doc-tests included, are not uses.
+//!   The rule matches by name, not by path, so two items that share a name
+//!   hide each other: a use of either counts for both. That error only ever
+//!   keeps the rule silent; it never flags an item that something uses.
+
+use std::collections::HashSet;
 
 use crate::config::Config;
 use crate::lexer::{lex, Token, TokenKind};
 use crate::report::{Finding, Report};
 
 /// Ids of the rules above; a waiver naming any other id is a config error.
-pub const RULE_IDS: [&str; 3] = ["D001", "D002", "H001"];
+pub const RULE_IDS: [&str; 4] = ["D001", "D002", "H001", "U001"];
 
 /// Methods whose receiver traversal is hash-order-dependent.
 const ITER_METHODS: &[&str] = &[
@@ -96,15 +109,20 @@ impl FileContext {
     }
 }
 
-/// Runs every rule over the given files and applies waivers.
+/// Runs every rule over the given files and applies waivers. U001 runs only
+/// when `references` holds the rest of the workspace's sources: without
+/// them a use outside `files` would go unseen.
 #[must_use]
-pub fn run(files: &[FileContext], config: &Config) -> Report {
+pub fn run(files: &[FileContext], references: Option<&[FileContext]>, config: &Config) -> Report {
     let mut findings = Vec::new();
     for ctx in files {
         d001(ctx, config, &mut findings);
         d002(ctx, config, &mut findings);
     }
     h001(files, config, &mut findings);
+    if let Some(references) = references {
+        u001(files, references, &mut findings);
+    }
     findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     apply_waivers(files, config, &mut findings);
     Report {
@@ -874,5 +892,166 @@ fn scan_allocations(
                 }
             }
         }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// U001 — unreferenced public item
+// ---------------------------------------------------------------------------
+
+/// Keywords that introduce a named item (`const` also qualifies a `const fn`).
+const ITEM_KEYWORDS: &[&str] = &[
+    "fn", "struct", "enum", "union", "trait", "const", "static", "type", "mod",
+];
+
+/// Keywords that may stand between `pub` and `fn` (`pub const unsafe fn`).
+const FN_QUALIFIERS: &[&str] = &["const", "unsafe", "async"];
+
+/// Item kinds whose `pub` definitions U001 checks.
+const CHECKED_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// Flags each non-test `pub` item of `files` whose name no token of `files`
+/// or `references` uses (see the module doc for what counts as a use).
+fn u001(files: &[FileContext], references: &[FileContext], findings: &mut Vec<Finding>) {
+    let mut used: HashSet<&str> = HashSet::new();
+    for ctx in files.iter().chain(references) {
+        let mut skip = compute_use_mask(&ctx.tokens);
+        for (name, _) in item_names(&ctx.tokens) {
+            skip[name] = true;
+        }
+        for (i, token) in ctx.tokens.iter().enumerate() {
+            if skip[i] {
+                continue;
+            }
+            match token.kind {
+                TokenKind::Ident => {
+                    used.insert(&token.text);
+                }
+                TokenKind::Literal if token.text.contains('"') => {
+                    used.extend(format_idents(&token.text));
+                }
+                _ => {}
+            }
+        }
+    }
+    for ctx in files {
+        for (name, kind) in item_names(&ctx.tokens) {
+            let token = &ctx.tokens[name];
+            if ctx.test_mask[name]
+                || !CHECKED_KINDS.contains(&kind)
+                || !is_pub_item(&ctx.tokens, name)
+                || used.contains(token.text.as_str())
+            {
+                continue;
+            }
+            findings.push(Finding {
+                rule: "U001",
+                file: ctx.rel_path.clone(),
+                line: token.line,
+                message: format!(
+                    "public {kind} `{}` is used nowhere in the workspace (src, tests, \
+                     benches, examples, perfbench/src) — delete it, or waive with the \
+                     reason it must stay",
+                    token.text
+                ),
+                waived: None,
+            });
+        }
+    }
+}
+
+/// `(name token index, kind)` of every named item definition: a keyword of
+/// [`ITEM_KEYWORDS`] followed by an identifier (`_` excluded), except the
+/// `const` of a `*const T` pointer type.
+fn item_names(tokens: &[Token]) -> Vec<(usize, &str)> {
+    let mut names = Vec::new();
+    for (i, token) in tokens.iter().enumerate() {
+        let Some(kind) = ITEM_KEYWORDS.iter().find(|k| token.is_ident(k)) else {
+            continue;
+        };
+        if *kind == "const" && i > 0 && tokens[i - 1].is_punct('*') {
+            continue;
+        }
+        let mut name = i + 1;
+        if *kind == "static" && tokens.get(name).is_some_and(|t| t.is_ident("mut")) {
+            name += 1;
+        }
+        let Some(next) = tokens.get(name) else {
+            continue;
+        };
+        let qualifies_fn = *kind == "const"
+            && (next.is_ident("fn") || FN_QUALIFIERS.iter().any(|q| next.is_ident(q)));
+        if next.kind == TokenKind::Ident && next.text != "_" && !qualifies_fn {
+            names.push((name, *kind));
+        }
+    }
+    names
+}
+
+/// True if the item whose name sits at token `name` is declared plain `pub`
+/// (`pub(crate)` and narrower are left to rustc's dead-code lint), looking
+/// back past its keyword and any [`FN_QUALIFIERS`].
+fn is_pub_item(tokens: &[Token], name: usize) -> bool {
+    let keyword = if tokens[name - 1].is_ident("mut") {
+        name - 2
+    } else {
+        name - 1
+    };
+    tokens[..keyword]
+        .iter()
+        .rev()
+        .find(|t| !FN_QUALIFIERS.iter().any(|q| t.is_ident(q)))
+        .is_some_and(|t| t.is_ident("pub"))
+}
+
+/// Identifiers inside the `{...}` holes of a string literal: the inline
+/// format arguments `{name}`, `{name:?}`, `{x:>width$}`. Words in an escaped
+/// `{{...}}` count too; a spare use only keeps the rule silent.
+fn format_idents(literal: &str) -> impl Iterator<Item = &str> {
+    literal.split('{').skip(1).flat_map(|hole| {
+        hole.split('}')
+            .next()
+            .unwrap_or("")
+            .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+            .filter(|word| word.starts_with(|c: char| c.is_alphabetic() || c == '_'))
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn u001_reads_item_heads() {
+        let tokens = lex(
+            "pub const fn a() {} pub(crate) fn b() {} pub static mut C: u8 = 0;\n\
+             pub const D: u8 = 1; fn e(p: *const F) {}",
+        );
+        let names: Vec<(&str, &str)> = item_names(&tokens)
+            .into_iter()
+            .map(|(name, kind)| (tokens[name].text.as_str(), kind))
+            .collect();
+        assert_eq!(
+            names,
+            [
+                ("a", "fn"),
+                ("b", "fn"),
+                ("C", "static"),
+                ("D", "const"),
+                ("e", "fn")
+            ]
+        );
+        let public: Vec<&str> = item_names(&tokens)
+            .into_iter()
+            .filter(|&(name, _)| is_pub_item(&tokens, name))
+            .map(|(name, _)| tokens[name].text.as_str())
+            .collect();
+        assert_eq!(public, ["a", "C", "D"]);
+    }
+
+    #[test]
+    fn format_holes_yield_their_identifiers() {
+        let words: Vec<&str> = format_idents(r#""{NAME}/{0} {x:>width$} {:?}""#).collect();
+        assert_eq!(words, ["NAME", "x", "width"]);
     }
 }

@@ -3,8 +3,10 @@
 //! Library/binary sources (`src/`) of every workspace member are scanned;
 //! `tests/`, `benches/` and `examples/` trees are not — rules D001/D002 are
 //! about artifact-producing code, and test scaffolding legitimately uses
-//! hash maps and clocks. `third_party/` (the vendored serde) and `target/`
-//! are never touched.
+//! hash maps and clocks. Those trees, and the benchmark client
+//! `perfbench/src`, are still read as uses of the scanned items (rule U001).
+//! `third_party/` (the vendored serde), `target/` and lint `fixtures/` are
+//! never touched.
 
 use std::fs;
 use std::io;
@@ -31,24 +33,51 @@ pub struct SourceFile {
 /// `crates/` directory or root `src/` is not an error.
 pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
     let mut files = Vec::new();
-    if root.join("src").is_dir() {
-        let name = package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "root".to_string());
-        collect_tree(root, &root.join("src"), &name, &mut files)?;
+    for (member, name) in members(root)? {
+        collect_tree(root, &member.join("src"), &name, &mut files)?;
     }
+    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+    Ok(files)
+}
+
+/// Collects the sources that use the workspace's items without being linted
+/// themselves: every member's `tests/`, `benches/` and `examples/` trees and
+/// the benchmark client `perfbench/src`, which builds against the crates'
+/// public API.
+///
+/// # Errors
+///
+/// Returns the first I/O error hit while walking or reading files; missing
+/// trees are not an error.
+pub fn discover_references(root: &Path) -> io::Result<Vec<SourceFile>> {
+    let mut files = Vec::new();
+    for (member, name) in members(root)? {
+        for tree in ["tests", "benches", "examples"] {
+            collect_tree(root, &member.join(tree), &name, &mut files)?;
+        }
+    }
+    let perfbench = root.join("perfbench");
+    let name = package_name(&perfbench.join("Cargo.toml")).unwrap_or_else(|| "perfbench".into());
+    collect_tree(root, &perfbench.join("src"), &name, &mut files)?;
+    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
+    Ok(files)
+}
+
+/// `(directory, package name)` of the root package and each `crates/*`
+/// member, in sorted order.
+fn members(root: &Path) -> io::Result<Vec<(PathBuf, String)>> {
+    let name = package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "root".to_string());
+    let mut members = vec![(root.to_path_buf(), name)];
     let crates_dir = root.join("crates");
     if crates_dir.is_dir() {
-        let mut members: Vec<PathBuf> = fs::read_dir(&crates_dir)?
+        let mut dirs: Vec<PathBuf> = fs::read_dir(&crates_dir)?
             .collect::<Result<Vec<_>, _>>()?
             .into_iter()
             .map(|entry| entry.path())
             .filter(|path| path.is_dir())
             .collect();
-        members.sort();
-        for member in members {
-            let src = member.join("src");
-            if !src.is_dir() {
-                continue;
-            }
+        dirs.sort();
+        for member in dirs {
             let name = package_name(&member.join("Cargo.toml")).unwrap_or_else(|| {
                 member
                     .file_name()
@@ -56,11 +85,10 @@ pub fn discover(root: &Path) -> io::Result<Vec<SourceFile>> {
                     .to_string_lossy()
                     .to_string()
             });
-            collect_tree(root, &src, &name, &mut files)?;
+            members.push((member, name));
         }
     }
-    files.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-    Ok(files)
+    Ok(members)
 }
 
 /// Reads the `name = "..."` of a `Cargo.toml`'s `[package]` section.
@@ -90,14 +118,17 @@ pub fn package_name(manifest: &Path) -> Option<String> {
     None
 }
 
-/// Recursively collects `.rs` files under `dir`, skipping vendored and build
-/// output trees.
+/// Recursively collects `.rs` files under `dir` (if it exists), skipping
+/// vendored and build output trees and the lint's own rule fixtures.
 fn collect_tree(
     root: &Path,
     dir: &Path,
     crate_name: &str,
     files: &mut Vec<SourceFile>,
 ) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
+    }
     let mut entries: Vec<PathBuf> = fs::read_dir(dir)?
         .collect::<Result<Vec<_>, _>>()?
         .into_iter()
@@ -107,7 +138,7 @@ fn collect_tree(
     for path in entries {
         let name = path.file_name().unwrap_or_default().to_string_lossy();
         if path.is_dir() {
-            if name == "target" || name == "third_party" {
+            if name == "target" || name == "third_party" || name == "fixtures" {
                 continue;
             }
             collect_tree(root, &path, crate_name, files)?;

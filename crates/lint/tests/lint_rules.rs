@@ -188,6 +188,19 @@ impl TempWorkspace {
         TempWorkspace { root }
     }
 
+    /// Adds a source file at `rel_path` (parent directories created).
+    fn with_file(self, rel_path: &str, source: &str) -> Self {
+        let path = self.root.join(rel_path);
+        fs::create_dir_all(path.parent().expect("file path has a parent")).unwrap();
+        fs::write(path, source).unwrap();
+        self
+    }
+
+    fn lint(&self) -> Report {
+        let config = Config::load(&self.root.join("lint.toml")).expect("test config parses");
+        lint_workspace(self.root.path(), &config).expect("workspace walk succeeds")
+    }
+
     fn run_lint(&self) -> std::process::Output {
         Command::new(env!("CARGO_BIN_EXE_neummu_lint"))
             .args(["--workspace", "--root"])
@@ -224,6 +237,10 @@ fn binary_exits_zero_on_a_clean_tree() {
         "clean",
         "pub fn double(x: u64) -> u64 { x * 2 }\n",
         "[rules.D001]\ncrates = [\"seeded\"]\n",
+    )
+    .with_file(
+        "tests/it.rs",
+        "#[test]\nfn doubles() { assert_eq!(seeded::double(2), 4); }\n",
     );
     let output = ws.run_lint();
     assert_eq!(output.status.code(), Some(0), "{output:?}");
@@ -253,4 +270,81 @@ fn binary_exits_two_on_a_waiver_for_an_unknown_rule() {
     assert_eq!(output.status.code(), Some(2), "{output:?}");
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.contains("unknown rule `C001`"), "{stderr}");
+}
+
+// ---------------------------------------------------------------------------
+// U001: unreferenced public items, over a whole seeded workspace
+// ---------------------------------------------------------------------------
+
+/// Only `dead` goes unused: its sole mention is a `pub use` re-export. Every
+/// other item is used from one place the rule must read.
+const U001_LIB: &str = "\
+mod inner {
+    pub fn dead() {}
+}
+pub use inner::dead;
+
+pub fn from_tests() {}
+pub fn from_perfbench() {}
+pub const NAMESPACE: &str = \"ns\";
+pub struct Meter;
+
+impl Meter {
+    pub fn reading(&self) -> u64 {
+        1
+    }
+}
+
+pub fn key(name: &str) -> String {
+    format!(\"{NAMESPACE}/{name}\")
+}
+";
+
+const U001_TEST: &str = "\
+use seeded::{from_tests, Meter};
+
+#[test]
+fn uses() {
+    from_tests();
+    let _ = seeded::key(\"x\");
+    let meter = Meter;
+    let _ = meter
+        .reading();
+}
+";
+
+fn u001_workspace(tag: &str, lint_toml: &str) -> TempWorkspace {
+    TempWorkspace::new(tag, U001_LIB, lint_toml)
+        .with_file("tests/it.rs", U001_TEST)
+        .with_file(
+            "perfbench/src/main.rs",
+            "fn main() {\n    seeded::from_perfbench();\n}\n",
+        )
+}
+
+#[test]
+fn u001_flags_only_the_item_nothing_uses() {
+    let report = u001_workspace("u001", "").lint();
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let finding = &report.findings[0];
+    assert_eq!(
+        (finding.rule, finding.file.as_str()),
+        ("U001", "src/lib.rs")
+    );
+    assert_eq!(finding.line, 2);
+    assert!(finding.message.contains("`dead`"), "{}", finding.message);
+    assert!(!report.is_clean());
+}
+
+#[test]
+fn u001_waiver_silences_the_finding() {
+    let config = "[[waiver]]\nrule = \"U001\"\nfile = \"src/lib.rs\"\n\
+        contains = \"pub fn dead\"\nreason = \"public API kept for a named client\"\n";
+    let report = u001_workspace("u001-waived", config).lint();
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    assert_eq!(
+        report.findings[0].waived.as_deref(),
+        Some("public API kept for a named client")
+    );
+    assert!(report.is_clean());
 }

@@ -5,10 +5,10 @@
 //! transfers are serviced in arrival order, each occupying the server for
 //! `bytes / bandwidth` cycles, and the server remembers when it becomes free.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Occupancy interval returned by [`BandwidthServer::schedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Occupancy {
     /// Cycle at which the transfer starts occupying the server.
     pub start: u64,
@@ -25,7 +25,7 @@ impl Occupancy {
 }
 
 /// A first-come-first-served bandwidth-limited resource.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct BandwidthServer {
     bytes_per_cycle: f64,
     busy_until: u64,

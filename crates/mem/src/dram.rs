@@ -6,12 +6,12 @@
 //! with a 100-cycle access latency at a 1 GHz core clock, i.e. 600 bytes/cycle
 //! aggregate.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::bandwidth::BandwidthServer;
 
 /// Configuration of the local memory system (Table I, "Memory system").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DramConfig {
     /// Number of memory channels.
     pub num_channels: u32,
@@ -41,7 +41,7 @@ impl Default for DramConfig {
 
 /// Stateful local-memory model: a latency adder in front of a shared
 /// bandwidth server.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct DramModel {
     config: DramConfig,
     server: BandwidthServer,

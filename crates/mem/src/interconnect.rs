@@ -16,12 +16,12 @@
 //! Figure 16 additionally models demand paging: on a page fault the missing
 //! 4 KB or 2 MB page is migrated over the interconnect into local memory.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::bandwidth::BandwidthServer;
 
 /// A point-to-point interconnect link with fixed latency and bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Link {
     /// Sustained bandwidth in bytes per core cycle.
     pub bandwidth_bytes_per_cycle: f64,
@@ -41,7 +41,7 @@ impl Link {
 }
 
 /// Interconnect configuration (Table I, "System Interconnect").
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct InterconnectConfig {
     /// CPU↔NPU PCIe link (16 GB/s at a 1 GHz core clock → 16 bytes/cycle).
     pub pcie: Link,
@@ -88,7 +88,7 @@ impl Default for InterconnectConfig {
 }
 
 /// Which interconnect a remote transfer uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum TransferKind {
     /// Over the legacy PCIe system interconnect ("NUMA(slow)" in Figure 15).
     Pcie,
@@ -97,7 +97,7 @@ pub enum TransferKind {
 }
 
 /// Stateful model of the system interconnect shared by all devices.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CopyEngine {
     config: InterconnectConfig,
     pcie_server: BandwidthServer,

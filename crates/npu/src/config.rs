@@ -1,6 +1,6 @@
 //! NPU hardware configuration (Table I, "Processor architecture").
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::NpuError;
 use crate::systolic::ComputeModel;
@@ -8,7 +8,7 @@ use crate::tensor::DataType;
 
 /// Configuration of the DMA engine that moves tiles between main memory and
 /// the scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DmaConfig {
     /// Maximum size of one linearized memory transaction issued by the DMA.
     ///
@@ -41,7 +41,7 @@ impl Default for DmaConfig {
 }
 
 /// NPU processor configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct NpuConfig {
     /// Compute-array organization and timing model.
     pub compute: ComputeModel,

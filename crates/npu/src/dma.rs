@@ -9,14 +9,14 @@
 //! produces the translation bursts of Figure 7 and the per-tile page
 //! divergence of Figure 6.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::DmaConfig;
 use crate::tensor::TensorKind;
 use crate::tiling::TileFetch;
 
 /// One linearized memory transaction issued by the DMA.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct MemTransaction {
     /// Operand tensor the transaction reads.
     pub kind: TensorKind,
@@ -274,7 +274,7 @@ impl Iterator for PageRunIter {
 }
 
 /// Summary of the translation demand created by one tile fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TileTranslationDemand {
     /// Number of memory transactions (== translation requests).
     pub transactions: u64,
@@ -285,7 +285,7 @@ pub struct TileTranslationDemand {
 }
 
 /// The DMA engine: decomposes tile fetches into memory transactions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DmaEngine {
     config: DmaConfig,
 }

@@ -7,13 +7,13 @@
 //! byte footprints of the IA/W/OA tensors, which in turn determine tile sizes
 //! and DMA translation traffic.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::NpuError;
 use crate::tensor::{DataType, TensorShape};
 
 /// GEMM dimensions after lowering a layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct GemmDims {
     /// Number of output rows (batch × output spatial positions).
     pub m: u64,
@@ -32,7 +32,7 @@ impl GemmDims {
 }
 
 /// The operator computed by a dense layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum LayerOp {
     /// 2-D convolution over NCHW activations with KCRS weights.
     Conv2d {
@@ -91,7 +91,7 @@ pub enum LayerOp {
 }
 
 /// A named dense layer.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct Layer {
     name: String,
     op: LayerOp,

@@ -16,8 +16,7 @@
 //!   transactions, each of which requires one address translation (the source
 //!   of the paper's translation bursts, Figures 6 and 7),
 //! * [`systolic`] — compute-phase latency for the systolic array and for the
-//!   spatial-array alternative of Section VI-B,
-//! * [`scratchpad`] — double-buffered scratchpad occupancy checks.
+//!   spatial-array alternative of Section VI-B.
 //!
 //! # Example
 //!
@@ -43,7 +42,6 @@ pub mod config;
 pub mod dma;
 pub mod error;
 pub mod layer;
-pub mod scratchpad;
 pub mod systolic;
 pub mod tensor;
 pub mod tiling;
@@ -52,7 +50,6 @@ pub use config::{DmaConfig, NpuConfig};
 pub use dma::{DmaEngine, MemTransaction, PageRun, PageRunIter, TransactionIter};
 pub use error::NpuError;
 pub use layer::{GemmDims, Layer, LayerOp};
-pub use scratchpad::Scratchpad;
 pub use systolic::ComputeModel;
 pub use tensor::{DataType, TensorKind, TensorShape};
 pub use tiling::{TileFetch, TileWork, TilingPlan};
@@ -63,7 +60,6 @@ pub mod prelude {
     pub use crate::dma::{DmaEngine, MemTransaction, PageRun, PageRunIter, TransactionIter};
     pub use crate::error::NpuError;
     pub use crate::layer::{GemmDims, Layer, LayerOp};
-    pub use crate::scratchpad::Scratchpad;
     pub use crate::systolic::ComputeModel;
     pub use crate::tensor::{DataType, TensorKind, TensorShape};
     pub use crate::tiling::{TileFetch, TileWork, TilingPlan};

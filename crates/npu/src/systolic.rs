@@ -8,10 +8,10 @@
 //! paper's results (everything is normalized to the oracle MMU on the same
 //! compute model).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Compute-array organization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ComputeModel {
     /// Weight-stationary systolic array of `rows × cols` MAC units.
     SystolicArray {

@@ -2,10 +2,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Numeric precision of tensor elements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DataType {
     /// 8-bit integer (original TPU inference precision).
     Int8,
@@ -58,8 +58,6 @@ impl Serialize for TensorKind {
     }
 }
 
-impl Deserialize for TensorKind {}
-
 impl fmt::Display for TensorKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -74,7 +72,7 @@ impl fmt::Display for TensorKind {
 ///
 /// The NPU maps tensors to a linear (1-D) address range in row-major order;
 /// the innermost dimension is contiguous in memory (Section I / III-C).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize)]
 pub struct TensorShape {
     dims: Vec<u64>,
     dtype: DataType,

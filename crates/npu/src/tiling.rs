@@ -14,7 +14,7 @@
 //! interleaved, matching the observation behind the paper's TPreg design
 //! (Section IV-C, insight 2).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::config::NpuConfig;
 use crate::error::NpuError;
@@ -23,7 +23,7 @@ use crate::tensor::TensorKind;
 
 /// A request to fetch one contiguous byte window of an operand tensor into the
 /// scratchpad.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TileFetch {
     /// Which operand tensor the window belongs to.
     pub kind: TensorKind,
@@ -43,7 +43,7 @@ impl TileFetch {
 
 /// One tile iteration: the fetches of its memory phase and the GEMM
 /// sub-problem of its compute phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TileWork {
     /// Sequential tile index within the layer.
     pub index: u64,
@@ -58,16 +58,8 @@ pub struct TileWork {
     pub compute: GemmDims,
 }
 
-impl TileWork {
-    /// Total bytes fetched by this tile's memory phase.
-    #[must_use]
-    pub fn fetch_bytes(&self) -> u64 {
-        self.ia_fetch.map_or(0, |f| f.bytes) + self.w_fetch.map_or(0, |f| f.bytes)
-    }
-}
-
 /// The complete tiling of one layer execution step.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct TilingPlan {
     layer_name: String,
     gemm: GemmDims,
@@ -265,12 +257,6 @@ impl TilingPlan {
     #[must_use]
     pub fn oa_segment_bytes(&self) -> u64 {
         self.oa_bytes
-    }
-
-    /// Total bytes fetched from main memory by one execution step.
-    #[must_use]
-    pub fn total_fetch_bytes(&self) -> u64 {
-        self.tiles.iter().map(TileWork::fetch_bytes).sum()
     }
 
     /// Largest single tile fetch in bytes.

@@ -15,7 +15,7 @@
 //! which translation throughput (the paper's central concern) throttles
 //! end-to-end performance.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mmu::MmuConfig;
@@ -25,7 +25,7 @@ use neummu_vmem::{AddressSpace, MemNode, PhysicalMemory, SegmentOptions, VirtAdd
 use crate::error::SimError;
 
 /// Configuration of a dense-workload simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct DenseSimConfig {
     /// NPU architecture parameters.
     pub npu: NpuConfig,
@@ -69,7 +69,7 @@ impl DenseSimConfig {
 }
 
 /// Translations issued per fixed-width time window (the Figure 7 series).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct TranslationTrace {
     /// Window width in cycles.
     pub window_cycles: u64,
@@ -122,7 +122,7 @@ impl TranslationTrace {
 }
 
 /// Per-layer simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LayerResult {
     /// Layer name.
     pub layer_name: String,
@@ -147,7 +147,7 @@ pub struct LayerResult {
 }
 
 /// Whole-workload simulation result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct WorkloadResult {
     /// Total cycles of the workload (all layers, including repeats).
     pub total_cycles: u64,

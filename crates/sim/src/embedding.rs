@@ -21,7 +21,7 @@
 //!   faulting page (4 KB or 2 MB) is migrated into local memory before the
 //!   access (Figure 16).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mem::interconnect::{CopyEngine, InterconnectConfig, TransferKind};
@@ -53,7 +53,7 @@ fn translate_gather_run(
 }
 
 /// How remote embeddings are gathered into the local NPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum GatherStrategy {
     /// MMU-less baseline: CPU-relayed staged copies over PCIe.
     HostRelayedCopy,
@@ -99,7 +99,7 @@ impl GatherStrategy {
 }
 
 /// Configuration of the embedding case study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EmbeddingSimConfig {
     /// NPU architecture parameters (used for the MLP phase).
     pub npu: NpuConfig,
@@ -137,7 +137,7 @@ impl EmbeddingSimConfig {
 }
 
 /// Latency breakdown of one inference step on one NPU (the Figure 15 stack).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EmbeddingPhaseBreakdown {
     /// Cycles spent in the MLP GEMMs.
     pub gemm_cycles: u64,

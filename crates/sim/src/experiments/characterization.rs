@@ -1,6 +1,6 @@
 //! Data-driven characterization experiments: Figures 6, 7 and 14.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::MmuConfig;
 use neummu_workloads::{DenseWorkload, WorkloadId};
@@ -14,7 +14,7 @@ use crate::report::ResultTable;
 use crate::runner::ExperimentRunner;
 
 /// One row of Figure 6: per-tile page divergence of a workload/batch point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PageDivergenceRow {
     /// Workload identity.
     pub workload: WorkloadId,
@@ -27,7 +27,7 @@ pub struct PageDivergenceRow {
 }
 
 /// Figure 6 result: page divergence per DMA tile across the dense suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig06Result {
     /// One row per `(workload, batch)` point.
     pub rows: Vec<PageDivergenceRow>,
@@ -83,7 +83,7 @@ pub fn fig06_page_divergence_on(
 }
 
 /// Figure 7 result: translations requested per 1 000-cycle window over time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig07Result {
     /// Workload the trace belongs to.
     pub workload: WorkloadId,
@@ -167,7 +167,7 @@ pub fn fig07_translation_bursts_on(
 }
 
 /// Figure 14 result: the virtual-address windows touched by consecutive tiles.
-#[derive(Debug, Clone, PartialEq, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig14Result {
     /// Workload the trace belongs to.
     pub workload: WorkloadId,

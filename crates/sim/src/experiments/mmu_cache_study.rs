@@ -7,7 +7,7 @@
 //! rebuilds that comparison: the walk stream is the sequence of pages the
 //! dense simulator actually walks under the NeuMMU configuration.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::{MmuConfig, TranslationPathCache, UnifiedPageTableCache, WalkCache};
 use neummu_npu::{DmaEngine, NpuConfig, TilingPlan};
@@ -20,7 +20,7 @@ use crate::report::{pct, ResultTable};
 use crate::runner::ExperimentRunner;
 
 /// Per-workload comparison of the two MMU-cache organizations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MmuCacheRow {
     /// Workload identity.
     pub workload: WorkloadId,
@@ -37,7 +37,7 @@ pub struct MmuCacheRow {
 }
 
 /// Result of the UPTC-vs-TPC study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MmuCacheStudyResult {
     /// One row per `(workload, batch)` point.
     pub rows: Vec<MmuCacheRow>,

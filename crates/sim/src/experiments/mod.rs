@@ -41,12 +41,12 @@ pub mod resilience;
 pub mod serving;
 pub mod table1;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_workloads::{WorkloadId, DENSE_BATCH_SIZES};
 
 /// How much of the benchmark suite an experiment covers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ExperimentScale {
     /// The complete suite used by the paper (all workloads, all batch sizes).
     Full,
@@ -99,7 +99,7 @@ impl ExperimentScale {
 
 /// A single `(workload, batch)` point of the dense suite with a measured
 /// normalized performance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DensePoint {
     /// Workload identity.
     pub workload: WorkloadId,

@@ -14,7 +14,7 @@
 //!   isolated) and each tenant's share of the total walker occupancy, the
 //!   counter-validated story of *where* the slowdown comes from.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::MmuConfig;
 use neummu_workloads::WorkloadId;
@@ -58,7 +58,7 @@ pub fn tenant_counts(scale: ExperimentScale) -> Vec<usize> {
 
 /// One tenant of one sweep point, with its shared-run counters and its
 /// contention-free baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct TenantContentionRow {
     /// How many tenants shared the NPU in this sweep point.
     pub tenant_count: usize,
@@ -80,18 +80,11 @@ impl TenantContentionRow {
         }
         self.shared.completion_cycle as f64 / self.isolated.completion_cycle as f64
     }
-
-    /// IOTLB hit rate lost to cross-tenant capacity contention (isolated
-    /// minus shared).
-    #[must_use]
-    pub fn tlb_hit_rate_loss(&self) -> f64 {
-        self.isolated.tlb_hit_rate() - self.shared.tlb_hit_rate()
-    }
 }
 
 /// One sweep point's aggregate: the makespan of running the mix to
 /// completion on one NPU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct SweepPointSummary {
     /// Tenant count of the point.
     pub tenant_count: usize,
@@ -100,7 +93,7 @@ pub struct SweepPointSummary {
 }
 
 /// The multi-tenant tenant-count sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiTenantSweepResult {
     /// Scheduling burst (transactions per tenant turn) the sweep used.
     pub burst_transactions: u64,

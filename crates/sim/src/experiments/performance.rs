@@ -1,7 +1,7 @@
 //! Performance and energy experiments: Figures 8, 10, 11, 12, 13, the
 //! Section IV-D summary, and the Section VI studies.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::MmuConfig;
 use neummu_npu::NpuConfig;
@@ -11,12 +11,12 @@ use neummu_workloads::{DenseWorkload, WorkloadId};
 use crate::dense::{DenseSimConfig, DenseSimulator, WorkloadResult};
 use crate::error::SimError;
 use crate::experiments::{DensePoint, ExperimentScale};
-use crate::report::{geomean, mean, norm, pct, ResultTable};
+use crate::report::{mean, norm, pct, ResultTable};
 use crate::runner::ExperimentRunner;
 
 /// A normalized-performance sweep over the dense suite for several MMU
 /// configurations (the common shape of Figures 8, 10, 11 and 12a).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NormalizedSweep {
     /// Human-readable name of the swept parameter (e.g. `PTW`).
     pub parameter: String,
@@ -214,7 +214,7 @@ pub fn fig12a_ptw_no_prmb_on(
 }
 
 /// One `[PRMB, PTW]` design point of Figure 12b.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EnergyPerfPoint {
     /// PRMB mergeable slots per walker.
     pub prmb_slots: usize,
@@ -227,7 +227,7 @@ pub struct EnergyPerfPoint {
 }
 
 /// Figure 12b: energy and performance of `[PRMB, PTW]` design points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig12bResult {
     /// The swept design points.
     pub points: Vec<EnergyPerfPoint>,
@@ -319,7 +319,7 @@ pub fn fig12b_energy_perf_on(
 }
 
 /// One row of Figure 13: TPreg tag-match rates of a workload/batch point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct TpregHitRow {
     /// Workload identity.
     pub workload: WorkloadId,
@@ -334,7 +334,7 @@ pub struct TpregHitRow {
 }
 
 /// Figure 13 result: TPreg hit rates across the dense suite.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig13Result {
     /// One row per `(workload, batch)` point.
     pub rows: Vec<TpregHitRow>,
@@ -388,7 +388,7 @@ pub fn fig13_tpreg_hit_rate_on(
 
 /// The headline Section IV-D summary: baseline IOMMU vs NeuMMU overheads,
 /// energy ratio, and walk-access reduction.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SummaryResult {
     /// Average performance overhead of the baseline IOMMU (1 − normalized).
     pub iommu_avg_overhead: f64,
@@ -537,7 +537,7 @@ pub fn spatial_npu_on(
 }
 
 /// One sensitivity point of Section VI-C.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SensitivityPoint {
     /// Description of the configuration.
     pub label: String,
@@ -548,7 +548,7 @@ pub struct SensitivityPoint {
 }
 
 /// Section VI-C sensitivity result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SensitivityResult {
     /// Architecture-parameter sensitivity points (PRMB / PTW / TLB sweeps).
     pub architecture_points: Vec<SensitivityPoint>,
@@ -557,27 +557,6 @@ pub struct SensitivityResult {
 }
 
 impl SensitivityResult {
-    /// Average normalized performance over every architecture point.
-    #[must_use]
-    pub fn overall_average(&self) -> f64 {
-        mean(
-            &self
-                .architecture_points
-                .iter()
-                .map(|p| p.avg_normalized_perf)
-                .collect::<Vec<_>>(),
-        )
-    }
-
-    /// Worst normalized performance over every architecture point.
-    #[must_use]
-    pub fn overall_minimum(&self) -> f64 {
-        self.architecture_points
-            .iter()
-            .map(|p| p.min_normalized_perf)
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// Renders the result as a table.
     #[must_use]
     pub fn to_table(&self) -> ResultTable {
@@ -700,12 +679,6 @@ pub fn sensitivity_on(
         architecture_points,
         large_batch_points,
     })
-}
-
-/// Geometric-mean helper re-exported for the experiments binary.
-#[must_use]
-pub fn geomean_of(points: &[DensePoint]) -> f64 {
-    geomean(&points.iter().map(|p| p.normalized_perf).collect::<Vec<_>>())
 }
 
 #[cfg(test)]

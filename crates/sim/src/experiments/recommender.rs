@@ -1,6 +1,6 @@
 //! The embedding-layer case study: Figures 15 and 16.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mem::interconnect::TransferKind;
 use neummu_mmu::{MmuConfig, MmuKind};
@@ -36,7 +36,7 @@ fn batches(scale: ExperimentScale, full: &[u64]) -> Vec<u64> {
 
 /// One bar of Figure 15: a model/batch/strategy combination with its latency
 /// breakdown, normalized to the MMU-less baseline of the same model/batch.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig15Row {
     /// Model name (NCF or DLRM).
     pub model: String,
@@ -51,7 +51,7 @@ pub struct Fig15Row {
 }
 
 /// Figure 15 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig15Result {
     /// One row per model/batch/strategy combination.
     pub rows: Vec<Fig15Row>,
@@ -156,7 +156,7 @@ pub fn fig15_numa_breakdown_on(
 
 /// One bar of Figure 16: demand paging under a given page size and MMU,
 /// normalized to the oracular MMU with 4 KB pages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig16Row {
     /// Model name.
     pub model: String,
@@ -173,7 +173,7 @@ pub struct Fig16Row {
 }
 
 /// Figure 16 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Fig16Result {
     /// One row per model/batch/page-size/MMU combination.
     pub rows: Vec<Fig16Row>,

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::{
     DeviceFaultConfig, FaultCounters, FaultKind, FaultRate, MmuConfig, ResilienceConfig,
@@ -53,7 +53,7 @@ pub const ARRIVAL_SEED: u64 = 0x0FA1_7ED0_0D15_EA5E;
 pub const FAULT_SEED: u64 = 0x0BAD_DE1C_E000_5EED;
 
 /// One armed recovery-mechanism set of the sweep, in artifact order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum Mechanism {
     /// No recovery: every injected fault rides to the livelock bound.
     AllOff,
@@ -253,7 +253,7 @@ pub fn tenant_population(scale: ExperimentScale, txns_per_request: u64) -> Vec<S
 }
 
 /// One sweep point: availability, goodput and exact fault accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResiliencePointRow {
     /// Armed mechanism set of the point.
     pub mechanism: Mechanism,
@@ -298,7 +298,7 @@ pub struct ResiliencePointRow {
 
 /// Per-fault-kind accounting of one sweep point (emitted for points that
 /// injected at least one fault).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResilienceKindRow {
     /// Armed mechanism set of the point.
     pub mechanism: Mechanism,
@@ -317,7 +317,7 @@ pub struct ResilienceKindRow {
 }
 
 /// The complete fault-rate × mechanism sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResilienceSweepResult {
     /// Tenants per point.
     pub tenant_count: usize,

@@ -20,7 +20,7 @@
 //! [`derive_seed`], so the family's artifacts are byte-identical across
 //! thread counts and store-resumed runs.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mmu::MmuConfig;
 
@@ -142,7 +142,7 @@ pub fn tenant_population(
 }
 
 /// One tenant of one sweep point: queue accounting and exact SLO percentiles.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServingSloRow {
     /// Scheduling policy of the point.
     pub policy: ServingPolicy,
@@ -182,7 +182,7 @@ pub struct ServingSloRow {
 }
 
 /// One sweep point's aggregate: the goodput-curve sample.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServingPointSummary {
     /// Scheduling policy of the point.
     pub policy: ServingPolicy,
@@ -203,7 +203,7 @@ pub struct ServingPointSummary {
 }
 
 /// The complete load × policy sweep result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ServingSweepResult {
     /// Tenants per point.
     pub tenant_count: usize,

@@ -39,7 +39,7 @@
 //! [`ServingSimulator::run_to_completion`]: crate::serving::ServingSimulator::run_to_completion
 //! [`ServingSimulator::run`]: crate::serving::ServingSimulator::run
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_npu::{DmaEngine, NpuConfig, PageRun, PageRunIter, TileFetch, TilingPlan};
 use neummu_vmem::{Asid, MemNode, NodeSpec, PhysicalMemory, SegmentOptions};
@@ -58,7 +58,7 @@ use crate::error::SimError;
 /// let tenant = TenantSpec::new(WorkloadId::Cnn1, 1);
 /// assert_eq!(tenant.label(), "CNN-1/b01");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TenantSpec {
     /// The tenant's workload.
     pub workload: WorkloadId,
@@ -86,7 +86,7 @@ impl TenantSpec {
 /// philosophy: cheap measured event counts that validate (or refute) the
 /// microarchitectural story — here, how much of a tenant's slowdown is TLB
 /// contention vs walker occupancy vs front-end stalls.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct TenantStats {
     /// The tenant's context tag.
     pub asid: Asid,
@@ -137,17 +137,10 @@ impl TenantStats {
             self.tlb_hits as f64 / self.requests as f64
         }
     }
-
-    /// Cycles of walker busy time attributable to the tenant, given the
-    /// engine's per-level walk latency.
-    #[must_use]
-    pub fn walker_busy_cycles(&self, walk_latency_per_level: u64) -> u64 {
-        self.walk_levels_read * walk_latency_per_level
-    }
 }
 
 /// The outcome of one closed-loop run of a tenant mix.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct MultiTenantResult {
     /// Tenant mix the run executed, in ASID order.
     pub tenants: Vec<TenantSpec>,

@@ -2,14 +2,14 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simple rectangular result table with a title, column headers and rows.
 ///
 /// Every experiment runner returns its data both as typed records and as a
 /// `ResultTable`, which the `neummu-experiments` binary renders to Markdown
 /// and CSV artifacts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ResultTable {
     title: String,
     headers: Vec<String>,
@@ -121,16 +121,6 @@ pub fn norm(value: f64) -> String {
     format!("{value:.3}")
 }
 
-/// Geometric mean of a slice of positive values (0.0 for an empty slice).
-#[must_use]
-pub fn geomean(values: &[f64]) -> f64 {
-    if values.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = values.iter().map(|v| v.max(1e-12).ln()).sum();
-    (log_sum / values.len() as f64).exp()
-}
-
 /// Arithmetic mean of a slice (0.0 for an empty slice).
 #[must_use]
 pub fn mean(values: &[f64]) -> f64 {
@@ -175,8 +165,6 @@ mod tests {
 
     #[test]
     fn statistics_helpers() {
-        assert_eq!(geomean(&[]), 0.0);
-        assert!((geomean(&[4.0, 1.0]) - 2.0).abs() < 1e-12);
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
         assert_eq!(pct(0.123), "12.3%");
         assert_eq!(norm(0.9999), "1.000");

@@ -24,13 +24,13 @@
 use rand::distributions::{Distribution, Open01, Standard};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::SimError;
 
 /// The shape of an arrival process (all shapes share the mean rate and the
 /// seed held by the enclosing [`ArrivalConfig`]).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ArrivalShape {
     /// Memoryless arrivals: exponential inter-arrival times at the mean rate.
     Poisson,
@@ -71,7 +71,7 @@ impl ArrivalShape {
 }
 
 /// A complete, validated description of one tenant's arrival process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ArrivalConfig {
     /// Trace shape.
     pub shape: ArrivalShape,

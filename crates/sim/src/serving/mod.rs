@@ -44,7 +44,7 @@ pub use queue::{AdmissionQueue, OverflowPolicy, QueueStats, Request};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mmu::{
@@ -62,7 +62,7 @@ use crate::multi_tenant::{
 
 /// One tenant of a serving run: a model, a scheduling weight and an arrival
 /// process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ServingTenantSpec {
     /// The model the tenant serves.
     pub workload: WorkloadId,
@@ -92,7 +92,7 @@ impl ServingTenantSpec {
 /// compounding. Shed requests are counted per tenant in
 /// [`TenantServingStats::shed`], outside the queue's own
 /// offered/dropped/deferred accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CircuitBreakerConfig {
     /// The tenant's sojourn-latency SLO: windows whose exact p99 exceeds
     /// this open the breaker.
@@ -123,7 +123,7 @@ impl CircuitBreakerConfig {
 /// Device-fault injection for a serving run: the seeded fault plan the
 /// shared engine draws from, plus the resilience mechanisms that resolve
 /// each injected fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ServingFaults {
     /// Per-kind fault rates and the draw seed.
     pub device: DeviceFaultConfig,
@@ -275,7 +275,7 @@ pub struct TenantServingStats {
 }
 
 /// One sample of the queue-depth timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct QueueDepthSample {
     /// Sample cycle.
     pub cycle: u64,
@@ -782,6 +782,39 @@ impl ServingSimulator {
                 }
             }
         }
+
+        // The tenants' tallies count the very events the engine counted.
+        debug_assert_eq!(
+            stats
+                .iter()
+                .map(|s| &s.translation)
+                .fold([0u64; 7], |sum, t| {
+                    let row = [
+                        t.requests,
+                        t.tlb_hits,
+                        t.merged,
+                        t.walks,
+                        t.walk_levels_read,
+                        t.faults,
+                        t.stall_cycles,
+                    ];
+                    std::array::from_fn(|i| sum[i] + row[i])
+                }),
+            {
+                let e = engine.stats();
+                [
+                    e.requests,
+                    e.tlb_hits,
+                    e.merged,
+                    e.walks,
+                    e.walk_memory_accesses,
+                    e.faults,
+                    e.stall_cycles,
+                ]
+            },
+            "tenant tallies (requests, hits, merged, walks, levels, faults, stall) \
+             disagree with the engine's counters"
+        );
 
         // Final bookkeeping: queue counters.
         for (lane, tenant_stats) in lanes.iter().zip(&mut stats) {

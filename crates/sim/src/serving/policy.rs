@@ -19,10 +19,10 @@
 //! order, starting after the previous pick; a tenant that finishes drops out
 //! of the scan without moving the cursor.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A tenant-scheduling policy of the serving front end.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum ServingPolicy {
     /// Equal turns in cyclic ASID order (the classic time-share baseline and
     /// the multitenant sweep's policy).
@@ -205,12 +205,6 @@ impl PolicyState {
         if self.virtual_service[t] < self.virtual_time {
             self.virtual_service[t] = self.virtual_time;
         }
-    }
-
-    /// The tenant's accumulated virtual service (test observability).
-    #[must_use]
-    pub fn virtual_service_of(&self, t: usize) -> f64 {
-        self.virtual_service[t]
     }
 }
 

@@ -19,10 +19,10 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// What a full admission queue does with a new arrival.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum OverflowPolicy {
     /// Reject the request (count it and forget it).
     Drop,
@@ -43,7 +43,7 @@ impl OverflowPolicy {
 }
 
 /// One queued inference request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Request {
     /// Per-tenant arrival sequence number (0-based, strictly increasing).
     pub seq: u64,
@@ -54,7 +54,7 @@ pub struct Request {
 /// Counters of one tenant's admission queue, maintained so that
 /// `offered == admitted + dropped + deferred_waiting` and
 /// `admitted == completed + in_queue + in_service` hold at every instant.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct QueueStats {
     /// Requests the arrival process offered (everything that arrived).
     pub offered: u64,

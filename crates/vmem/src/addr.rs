@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Number of index bits per radix-tree level (x86-64 uses 9).
 pub const LEVEL_INDEX_BITS: u32 = 9;
@@ -25,7 +25,7 @@ pub const PAGE_SHIFT_2M: u32 = 21;
 ///
 /// The paper evaluates baseline 4 KB pages throughout Sections IV and V and
 /// revisits 2 MB large pages in Section VI-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum PageSize {
     /// Baseline 4 KB page (leaf at L1).
     Size4K,
@@ -79,29 +79,21 @@ impl fmt::Display for PageSize {
 }
 
 /// A virtual address in a device (NPU) or host address space.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct VirtAddr(u64);
 
 /// A physical address.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PhysAddr(u64);
 
 /// A virtual page number: the virtual address shifted right by the 4 KB page
 /// shift. Virtual page numbers are always expressed in 4 KB units, even when a
 /// region is backed by 2 MB pages, so that TLB/PTS tagging is uniform.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct VirtPageNum(u64);
 
 /// A physical frame number in 4 KB units.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct PhysFrameNum(u64);
 
 impl VirtAddr {
@@ -320,7 +312,7 @@ impl From<PhysAddr> for u64 {
 ///
 /// x86-64 names these PML4 (level 4) down to the page table (level 1). The
 /// paper's TPreg caches the L4/L3/L2 components of the most recent walk.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum WalkIndexLevel {
     /// Leaf level for 4 KB pages (bits 20..12).
     L1,
@@ -379,7 +371,7 @@ impl fmt::Display for WalkIndexLevel {
 ///
 /// Two addresses with identical triples share the entire upper translation
 /// path; this is precisely the tag the paper's TPreg and TPC structures use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct PathTag {
     /// Root-level (L4) index.
     pub l4: u16,
@@ -399,12 +391,6 @@ impl PathTag {
             l3: va.level_index(WalkIndexLevel::L3),
             l2: va.level_index(WalkIndexLevel::L2),
         }
-    }
-
-    /// Extracts the path tag of a virtual page number.
-    #[must_use]
-    pub fn of_vpn(vpn: VirtPageNum) -> Self {
-        Self::of(vpn.base_addr())
     }
 }
 

@@ -1,4 +1,4 @@
-//! Address-space identifiers (ASIDs) and the tenant context registry.
+//! Address-space identifiers (ASIDs).
 //!
 //! NeuMMU as published models a single unified address space per NPU. A
 //! serving deployment, however, time-shares one NPU between many models and
@@ -8,15 +8,12 @@
 //! can neither answer nor evict-by-aliasing another tenant's requests.
 //!
 //! [`Asid`] is that tag: a small integer identifying one translation context.
-//! [`AddressSpaceRegistry`] owns the per-tenant [`AddressSpace`]s and hands
-//! out ASIDs densely from zero, so downstream per-tenant accounting can use
-//! the raw ASID as a vector index.
+//! Callers number their tenants densely from zero, so downstream per-tenant
+//! accounting can use the raw ASID as a vector index.
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
-use crate::address_space::AddressSpace;
+use serde::Serialize;
 
 /// An address-space identifier: tags translation state (IOTLB entries, PTS
 /// keys, per-tenant counters) with the tenant context that owns it.
@@ -37,9 +34,7 @@ use crate::address_space::AddressSpace;
 /// assert_eq!(Asid::default(), Asid::GLOBAL);
 /// assert_eq!(tenant.to_string(), "asid:3");
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Asid(u16);
 
 impl Asid {
@@ -78,145 +73,9 @@ impl fmt::Display for Asid {
     }
 }
 
-/// Registry of per-tenant address spaces, each owning a private page table.
-///
-/// ASIDs are handed out densely from zero in creation order, so the raw ASID
-/// doubles as an index into per-tenant result vectors. The registry owns the
-/// spaces; the shared MMU structures only ever see the `(Asid, page table)`
-/// pair of the tenant whose request is in flight.
-///
-/// # Example
-///
-/// ```
-/// use neummu_vmem::prelude::*;
-///
-/// # fn main() -> Result<(), VmemError> {
-/// let mut memory = PhysicalMemory::with_npus(1, 1 << 30);
-/// let mut registry = AddressSpaceRegistry::new();
-/// let a = registry.create("tenant-a");
-/// let b = registry.create("tenant-b");
-/// assert_ne!(a, b);
-///
-/// // Identical virtual addresses in different contexts resolve through
-/// // different page tables.
-/// let opts = SegmentOptions::new(MemNode::Npu(0), PageSize::Size4K);
-/// let seg_a = registry.get_mut(a).unwrap().alloc_segment("w", 8192, opts, &mut memory)?;
-/// let va = seg_a.start();
-/// assert!(registry.get(a).unwrap().is_mapped(va));
-/// assert!(!registry.get(b).unwrap().is_mapped(va));
-/// # Ok(())
-/// # }
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct AddressSpaceRegistry {
-    spaces: Vec<AddressSpace>,
-}
-
-impl AddressSpaceRegistry {
-    /// Creates an empty registry.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a new, empty address space and returns its ASID.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry already holds `u16::MAX + 1` contexts (the ASID
-    /// space is exhausted).
-    pub fn create(&mut self, name: impl Into<String>) -> Asid {
-        let raw = u16::try_from(self.spaces.len()).expect("ASID space exhausted");
-        self.spaces.push(AddressSpace::new(name));
-        Asid::new(raw)
-    }
-
-    /// The address space of `asid`, if registered.
-    #[must_use]
-    pub fn get(&self, asid: Asid) -> Option<&AddressSpace> {
-        self.spaces.get(asid.index())
-    }
-
-    /// Mutable access to the address space of `asid`, if registered.
-    pub fn get_mut(&mut self, asid: Asid) -> Option<&mut AddressSpace> {
-        self.spaces.get_mut(asid.index())
-    }
-
-    /// Number of registered contexts.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.spaces.len()
-    }
-
-    /// True if no context has been registered yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.spaces.is_empty()
-    }
-
-    /// Iterates over `(asid, space)` pairs in ASID order.
-    pub fn iter(&self) -> impl Iterator<Item = (Asid, &AddressSpace)> {
-        self.spaces
-            .iter()
-            .enumerate()
-            .map(|(i, space)| (Asid::new(i as u16), space))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::addr::PageSize;
-    use crate::address_space::SegmentOptions;
-    use crate::frame_alloc::PhysicalMemory;
-    use crate::numa::MemNode;
-
-    #[test]
-    fn asids_are_dense_and_ordered() {
-        let mut registry = AddressSpaceRegistry::new();
-        assert!(registry.is_empty());
-        let a = registry.create("a");
-        let b = registry.create("b");
-        let c = registry.create("c");
-        assert_eq!((a.raw(), b.raw(), c.raw()), (0, 1, 2));
-        assert_eq!(registry.len(), 3);
-        assert!(a.is_global());
-        let names: Vec<&str> = registry.iter().map(|(_, s)| s.name()).collect();
-        assert_eq!(names, ["a", "b", "c"]);
-    }
-
-    #[test]
-    fn lookup_by_asid() {
-        let mut registry = AddressSpaceRegistry::new();
-        let a = registry.create("a");
-        assert_eq!(registry.get(a).unwrap().name(), "a");
-        assert!(registry.get(Asid::new(7)).is_none());
-        assert!(registry.get_mut(Asid::new(7)).is_none());
-    }
-
-    #[test]
-    fn contexts_are_fully_isolated() {
-        let mut memory = PhysicalMemory::with_npus(1, 1 << 30);
-        let mut registry = AddressSpaceRegistry::new();
-        let a = registry.create("a");
-        let b = registry.create("b");
-        let opts = SegmentOptions::new(MemNode::Npu(0), PageSize::Size4K);
-        let seg = registry
-            .get_mut(a)
-            .unwrap()
-            .alloc_segment("w", 4096, opts, &mut memory)
-            .unwrap();
-        assert!(registry.get(a).unwrap().is_mapped(seg.start()));
-        assert!(!registry.get(b).unwrap().is_mapped(seg.start()));
-        // Same allocation order in the other context lands on the same VA
-        // (per-context layout is deterministic and context-local).
-        let seg_b = registry
-            .get_mut(b)
-            .unwrap()
-            .alloc_segment("w", 4096, opts, &mut memory)
-            .unwrap();
-        assert_eq!(seg.start(), seg_b.start());
-    }
 
     #[test]
     fn display_and_index() {

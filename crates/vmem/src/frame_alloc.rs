@@ -10,7 +10,7 @@
 //! one push instead of 512, and reuse hands frames back in exactly the order a
 //! per-frame LIFO stack would.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::addr::{PageSize, PhysFrameNum, PAGE_SHIFT_4K};
 use crate::error::VmemError;
@@ -25,7 +25,7 @@ const NODE_WINDOW_BYTES: u64 = 1 << 40;
 const WINDOW_FRAMES: u64 = NODE_WINDOW_BYTES >> PAGE_SHIFT_4K;
 
 /// Describes the capacity of one memory node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct NodeSpec {
     /// The node being described.
     pub node: MemNode,

@@ -8,7 +8,7 @@
 //! * a NUMA-aware physical frame allocator ([`frame_alloc`]),
 //! * device address spaces with segment allocation, demand paging and page
 //!   migration ([`address_space`]),
-//! * address-space identifiers and the multi-tenant context registry
+//! * address-space identifiers that tag each tenant's translation state
 //!   ([`asid`]),
 //! * NUMA node identifiers ([`numa`]).
 //!
@@ -55,7 +55,7 @@ pub use addr::{PageSize, PathTag, PhysAddr, PhysFrameNum, VirtAddr, VirtPageNum,
 pub use address_space::{
     AddressSpace, FaultOutcome, Population, Segment, SegmentOptions, SpaceStats,
 };
-pub use asid::{AddressSpaceRegistry, Asid};
+pub use asid::Asid;
 pub use error::VmemError;
 pub use frame_alloc::{NodeSpec, PhysicalMemory};
 pub use numa::{MemNode, PlacementPolicy};
@@ -72,7 +72,7 @@ pub mod prelude {
     pub use crate::address_space::{
         AddressSpace, FaultOutcome, Population, Segment, SegmentOptions, SpaceStats,
     };
-    pub use crate::asid::{AddressSpaceRegistry, Asid};
+    pub use crate::asid::Asid;
     pub use crate::error::VmemError;
     pub use crate::frame_alloc::{NodeSpec, PhysicalMemory};
     pub use crate::numa::{MemNode, PlacementPolicy};

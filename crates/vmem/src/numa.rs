@@ -7,10 +7,10 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Identifies one memory node in the system.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
 pub enum MemNode {
     /// Host (CPU-attached, capacity-optimized) memory.
     Host,
@@ -52,7 +52,7 @@ impl fmt::Display for MemNode {
 
 /// How a multi-device system places the shards of a partitioned data structure
 /// (the embedding tables of Section V) across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum PlacementPolicy {
     /// Everything stays in host memory (the "host-centric" approach of
     /// Section III-A).

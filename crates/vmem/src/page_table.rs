@@ -33,11 +33,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::addr::{
-    PageSize, PathTag, PhysAddr, PhysFrameNum, VirtAddr, WalkIndexLevel, ENTRIES_PER_TABLE,
-    PAGE_SHIFT_2M, PAGE_SHIFT_4K,
+    PageSize, PhysAddr, PhysFrameNum, VirtAddr, WalkIndexLevel, ENTRIES_PER_TABLE, PAGE_SHIFT_2M,
+    PAGE_SHIFT_4K,
 };
 use crate::error::VmemError;
 use crate::numa::MemNode;
@@ -47,7 +47,7 @@ use crate::numa::MemNode;
 /// In real hardware this would be the physical address of the 4 KB table; the
 /// model uses a dense id and exposes a synthetic physical address so that
 /// physically tagged MMU caches (the UPTC of Section IV-C) can be modelled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TableId(u32);
 
 impl TableId {
@@ -67,7 +67,7 @@ impl TableId {
 }
 
 /// One entry of a page-table node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 enum Entry {
     /// Points to the next-lower-level table.
     Table(TableId),
@@ -166,7 +166,7 @@ impl TableNode {
 }
 
 /// The result of a successful translation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Translation {
     /// Translated physical address.
     pub pa: PhysAddr,
@@ -191,7 +191,7 @@ impl Translation {
 }
 
 /// What a walk found at one level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum WalkLevel {
     /// The entry pointed at a next-level table.
     NextTable {
@@ -208,7 +208,7 @@ pub enum WalkLevel {
 }
 
 /// One step of a page-table walk: the access to a single page-table entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkStep {
     /// The level whose table was accessed (L4 is the root).
     pub level: WalkIndexLevel,
@@ -221,7 +221,7 @@ pub struct WalkStep {
 }
 
 /// The full trace of one page-table walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct WalkPath {
     /// The virtual address that was walked.
     pub va: VirtAddr,
@@ -243,12 +243,6 @@ impl WalkPath {
     pub fn is_hit(&self) -> bool {
         self.translation.is_some()
     }
-
-    /// The L4/L3/L2 path tag of the walked address.
-    #[must_use]
-    pub fn path_tag(&self) -> PathTag {
-        PathTag::of(self.va)
-    }
 }
 
 /// The allocation-free result of a [`PageTable::probe`].
@@ -257,7 +251,7 @@ impl WalkPath {
 /// but records only what the translation engines need — the final entry
 /// access, the number of levels touched and the translation — in a `Copy`
 /// value, so the hot path never touches the heap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkProbe {
     /// The virtual address that was probed.
     pub va: VirtAddr,
@@ -290,16 +284,10 @@ impl WalkProbe {
     pub fn cached_path_accesses(&self) -> u32 {
         u32::from(self.last_step.level == WalkIndexLevel::L1)
     }
-
-    /// The L4/L3/L2 path tag of the probed address.
-    #[must_use]
-    pub fn path_tag(&self) -> PathTag {
-        PathTag::of(self.va)
-    }
 }
 
 /// Aggregate statistics about the page table's structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct PageTableStats {
     /// Number of interior table nodes allocated (including the root).
     pub tables: u64,

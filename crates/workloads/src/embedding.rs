@@ -18,13 +18,13 @@ use rand::distributions::Distribution;
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_npu::layer::Layer;
 use neummu_npu::tensor::DataType;
 
 /// One embedding lookup table.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct EmbeddingTableSpec {
     /// Table name.
     pub name: String,
@@ -63,7 +63,7 @@ impl EmbeddingTableSpec {
 }
 
 /// Popularity distribution of embedding-row accesses.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum IndexDistribution {
     /// Every row equally likely (the paper's "very low temporal and spatial
     /// locality" assumption, Figure 4).
@@ -78,7 +78,7 @@ pub enum IndexDistribution {
 
 /// The lookups of one minibatch: for each table, `batch × lookups_per_sample`
 /// row indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct LookupTrace {
     /// Row indices per table, indexed `[table][lookup]`.
     pub indices: Vec<Vec<u64>>,
@@ -93,7 +93,7 @@ impl LookupTrace {
 }
 
 /// A DNN-based recommender model with embedding tables and MLP stacks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct EmbeddingModel {
     name: String,
     tables: Vec<EmbeddingTableSpec>,

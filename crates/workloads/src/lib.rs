@@ -23,9 +23,7 @@ pub mod suite;
 pub use embedding::{
     EmbeddingModel, EmbeddingTableSpec, IndexDistribution, LookupStream, LookupTrace,
 };
-pub use suite::{
-    dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES, SPARSE_BATCH_SIZES,
-};
+pub use suite::{dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -35,6 +33,6 @@ pub mod prelude {
     };
     pub use crate::rnn;
     pub use crate::suite::{
-        dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES, SPARSE_BATCH_SIZES,
+        dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES,
     };
 }

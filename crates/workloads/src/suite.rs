@@ -7,7 +7,7 @@
 //!   large-batch sensitivity study of Section VI-C, where simulating the full
 //!   network would be intractable.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use neummu_npu::layer::Layer;
 
@@ -18,11 +18,8 @@ use crate::rnn;
 /// Batch sizes of the dense-DNN evaluation (`b01`, `b04`, `b08`).
 pub const DENSE_BATCH_SIZES: [u64; 3] = [1, 4, 8];
 
-/// Batch sizes of the embedding-layer case study (`b01`, `b08`, `b64`).
-pub const SPARSE_BATCH_SIZES: [u64; 3] = [1, 8, 64];
-
 /// Identifies one workload of the dense suite.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub enum WorkloadId {
     /// AlexNet.
     Cnn1,
@@ -76,7 +73,7 @@ impl std::fmt::Display for WorkloadId {
 }
 
 /// One dense workload: a named DNN whose layer list depends on the batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct DenseWorkload {
     /// Workload identity.
     pub id: WorkloadId,

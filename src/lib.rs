@@ -69,7 +69,6 @@ mod workspace_sanity {
         let _interconnect = crate::mem::interconnect::InterconnectConfig::table1();
         let _page_size = crate::vmem::PageSize::Size4K;
         let _asid = crate::vmem::Asid::GLOBAL;
-        let _registry = crate::vmem::AddressSpaceRegistry::new();
         let _serving: fn() -> crate::sim::ServingSimulator = || {
             crate::sim::ServingSimulator::new(crate::sim::ServingConfig::with_mmu(
                 crate::mmu::MmuConfig::neummu(),
