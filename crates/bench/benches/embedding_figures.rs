@@ -17,7 +17,7 @@ const SCALE: ExperimentScale = ExperimentScale::Smoke;
 /// A fresh serial runner for each iteration, so every sample times a cold
 /// family rather than hits in a point cache an earlier iteration warmed.
 fn cold() -> ExperimentRunner {
-    ExperimentRunner::serial()
+    ExperimentRunner::new(1)
 }
 
 fn bench_recommender_figures(c: &mut Criterion) {

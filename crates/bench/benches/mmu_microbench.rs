@@ -15,7 +15,7 @@ use neummu_mmu::{
 };
 use neummu_vmem::{
     AddressSpace, Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, PhysicalMemory,
-    SegmentOptions, VirtAddr,
+    SegmentOptions, VirtAddr, WalkStep,
 };
 
 /// Builds a page table with `pages` consecutive 4 KB mappings.
@@ -47,7 +47,7 @@ fn bench_tlb(c: &mut Criterion) {
         b.iter(|| {
             let mut hits = 0u64;
             for i in 0..accesses {
-                if tlb.lookup(black_box(i % 2048)) {
+                if tlb.lookup_tagged(Asid::GLOBAL, black_box(i % 2048)) {
                     hits += 1;
                 }
             }
@@ -58,7 +58,7 @@ fn bench_tlb(c: &mut Criterion) {
         b.iter(|| {
             let mut tlb = Tlb::new(2048, 8);
             for page in 0..accesses {
-                tlb.lookup(black_box(page));
+                tlb.lookup_tagged(Asid::GLOBAL, black_box(page));
                 tlb.insert(black_box(page));
             }
             tlb.occupancy()
@@ -74,18 +74,27 @@ fn bench_page_table(c: &mut Criterion) {
     let pt = streaming_table(4096);
     let walks = 4096u64;
     group.throughput(Throughput::Elements(walks));
-    group.bench_function("walk_4k_mapped", |b| {
+    // The descent the MMU-cache models drive: `probe_with` copying every
+    // visited step into a stack array. The gap to `probe_4k_mapped` is the
+    // cost of the visitor.
+    group.bench_function("probe_with_4k_steps", |b| {
         b.iter(|| {
-            let mut accesses = 0u32;
+            let mut accesses = 0usize;
             for i in 0..walks {
-                let path = pt.walk(black_box(VirtAddr::new(0x10_0000_0000 + i * 4096)));
-                accesses += path.memory_accesses();
+                let mut steps = [WalkStep::default(); 4];
+                let mut len = 0;
+                let va = black_box(VirtAddr::new(0x10_0000_0000 + i * 4096));
+                pt.probe_with(va, |step| {
+                    steps[len] = *step;
+                    len += 1;
+                });
+                accesses += black_box(&steps[..len]).len();
             }
             accesses
         })
     });
-    // The allocation-free hot path the engines actually use; the gap to
-    // `walk_4k_mapped` is the cost of materializing the step trace.
+    // The allocation-free hot path the engines actually use: `probe_with`
+    // with a visitor that does nothing.
     group.bench_function("probe_4k_mapped", |b| {
         b.iter(|| {
             let mut accesses = 0u32;
@@ -334,15 +343,15 @@ fn bench_walker_pool(c: &mut Criterion) {
             let mut cycle = 0u64;
             for i in 0..walks {
                 let va = VirtAddr::new(i * 4096);
-                match pool.start_walk(cycle, i, PathTag::of(va), 4, true) {
+                match pool.start_walk_tagged(Asid::GLOBAL, cycle, i, PathTag::of(va), 4, true) {
                     neummu_mmu::walker::WalkAdmission::Rejected { retry_at } => {
-                        pool.retire_completed(retry_at);
+                        pool.drain_completed(retry_at, |_| {});
                         cycle = retry_at;
                     }
                     _ => cycle += 1,
                 }
             }
-            pool.retire_completed(u64::MAX).len()
+            pool.drain_completed(u64::MAX, |_| {})
         })
     });
     group.finish();
@@ -400,7 +409,7 @@ fn bench_swap_window(c: &mut Criterion) {
             let mut pool = WalkerPool::new(walkers, 0, 100, false);
             let tag = PathTag::of(VirtAddr::new(0));
             for cycle in 0..64 {
-                pool.start_walk(cycle, cycle / per_window, tag, 4, true);
+                pool.start_walk_tagged(Asid::GLOBAL, cycle, cycle / per_window, tag, 4, true);
             }
             let mut page = 64 / per_window;
             b.iter(|| {
@@ -412,7 +421,7 @@ fn bench_swap_window(c: &mut Criterion) {
                     debug_assert_eq!(window.walks, per_window);
                     page += 1;
                 }
-                black_box(pool.in_flight())
+                black_box(pool.next_completion())
             })
         });
     }
@@ -424,16 +433,25 @@ fn bench_mmu_caches(c: &mut Criterion) {
     group.warm_up_time(Duration::from_millis(500));
     group.measurement_time(Duration::from_secs(3));
     let pt = streaming_table(2048);
-    let walks: Vec<_> = (0..2048u64)
-        .map(|i| pt.walk(VirtAddr::new(0x10_0000_0000 + i * 4096)))
+    let walks: Vec<(VirtAddr, Vec<WalkStep>)> = (0..2048u64)
+        .map(|i| {
+            let va = VirtAddr::new(0x10_0000_0000 + i * 4096);
+            let mut steps = Vec::new();
+            pt.probe_with(va, |step| steps.push(*step));
+            (va, steps)
+        })
         .collect();
     group.throughput(Throughput::Elements(walks.len() as u64));
     group.bench_function("uptc_16_entries", |b| {
         b.iter(|| {
             let mut cache = UnifiedPageTableCache::new(16);
             let mut skipped = 0u64;
-            for walk in &walks {
-                skipped += u64::from(cache.access(black_box(walk)).skipped_levels);
+            for (va, steps) in &walks {
+                skipped += u64::from(
+                    cache
+                        .access(black_box(*va), black_box(steps))
+                        .skipped_levels,
+                );
             }
             skipped
         })
@@ -442,8 +460,12 @@ fn bench_mmu_caches(c: &mut Criterion) {
         b.iter(|| {
             let mut cache = TranslationPathCache::new(1);
             let mut skipped = 0u64;
-            for walk in &walks {
-                skipped += u64::from(cache.access(black_box(walk)).skipped_levels);
+            for (va, steps) in &walks {
+                skipped += u64::from(
+                    cache
+                        .access(black_box(*va), black_box(steps))
+                        .skipped_levels,
+                );
             }
             skipped
         })

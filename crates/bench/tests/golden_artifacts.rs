@@ -133,7 +133,7 @@ fn multitenant_sweep_artifacts_match_golden() {
 
 #[test]
 fn table1_csv_and_markdown_match_golden() {
-    let table = table1::run_on(&ExperimentRunner::serial());
+    let table = table1::run_on(&ExperimentRunner::new(1));
     assert_matches_golden(
         "table1_configuration.csv",
         include_str!("golden/table1_configuration.csv"),
@@ -151,7 +151,7 @@ fn serial_regeneration_matches_golden_too() {
     // The goldens were produced by a serial run; a fresh serial runner must
     // reproduce them as well (guards the serial path independently of the
     // parallel path, so a divergence pinpoints which schedule drifted).
-    let runner = ExperimentRunner::serial();
+    let runner = ExperimentRunner::new(1);
     let result = performance::fig08_baseline_iommu_on(&runner, SMOKE).unwrap();
     assert_matches_golden(
         "fig08_baseline_iommu.json",

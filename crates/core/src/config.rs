@@ -141,18 +141,6 @@ impl MmuConfig {
         self
     }
 
-    /// Number of page-table levels a full walk touches at this page size.
-    #[must_use]
-    pub fn full_walk_levels(&self) -> u32 {
-        self.page_size.walk_levels()
-    }
-
-    /// Latency of a full (uncached) page-table walk.
-    #[must_use]
-    pub fn full_walk_latency(&self) -> u64 {
-        u64::from(self.full_walk_levels()) * self.walk_latency_per_level
-    }
-
     /// True if this configuration merges requests to in-flight pages.
     #[must_use]
     pub fn merging_enabled(&self) -> bool {
@@ -169,25 +157,6 @@ impl MmuConfig {
     #[must_use]
     pub fn translator(&self) -> Box<dyn crate::engine::AddressTranslator> {
         crate::engine::TranslationEngine::for_config(*self)
-    }
-
-    /// Additional SRAM bytes this configuration adds over the baseline IOMMU
-    /// (PRMB slots, TPregs and the PTS), following the accounting of
-    /// Section IV-E.
-    #[must_use]
-    pub fn added_sram_bytes(&self) -> u64 {
-        let prmb = 8 * self.prmb_slots_per_ptw as u64 * self.num_ptws as u64;
-        let tpreg = if self.tpreg_enabled {
-            16 * self.num_ptws as u64
-        } else {
-            0
-        };
-        let pts = if self.merging_enabled() {
-            6 * self.num_ptws as u64
-        } else {
-            0
-        };
-        prmb + tpreg + pts
     }
 }
 
@@ -210,7 +179,6 @@ mod tests {
         assert_eq!(cfg.walk_latency_per_level, 100);
         assert!(!cfg.merging_enabled());
         assert!(!cfg.tpreg_enabled);
-        assert_eq!(cfg.full_walk_latency(), 400);
     }
 
     #[test]
@@ -236,9 +204,22 @@ mod tests {
 
     #[test]
     fn large_pages_shorten_walks() {
+        use neummu_vmem::{MemNode, PageTable, PhysFrameNum, VirtAddr};
+
         let cfg = MmuConfig::baseline_iommu().with_page_size(PageSize::Size2M);
-        assert_eq!(cfg.full_walk_levels(), 3);
-        assert_eq!(cfg.full_walk_latency(), 300);
+        let mut pt = PageTable::new();
+        pt.map(
+            VirtAddr::new(0),
+            PageSize::Size2M,
+            PhysFrameNum::new(0),
+            MemNode::Npu(0),
+        )
+        .unwrap();
+        let walk = cfg.translator().translate(&pt, VirtAddr::new(0x1234), 0);
+        assert!(matches!(
+            walk.source,
+            crate::engine::TranslationSource::PageWalk { levels_read: 3 }
+        ));
     }
 
     #[test]
@@ -250,14 +231,5 @@ mod tests {
         let engine = MmuConfig::neummu().translator();
         assert_eq!(engine.stats().requests, 0);
         assert_send(engine.as_ref());
-    }
-
-    #[test]
-    fn sram_overhead_matches_section_4e() {
-        // 128 PTWs x 32 PRMB entries x 8 bytes = 32 KB; TPregs = 2 KB.
-        let cfg = MmuConfig::neummu();
-        let bytes = cfg.added_sram_bytes();
-        assert_eq!(bytes, 32 * 1024 + 2 * 1024 + 6 * 128);
-        assert_eq!(MmuConfig::baseline_iommu().added_sram_bytes(), 0);
     }
 }

@@ -11,15 +11,16 @@
 //!   tagged by the *virtual* L4/L3/L2 indices (the organization associated
 //!   with Intel processors).
 //!
-//! Both are driven with the sequence of page-table walks an engine performs;
-//! they report how many memory accesses each walk can skip and their hit
-//! rates, reproducing the design-space numbers quoted in the paper (TPC is
-//! more effective at capturing NPU translation locality and eliminates more
-//! walks than UPTC).
+//! Both are driven with the sequence of page-table walks an engine performs,
+//! each given as the entries it read (the steps
+//! [`neummu_vmem::PageTable::probe_with`] visits); they report how many
+//! memory accesses each walk can skip and their hit rates, reproducing the
+//! design-space numbers quoted in the paper (TPC is more effective at
+//! capturing NPU translation locality and eliminates more walks than UPTC).
 
 use serde::Serialize;
 
-use neummu_vmem::{PathTag, VirtAddr, WalkIndexLevel, WalkPath};
+use neummu_vmem::{PathTag, VirtAddr, WalkIndexLevel, WalkStep};
 
 /// Which MMU-cache organization a [`WalkCache`] implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
@@ -41,9 +42,10 @@ pub struct WalkCacheOutcome {
 
 /// Common interface of the UPTC and TPC models.
 pub trait WalkCache {
-    /// Probes the cache with a walk, updates its contents, and returns how
-    /// many level reads were skipped.
-    fn access(&mut self, walk: &WalkPath) -> WalkCacheOutcome;
+    /// Probes the cache with the walk of `va`, whose entry reads are `steps`
+    /// (root first), updates its contents, and returns how many level reads
+    /// were skipped.
+    fn access(&mut self, va: VirtAddr, steps: &[WalkStep]) -> WalkCacheOutcome;
 
     /// Which organization this cache implements.
     fn kind(&self) -> MmuCacheKind;
@@ -148,10 +150,10 @@ impl UnifiedPageTableCache {
 }
 
 impl WalkCache for UnifiedPageTableCache {
-    fn access(&mut self, walk: &WalkPath) -> WalkCacheOutcome {
+    fn access(&mut self, _va: VirtAddr, steps: &[WalkStep]) -> WalkCacheOutcome {
         let mut skipped = 0u32;
         let mut read = 0u32;
-        for step in &walk.steps {
+        for step in steps {
             // The leaf (L1) entry is never cached by an MMU cache; it is what
             // the walk produces.
             if step.level == WalkIndexLevel::L1 {
@@ -254,8 +256,8 @@ impl TranslationPathCache {
 }
 
 impl WalkCache for TranslationPathCache {
-    fn access(&mut self, walk: &WalkPath) -> WalkCacheOutcome {
-        let tag = PathTag::of(walk.va);
+    fn access(&mut self, va: VirtAddr, steps: &[WalkStep]) -> WalkCacheOutcome {
+        let tag = PathTag::of(va);
         self.lookups += 1;
         let depth = self.best_match(tag);
         if depth >= 1 {
@@ -269,7 +271,7 @@ impl WalkCache for TranslationPathCache {
         }
         // The cache can skip at most the upper levels the walk would read
         // (never the leaf).
-        let total_levels = walk.memory_accesses();
+        let total_levels = steps.len() as u32;
         let skippable = total_levels.saturating_sub(1);
         let skipped = depth.min(skippable);
         self.skipped += u64::from(skipped);
@@ -297,28 +299,34 @@ impl WalkCache for TranslationPathCache {
     }
 }
 
-/// Convenience helper: runs a sequence of walked virtual addresses through a
-/// cache against a page table and returns (skipped, read) totals.
-pub fn replay_walks<C: WalkCache>(
-    cache: &mut C,
-    page_table: &neummu_vmem::PageTable,
-    walked: impl IntoIterator<Item = VirtAddr>,
-) -> (u64, u64) {
-    let mut skipped = 0u64;
-    let mut read = 0u64;
-    for va in walked {
-        let path = page_table.walk(va);
-        let outcome = cache.access(&path);
-        skipped += u64::from(outcome.skipped_levels);
-        read += u64::from(outcome.levels_read);
-    }
-    (skipped, read)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use neummu_vmem::{MemNode, PageSize, PageTable, PhysFrameNum};
+
+    /// The entries the walk of `va` reads, root first.
+    fn steps_of(pt: &PageTable, va: VirtAddr) -> Vec<WalkStep> {
+        let mut steps = Vec::new();
+        pt.probe_with(va, |step| steps.push(*step));
+        steps
+    }
+
+    /// Runs the walks of `walked` through `cache`; returns the (skipped,
+    /// read) level totals.
+    fn replay_walks<C: WalkCache>(
+        cache: &mut C,
+        pt: &PageTable,
+        walked: impl IntoIterator<Item = VirtAddr>,
+    ) -> (u64, u64) {
+        let mut skipped = 0u64;
+        let mut read = 0u64;
+        for va in walked {
+            let outcome = cache.access(va, &steps_of(pt, va));
+            skipped += u64::from(outcome.skipped_levels);
+            read += u64::from(outcome.levels_read);
+        }
+        (skipped, read)
+    }
 
     fn streaming_table(pages: u64) -> PageTable {
         let mut pt = PageTable::new();
@@ -409,10 +417,12 @@ mod tests {
     fn uptc_shares_entries_across_neighbouring_walks() {
         let pt = streaming_table(8);
         let mut uptc = UnifiedPageTableCache::new(64);
-        let first = uptc.access(&pt.walk(VirtAddr::new(0x4000_0000)));
+        let va = VirtAddr::new(0x4000_0000);
+        let first = uptc.access(va, &steps_of(&pt, va));
         // The first walk reads everything (cold).
         assert_eq!(first.skipped_levels, 0);
-        let second = uptc.access(&pt.walk(VirtAddr::new(0x4000_1000)));
+        let va = VirtAddr::new(0x4000_1000);
+        let second = uptc.access(va, &steps_of(&pt, va));
         // The second walk shares L4/L3/L2 entries with the first.
         assert_eq!(second.skipped_levels, 3);
         assert_eq!(second.levels_read, 1);

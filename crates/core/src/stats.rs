@@ -54,26 +54,6 @@ impl TranslationStats {
         }
     }
 
-    /// Fraction of TLB misses that were merged instead of walking.
-    #[must_use]
-    pub fn merge_rate(&self) -> f64 {
-        if self.tlb_misses == 0 {
-            0.0
-        } else {
-            self.merged as f64 / self.tlb_misses as f64
-        }
-    }
-
-    /// Average page-table memory accesses per walk.
-    #[must_use]
-    pub fn accesses_per_walk(&self) -> f64 {
-        if self.walks == 0 {
-            0.0
-        } else {
-            self.walk_memory_accesses as f64 / self.walks as f64
-        }
-    }
-
     /// TPreg tag-match rate at the L4 index (Figure 13).
     #[must_use]
     pub fn tpreg_l4_rate(&self) -> f64 {
@@ -131,8 +111,6 @@ mod tests {
     fn rates_handle_zero_denominators() {
         let stats = TranslationStats::default();
         assert_eq!(stats.tlb_hit_rate(), 0.0);
-        assert_eq!(stats.merge_rate(), 0.0);
-        assert_eq!(stats.accesses_per_walk(), 0.0);
         assert_eq!(stats.tpreg_l2_rate(), 0.0);
     }
 
@@ -152,8 +130,6 @@ mod tests {
             ..TranslationStats::default()
         };
         assert!((stats.tlb_hit_rate() - 0.25).abs() < 1e-12);
-        assert!((stats.merge_rate() - 50.0 / 75.0).abs() < 1e-12);
-        assert!((stats.accesses_per_walk() - 4.0).abs() < 1e-12);
         assert!((stats.tpreg_l4_rate() - 0.95).abs() < 1e-12);
         assert!((stats.tpreg_l2_rate() - 0.5).abs() < 1e-12);
     }

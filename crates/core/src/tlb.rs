@@ -109,12 +109,6 @@ impl Tlb {
         }
     }
 
-    /// Looks up a page number in the [`Asid::GLOBAL`] context, updating LRU
-    /// state. Returns `true` on a hit.
-    pub fn lookup(&mut self, page_number: u64) -> bool {
-        self.lookup_tagged(Asid::GLOBAL, page_number)
-    }
-
     /// Looks up a page number in the given context, updating LRU state.
     /// Returns `true` on a hit. An entry hits only if both its page number
     /// *and* its ASID match — identical virtual pages of different tenants
@@ -398,9 +392,9 @@ mod tests {
     #[test]
     fn miss_then_fill_then_hit() {
         let mut tlb = Tlb::new(16, 4);
-        assert!(!tlb.lookup(42));
+        assert!(!tlb.lookup_tagged(Asid::GLOBAL, 42));
         tlb.insert(42);
-        assert!(tlb.lookup(42));
+        assert!(tlb.lookup_tagged(Asid::GLOBAL, 42));
         assert_eq!(tlb.hits(), 1);
         assert_eq!(tlb.lookups(), 2);
         assert!((tlb.hit_rate() - 0.5).abs() < 1e-12);
@@ -423,7 +417,7 @@ mod tests {
         tlb.insert(10);
         tlb.insert(20);
         // Touch 10 so that 20 becomes the LRU victim.
-        assert!(tlb.lookup(10));
+        assert!(tlb.lookup_tagged(Asid::GLOBAL, 10));
         tlb.insert(30);
         assert!(tlb.contains(10));
         assert!(!tlb.contains(20));
@@ -460,7 +454,7 @@ mod tests {
         let mut hits = 0;
         for pass in 0..2 {
             for page in 0..4096u64 {
-                if tlb.lookup(page) {
+                if tlb.lookup_tagged(Asid::GLOBAL, page) {
                     hits += 1;
                 }
                 tlb.insert(page);
@@ -481,8 +475,8 @@ mod tests {
             assert!(tlb.contains(p), "page {p} missing");
         }
         assert_eq!(tlb.occupancy(), 12);
-        assert!(tlb.lookup(23));
-        assert!(!tlb.lookup(5));
+        assert!(tlb.lookup_tagged(Asid::GLOBAL, 23));
+        assert!(!tlb.lookup_tagged(Asid::GLOBAL, 5));
     }
 
     #[test]
@@ -503,7 +497,7 @@ mod tests {
             tlb.insert(2); // same set as 0 in a 2-set TLB
         }
         for _ in 0..7 {
-            assert!(individual.lookup(0));
+            assert!(individual.lookup_tagged(Asid::GLOBAL, 0));
         }
         assert!(batched.record_run_hits(Asid::GLOBAL, 0, 7));
         assert_eq!(individual.lookups(), batched.lookups());
@@ -539,11 +533,11 @@ mod tests {
                     } else {
                         tlb.insert(40);
                     }
-                    assert!(!tlb.lookup(30));
+                    assert!(!tlb.lookup_tagged(Asid::GLOBAL, 30));
                 }
                 for _ in 0..fills {
                     individual.insert(10);
-                    assert!(!individual.lookup(30));
+                    assert!(!individual.lookup_tagged(Asid::GLOBAL, 30));
                 }
                 batched.insert_run_tagged(Asid::GLOBAL, 10, fills);
                 assert_eq!(format!("{individual:?}"), format!("{batched:?}"));
@@ -573,7 +567,7 @@ mod tests {
         assert!(tlb.invalidate_tagged(Asid::GLOBAL, 3));
         tlb.insert_tagged(Asid::GLOBAL, 4);
         assert!(tlb.contains(4));
-        assert!(tlb.lookup(4));
+        assert!(tlb.lookup_tagged(Asid::GLOBAL, 4));
         assert!(tlb.invalidate(4));
     }
 

@@ -54,12 +54,6 @@ impl TranslationPathRegister {
         Self::default()
     }
 
-    /// True if the register holds a valid path.
-    #[must_use]
-    pub fn is_valid(&self) -> bool {
-        self.tag.is_some()
-    }
-
     /// Compares a new walk's path tag against the register.
     ///
     /// Matching is hierarchical (as in a translation path cache): the L3 entry
@@ -101,7 +95,6 @@ mod tests {
     #[test]
     fn empty_register_misses() {
         let reg = TranslationPathRegister::new();
-        assert!(!reg.is_valid());
         assert_eq!(reg.probe(tag(1, 2, 3)), PathMatch::miss());
         assert_eq!(PathMatch::miss().skippable_levels(), 0);
     }
@@ -137,7 +130,6 @@ mod tests {
         assert_eq!(reg.probe(tag(1, 1, 1)), PathMatch::miss());
         assert_eq!(reg.probe(tag(2, 2, 2)).skippable_levels(), 3);
         reg.invalidate();
-        assert!(!reg.is_valid());
         assert_eq!(reg.probe(tag(2, 2, 2)), PathMatch::miss());
     }
 

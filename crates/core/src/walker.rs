@@ -274,12 +274,6 @@ impl WalkerPool {
         self.num_walkers
     }
 
-    /// Number of walks currently in flight.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.num_walkers - self.free_walkers.len()
-    }
-
     /// True if a new walk could start right now (a walker is idle).
     #[must_use]
     pub fn has_free_walker(&self) -> bool {
@@ -468,26 +462,10 @@ impl WalkerPool {
         })
     }
 
-    /// Retires every walk that has completed by `cycle`, returning them in
-    /// completion order. Convenience wrapper around
-    /// [`WalkerPool::drain_completed`] for tests and inspection; the engine
-    /// hot path uses the drain form to avoid the `Vec`.
-    pub fn retire_completed(&mut self, cycle: u64) -> Vec<CompletedWalk> {
-        let mut retired = Vec::new();
-        self.drain_completed(cycle, |walk| retired.push(walk));
-        retired
-    }
-
     /// Earliest cycle at which any in-flight walk completes (`None` if idle).
     #[must_use]
     pub fn next_completion(&self) -> Option<u64> {
         (self.next_due != u64::MAX).then_some(self.next_due)
-    }
-
-    /// Number of walkers currently parked in quarantine.
-    #[must_use]
-    pub fn quarantined_walkers(&self) -> usize {
-        self.quarantined.len()
     }
 
     /// Earliest cycle at which a quarantined walker becomes eligible for
@@ -512,19 +490,14 @@ impl WalkerPool {
         }
     }
 
-    /// Probes the PTS for an in-flight [`Asid::GLOBAL`] walk of
-    /// `page_number` and, if present and a PRMB slot is free, merges the
-    /// request into it.
+    /// Probes the PTS for an in-flight walk of `page_number` in context
+    /// `asid` and, if present and a PRMB slot is free, merges the request
+    /// into it: a request only merges into an in-flight walk with the same
+    /// `(asid, page_number)` PTS key.
     ///
-    /// Returns the completion cycle of the walk the request was merged into,
-    /// or `None` if no merge was possible (no in-flight walk, merging
-    /// disabled, or the walker's PRMB is full).
-    pub fn try_merge(&mut self, page_number: u64) -> Option<(usize, u64)> {
-        self.try_merge_tagged(Asid::GLOBAL, page_number)
-    }
-
-    /// [`WalkerPool::try_merge`] in the given context: a request only merges
-    /// into an in-flight walk with the same `(asid, page_number)` PTS key.
+    /// Returns the walker and completion cycle of the walk the request was
+    /// merged into, or `None` if no merge was possible (no in-flight walk,
+    /// merging disabled, or the walker's PRMB is full).
     pub fn try_merge_tagged(&mut self, asid: Asid, page_number: u64) -> Option<(usize, u64)> {
         if self.prmb_slots == 0 {
             return None;
@@ -562,26 +535,14 @@ impl WalkerPool {
         merged
     }
 
-    /// Starts a new walk at `cycle` for `page_number`, whose full walk would
-    /// read `full_levels` page-table entries and whose upper-path tag is
-    /// `tag`. `mapped` records whether the page table actually holds a
-    /// translation (an unmapped page still costs a partial walk).
+    /// Starts a new walk at `cycle` for `page_number` in context `asid`,
+    /// whose full walk would read `full_levels` page-table entries and whose
+    /// upper-path tag is `tag`. `mapped` records whether the page table
+    /// actually holds a translation (an unmapped page still costs a partial
+    /// walk). The walk's PTS entry is keyed by `(asid, page_number)` so only
+    /// same-context requests can merge into it.
     ///
     /// Returns [`WalkAdmission::Rejected`] when every walker is busy.
-    pub fn start_walk(
-        &mut self,
-        cycle: u64,
-        page_number: u64,
-        tag: PathTag,
-        full_levels: u32,
-        mapped: bool,
-    ) -> WalkAdmission {
-        self.start_walk_tagged(Asid::GLOBAL, cycle, page_number, tag, full_levels, mapped)
-    }
-
-    /// [`WalkerPool::start_walk`] in the given context: the walk's PTS entry
-    /// is keyed by `(asid, page_number)` so only same-context requests can
-    /// merge into it.
     #[allow(clippy::too_many_arguments)]
     pub fn start_walk_tagged(
         &mut self,
@@ -791,7 +752,14 @@ mod tests {
     }
 
     fn start(pool: &mut WalkerPool, cycle: u64, page: u64) -> WalkAdmission {
-        pool.start_walk(cycle, page, tag_of_page(page), 4, true)
+        pool.start_walk_tagged(Asid::GLOBAL, cycle, page, tag_of_page(page), 4, true)
+    }
+
+    /// The walks `drain_completed` retires by `cycle`, in completion order.
+    fn retire(pool: &mut WalkerPool, cycle: u64) -> Vec<CompletedWalk> {
+        let mut retired = Vec::new();
+        pool.drain_completed(cycle, |walk| retired.push(walk));
+        retired
     }
 
     #[test]
@@ -808,12 +776,12 @@ mod tests {
             }
             other => panic!("expected Started, got {other:?}"),
         }
-        assert_eq!(pool.in_flight(), 1);
-        assert!(pool.retire_completed(399).is_empty());
-        let retired = pool.retire_completed(400);
+        assert_eq!(walkers_in_flight(&pool).len(), 1);
+        assert!(retire(&mut pool, 399).is_empty());
+        let retired = retire(&mut pool, 400);
         assert_eq!(retired.len(), 1);
         assert_eq!(retired[0].page_number, 7);
-        assert_eq!(pool.in_flight(), 0);
+        assert_eq!(walkers_in_flight(&pool).len(), 0);
     }
 
     #[test]
@@ -826,7 +794,7 @@ mod tests {
             other => panic!("expected Rejected, got {other:?}"),
         }
         // After retiring, capacity is available again.
-        pool.retire_completed(400);
+        retire(&mut pool, 400);
         assert!(matches!(
             start(&mut pool, 400, 3),
             WalkAdmission::Started { .. }
@@ -837,17 +805,17 @@ mod tests {
     fn merging_requires_prmb_slots() {
         let mut no_merge = WalkerPool::new(4, 0, 100, false);
         start(&mut no_merge, 0, 9);
-        assert!(no_merge.try_merge(9).is_none());
+        assert!(no_merge.try_merge_tagged(Asid::GLOBAL, 9).is_none());
 
         let mut pool = WalkerPool::new(4, 2, 100, false);
         start(&mut pool, 0, 9);
-        assert!(pool.try_merge(9).is_some());
-        assert!(pool.try_merge(9).is_some());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_some());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_some());
         // PRMB full after two merges.
-        assert!(pool.try_merge(9).is_none());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_none());
         // A different page has no in-flight walk to merge into.
-        assert!(pool.try_merge(10).is_none());
-        let retired = pool.retire_completed(1_000);
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 10).is_none());
+        let retired = retire(&mut pool, 1_000);
         assert_eq!(retired[0].merged_requests, 2);
     }
 
@@ -857,11 +825,11 @@ mod tests {
         start(&mut pool, 0, 9);
         // Two individual merges, then a bulk request for ten more: only the
         // six remaining slots are granted.
-        assert!(pool.try_merge(9).is_some());
-        assert!(pool.try_merge(9).is_some());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_some());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_some());
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 10), 6);
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 1), 0);
-        assert!(pool.try_merge(9).is_none());
+        assert!(pool.try_merge_tagged(Asid::GLOBAL, 9).is_none());
         // No in-flight walk, zero requests, disabled merging: all zero.
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 10, 4), 0);
         assert_eq!(pool.merge_run_tagged(Asid::GLOBAL, 9, 0), 0);
@@ -869,7 +837,7 @@ mod tests {
         start(&mut no_merge, 0, 9);
         assert_eq!(no_merge.merge_run_tagged(Asid::GLOBAL, 9, 4), 0);
         // The retired walk carries the bulk-merged count.
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire(&mut pool, u64::MAX);
         assert_eq!(retired[0].merged_requests, 8);
     }
 
@@ -880,7 +848,7 @@ mod tests {
             WalkAdmission::Started { completes_at, .. } => completes_at,
             other => panic!("unexpected {other:?}"),
         };
-        let (_, merged_completes) = pool.try_merge(5).unwrap();
+        let (_, merged_completes) = pool.try_merge_tagged(Asid::GLOBAL, 5).unwrap();
         assert_eq!(merged_completes, completes);
     }
 
@@ -888,13 +856,13 @@ mod tests {
     fn tpreg_skips_levels_for_same_region_walks() {
         let mut pool = WalkerPool::new(1, 0, 100, true);
         // First walk of a region reads all four levels.
-        match pool.start_walk(0, 0x1000, tag_of_page(0x1000), 4, true) {
+        match pool.start_walk_tagged(Asid::GLOBAL, 0, 0x1000, tag_of_page(0x1000), 4, true) {
             WalkAdmission::Started { levels_read, .. } => assert_eq!(levels_read, 4),
             other => panic!("unexpected {other:?}"),
         }
-        pool.retire_completed(u64::MAX);
+        retire(&mut pool, u64::MAX);
         // The next page in the same 2 MB region only reads the leaf level.
-        match pool.start_walk(500, 0x1001, tag_of_page(0x1001), 4, true) {
+        match pool.start_walk_tagged(Asid::GLOBAL, 500, 0x1001, tag_of_page(0x1001), 4, true) {
             WalkAdmission::Started {
                 levels_read,
                 path_match,
@@ -914,9 +882,9 @@ mod tests {
         let mut pool = WalkerPool::new(1, 0, 100, true);
         // 2 MB pages walk three levels; even a full TPreg match must still
         // read the leaf (L2) entry.
-        pool.start_walk(0, 0, tag_of_page(0), 3, true);
-        pool.retire_completed(u64::MAX);
-        match pool.start_walk(0, 1, tag_of_page(0), 3, true) {
+        pool.start_walk_tagged(Asid::GLOBAL, 0, 0, tag_of_page(0), 3, true);
+        retire(&mut pool, u64::MAX);
+        match pool.start_walk_tagged(Asid::GLOBAL, 0, 1, tag_of_page(0), 3, true) {
             WalkAdmission::Started { levels_read, .. } => assert_eq!(levels_read, 1),
             other => panic!("unexpected {other:?}"),
         }
@@ -942,31 +910,30 @@ mod tests {
         // walker also misses. Start them at different cycles.
         start(&mut pool, 100, 1);
         start(&mut pool, 0, 2);
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire(&mut pool, u64::MAX);
         assert_eq!(retired.len(), 2);
         assert!(retired[0].completed_at <= retired[1].completed_at);
         assert_eq!(retired[0].page_number, 2);
     }
 
     #[test]
-    fn drain_completed_matches_retire_completed() {
-        let build = || {
-            let mut pool = WalkerPool::new(4, 2, 100, true);
-            start(&mut pool, 100, 1);
-            start(&mut pool, 0, 2);
-            start(&mut pool, 50, 3);
-            pool.try_merge(2);
-            pool
-        };
+    fn drain_completed_retires_in_completion_order_and_counts() {
+        let mut pool = WalkerPool::new(4, 2, 100, true);
+        start(&mut pool, 100, 1);
+        start(&mut pool, 0, 2);
+        start(&mut pool, 50, 3);
+        pool.try_merge_tagged(Asid::GLOBAL, 2);
         let mut drained = Vec::new();
-        let mut a = build();
-        let count = a.drain_completed(500, |walk| drained.push(walk));
-        let retired = build().retire_completed(500);
-        assert_eq!(count, drained.len());
-        assert_eq!(drained, retired);
-        assert_eq!(drained.len(), 3);
+        let count = pool.drain_completed(500, |walk| drained.push(walk));
+        let order: Vec<_> = drained
+            .iter()
+            .map(|w| (w.page_number, w.completed_at))
+            .collect();
+        assert_eq!(count, 3);
+        assert_eq!(order, [(2, 400), (3, 450), (1, 500)]);
+        assert_eq!(drained[0].merged_requests, 1);
         // Nothing left: the fast path reports zero without invoking the sink.
-        assert_eq!(a.drain_completed(u64::MAX, |_| panic!("empty pool")), 0);
+        assert_eq!(pool.drain_completed(u64::MAX, |_| panic!("empty pool")), 0);
     }
 
     #[test]
@@ -989,7 +956,7 @@ mod tests {
                 latest_completion: 803,
             })
         );
-        assert_eq!(pool.in_flight(), 4);
+        assert_eq!(walkers_in_flight(&pool).len(), 4);
         assert_eq!(pool.next_completion(), Some(800));
         // The walks due next are of page 8 itself: no window admits page 8.
         assert_eq!(
@@ -1004,8 +971,7 @@ mod tests {
         // `max_walks` caps the window.
         let capped = pool.swap_walk_window(Asid::GLOBAL, 800, 2, 9, 4, true);
         assert_eq!(capped.map(|w| (w.walks, w.retired_page)), Some((2, 8)));
-        let retired: Vec<(u64, u64)> = pool
-            .retire_completed(u64::MAX)
+        let retired: Vec<(u64, u64)> = retire(&mut pool, u64::MAX)
             .iter()
             .map(|w| (w.page_number, w.completed_at))
             .collect();
@@ -1023,11 +989,11 @@ mod tests {
             pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
             None
         );
-        assert_eq!(pool.retire_completed(400).len(), 2);
+        assert_eq!(retire(&mut pool, 400).len(), 2);
         // A walk of another page, or of an unmapped page, ends the window.
         start(&mut pool, 500, 7);
         start(&mut pool, 501, 6);
-        pool.start_walk(502, 7, tag_of_page(7), 4, false);
+        pool.start_walk_tagged(Asid::GLOBAL, 502, 7, tag_of_page(7), 4, false);
         let window = pool.swap_walk_window(Asid::GLOBAL, 900, 4, 8, 4, true);
         assert_eq!(window.map(|w| w.walks), Some(1));
         assert_eq!(pool.next_completion(), Some(901));
@@ -1039,7 +1005,7 @@ mod tests {
     fn expand_window(pool: &mut WalkerPool, cycle: u64, walks: u64, page: u64) -> Vec<usize> {
         (cycle..cycle + walks)
             .map(|at| {
-                assert_eq!(pool.retire_completed(at).len(), 1);
+                assert_eq!(retire(pool, at).len(), 1);
                 match start(pool, at, page) {
                     WalkAdmission::Started { walker, .. } => walker,
                     other => panic!("a retirement frees a walker, got {other:?}"),
@@ -1088,7 +1054,7 @@ mod tests {
         for cycle in 0..4 {
             start(&mut pool, cycle, 7);
         }
-        pool.start_walk(102, 9, tag_of_page(9), 3, true);
+        pool.start_walk_tagged(Asid::GLOBAL, 102, 9, tag_of_page(9), 3, true);
         let window = pool.swap_walk_window(Asid::GLOBAL, 400, 100, 8, 4, true);
         assert_eq!(window.map(|w| w.walks), Some(2));
         // Walks of 4 cycles due at 14..=18, in slots 4, 3, 2, 1, 0 (the
@@ -1099,7 +1065,7 @@ mod tests {
         for page in 1..=5 {
             start(&mut pool, 0, page);
         }
-        assert_eq!(pool.retire_completed(4).len(), 5);
+        assert_eq!(retire(&mut pool, 4).len(), 5);
         for cycle in 10..15 {
             start(&mut pool, cycle, 7);
         }
@@ -1145,7 +1111,7 @@ mod tests {
             pool.swap_walk_window(Asid::GLOBAL, 400, 4, 8, 4, true),
             None
         );
-        assert_eq!(pool.in_flight(), 2);
+        assert_eq!(walkers_in_flight(&pool).len(), 2);
     }
 
     #[test]
@@ -1166,21 +1132,18 @@ mod tests {
             WalkAdmission::Started { .. }
         ));
         // Both walks retire carrying their own ASID.
-        let retired = pool.retire_completed(u64::MAX);
+        let retired = retire(&mut pool, u64::MAX);
         assert_eq!(retired.len(), 2);
         let mut asids: Vec<u16> = retired.iter().map(|w| w.asid.raw()).collect();
         asids.sort_unstable();
         assert_eq!(asids, vec![1, 2]);
-        // The untagged entry points are the GLOBAL context.
-        pool.start_walk(0, 5, tag_of_page(5), 4, true);
-        assert!(pool.try_merge_tagged(Asid::GLOBAL, 5).is_some());
     }
 
     #[test]
     fn unmapped_pages_still_consume_a_walk() {
         let mut pool = WalkerPool::new(1, 4, 100, false);
-        pool.start_walk(0, 77, tag_of_page(77), 1, false);
-        let retired = pool.retire_completed(u64::MAX);
+        pool.start_walk_tagged(Asid::GLOBAL, 0, 77, tag_of_page(77), 1, false);
+        let retired = retire(&mut pool, u64::MAX);
         assert!(!retired[0].mapped);
     }
 
@@ -1203,8 +1166,8 @@ mod tests {
             0,
             "perturbed walks bypass the TPreg"
         );
-        assert!(pool.retire_completed(10 + 1_233).is_empty());
-        let retired = pool.retire_completed(10 + 1_234);
+        assert!(retire(&mut pool, 10 + 1_233).is_empty());
+        let retired = retire(&mut pool, 10 + 1_234);
         assert_eq!(retired.len(), 1);
         assert!(retired[0].mapped);
     }
@@ -1213,8 +1176,8 @@ mod tests {
     fn perturbed_walk_accepts_prmb_merges() {
         let mut pool = WalkerPool::new(2, 4, 100, false);
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 42, 4, 5_000, true, 0);
-        assert_eq!(pool.try_merge(42), Some((0, 5_000)));
-        let retired = pool.retire_completed(5_000);
+        assert_eq!(pool.try_merge_tagged(Asid::GLOBAL, 42), Some((0, 5_000)));
+        let retired = retire(&mut pool, 5_000);
         assert_eq!(retired[0].merged_requests, 1);
     }
 
@@ -1222,14 +1185,13 @@ mod tests {
     fn quarantined_walker_is_parked_until_cooldown() {
         let mut pool = WalkerPool::new(1, 0, 100, false);
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 42, 4, 400, true, 1_000);
-        assert_eq!(pool.retire_completed(400).len(), 1);
+        assert_eq!(retire(&mut pool, 400).len(), 1);
         // The only walker is now quarantined: the pool has shrunk to zero.
         assert!(!pool.has_free_walker());
-        assert_eq!(pool.quarantined_walkers(), 1);
         assert_eq!(pool.earliest_readmit(), Some(1_000));
         // A new walk is rejected with the readmission cycle, not a panic
         // (the heap is empty — there is no in-flight completion to wait on).
-        let admission = pool.start_walk(500, 43, tag_of_page(43), 4, true);
+        let admission = pool.start_walk_tagged(Asid::GLOBAL, 500, 43, tag_of_page(43), 4, true);
         assert_eq!(admission, WalkAdmission::Rejected { retry_at: 1_000 });
         // Before the cool-down expires readmission is a no-op.
         pool.readmit_quarantined(999);
@@ -1237,9 +1199,9 @@ mod tests {
         // At the cool-down boundary the walker rejoins the free list.
         pool.readmit_quarantined(1_000);
         assert!(pool.has_free_walker());
-        assert_eq!(pool.quarantined_walkers(), 0);
+        assert_eq!(pool.earliest_readmit(), None);
         assert!(matches!(
-            pool.start_walk(1_000, 43, tag_of_page(43), 4, true),
+            pool.start_walk_tagged(Asid::GLOBAL, 1_000, 43, tag_of_page(43), 4, true),
             WalkAdmission::Started { .. }
         ));
     }
@@ -1249,9 +1211,9 @@ mod tests {
         let mut pool = WalkerPool::new(2, 0, 100, false);
         // Walker 0 quarantines until cycle 5_000; walker 1 walks until 700.
         pool.start_walk_perturbed(Asid::GLOBAL, 0, 1, 4, 300, true, 5_000);
-        assert_eq!(pool.retire_completed(300).len(), 1);
-        pool.start_walk(300, 2, tag_of_page(2), 4, true);
-        let admission = pool.start_walk(350, 3, tag_of_page(3), 4, true);
+        assert_eq!(retire(&mut pool, 300).len(), 1);
+        pool.start_walk_tagged(Asid::GLOBAL, 300, 2, tag_of_page(2), 4, true);
+        let admission = pool.start_walk_tagged(Asid::GLOBAL, 350, 3, tag_of_page(3), 4, true);
         assert_eq!(admission, WalkAdmission::Rejected { retry_at: 700 });
     }
 }

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 
 use neummu_mmu::prelude::*;
 use neummu_mmu::walker::{CompletedWalk, WalkAdmission};
-use neummu_vmem::{Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr};
+use neummu_vmem::{Asid, MemNode, PageSize, PageTable, PathTag, PhysFrameNum, VirtAddr, WalkStep};
 
 use reference::HeapPool;
 
@@ -42,7 +42,7 @@ proptest! {
             if is_fill {
                 tlb.insert(page);
             } else {
-                let hit = tlb.lookup(page);
+                let hit = tlb.lookup_tagged(Asid::GLOBAL, page);
                 if hit {
                     prop_assert!(tlb.contains(page));
                 }
@@ -61,7 +61,7 @@ proptest! {
             tlb.insert(page);
         }
         tlb.insert(probe);
-        prop_assert!(tlb.lookup(probe));
+        prop_assert!(tlb.lookup_tagged(Asid::GLOBAL, probe));
     }
 
     /// Engine timing sanity: outcomes are accepted no earlier than issued,
@@ -249,9 +249,16 @@ proptest! {
         let mut tpc = TranslationPathCache::new(4);
         let mut uptc = UnifiedPageTableCache::new(16);
         for page in pages_accessed {
-            let walk = pt.walk(VirtAddr::new(page << 12));
-            let total = walk.memory_accesses();
-            for outcome in [tpc.access(&walk), uptc.access(&walk)] {
+            let va = VirtAddr::new(page << 12);
+            let mut steps = [WalkStep::default(); 4];
+            let mut total = 0;
+            pt.probe_with(va, |step| {
+                steps[total] = *step;
+                total += 1;
+            });
+            let steps = &steps[..total];
+            let total = total as u32;
+            for outcome in [tpc.access(va, steps), uptc.access(va, steps)] {
                 prop_assert!(outcome.levels_read >= 1);
                 prop_assert_eq!(outcome.levels_read + outcome.skipped_levels, total);
             }
@@ -303,7 +310,6 @@ mod reference {
     }
 
     pub struct HeapPool {
-        num_walkers: usize,
         prmb_slots: usize,
         walk_latency_per_level: u64,
         tpreg_enabled: bool,
@@ -324,7 +330,6 @@ mod reference {
             tpreg_enabled: bool,
         ) -> Self {
             HeapPool {
-                num_walkers,
                 prmb_slots,
                 walk_latency_per_level,
                 tpreg_enabled,
@@ -338,12 +343,12 @@ mod reference {
             }
         }
 
-        pub fn in_flight(&self) -> usize {
-            self.num_walkers - self.free_walkers.len()
+        pub fn has_free_walker(&self) -> bool {
+            !self.free_walkers.is_empty()
         }
 
-        pub fn quarantined_walkers(&self) -> usize {
-            self.quarantined.len()
+        pub fn earliest_readmit(&self) -> Option<u64> {
+            self.quarantined.iter().map(|&(_, at)| at).min()
         }
 
         pub fn next_completion(&self) -> Option<u64> {
@@ -538,6 +543,13 @@ mod reference {
 
 /// Strategy: a random walker-pool workload, one `(op, a, b, c)` tuple per
 /// step, decoded by `pool_matches_the_single_heap_reference`.
+/// The walks `pool` retires by `cycle`, in completion order.
+fn retire(pool: &mut WalkerPool, cycle: u64) -> Vec<CompletedWalk> {
+    let mut retired = Vec::new();
+    pool.drain_completed(cycle, |walk| retired.push(walk));
+    retired
+}
+
 fn pool_ops() -> impl Strategy<Value = Vec<(u8, u64, u64, u64)>> {
     prop::collection::vec((0u8..10, 0u64..64, 0u64..64, 0u64..8), 1..250)
 }
@@ -618,7 +630,7 @@ proptest! {
                 }
                 6 => {
                     now += a % 16;
-                    prop_assert_eq!(pool.retire_completed(now), reference.retire_completed(now));
+                    prop_assert_eq!(retire(&mut pool, now), reference.retire_completed(now));
                 }
                 7 => {
                     if b % 4 == 0 {
@@ -678,9 +690,9 @@ proptest! {
                 }
             }
             prop_assert_eq!(pool.next_completion(), reference.next_completion());
-            prop_assert_eq!(pool.in_flight(), reference.in_flight());
-            prop_assert_eq!(pool.quarantined_walkers(), reference.quarantined_walkers());
+            prop_assert_eq!(pool.has_free_walker(), reference.has_free_walker());
+            prop_assert_eq!(pool.earliest_readmit(), reference.earliest_readmit());
         }
-        prop_assert_eq!(pool.retire_completed(u64::MAX), reference.retire_completed(u64::MAX));
+        prop_assert_eq!(retire(&mut pool, u64::MAX), reference.retire_completed(u64::MAX));
     }
 }

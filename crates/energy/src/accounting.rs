@@ -154,6 +154,7 @@ impl EnergyMeter {
     /// Ratio of this meter's total energy to `baseline`'s total energy.
     ///
     /// Returns `None` if the baseline recorded zero energy.
+    #[cfg(test)]
     #[must_use]
     pub fn relative_to(&self, baseline: &EnergyMeter) -> Option<f64> {
         let base = baseline.total_nj();

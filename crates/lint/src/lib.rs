@@ -14,7 +14,7 @@
 //! | `D001` | default-hashed `HashMap`/`HashSet` declarations and any hash-order iteration in artifact-producing crates |
 //! | `D002` | `Instant::now` / `SystemTime` / `RandomState` / `env::*` reads outside allowlisted profiling modules |
 //! | `H001` | allocation inside registered hot-path functions (and stale registrations that match nothing) |
-//! | `U001` | non-test `pub` items that nothing in the workspace uses (`--workspace` runs only) |
+//! | `U001` | non-test `pub` items that no non-test code in the workspace uses (`--workspace` runs only) |
 //!
 //! Findings can be waived per site in `lint.toml`; every waiver must name a
 //! known rule and carry a non-empty reason. See the repository `README.md` for the workflow.
@@ -44,8 +44,8 @@ pub fn lint_files(files: &[SourceFile], config: &Config) -> Report {
 }
 
 /// Discovers and lints every workspace source file under `root`, with the
-/// workspace's tests, benches, examples and `perfbench/src` read as uses for
-/// U001.
+/// workspace's examples and `perfbench/src` read as uses for U001, and its
+/// tests and benches read to tell a test-only item from one used nowhere.
 ///
 /// # Errors
 ///

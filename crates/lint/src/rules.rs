@@ -16,15 +16,18 @@
 //!   `Box::new`, ...), locking in the PR 3 allocation-free guarantee.
 //! * **U001 unreferenced-public-item** — a non-test `pub` `fn`, `struct`,
 //!   `enum`, `trait`, `const`, `static` or `type` in a scanned `src/` tree
-//!   that nothing in the workspace uses, so dead public API fails CI instead
-//!   of piling up. A use is an identifier token of a scanned file or of the
-//!   workspace's tests, benches, examples and `perfbench/src`, outside `use`
-//!   declarations and the name position of item definitions, or an
-//!   identifier in a string literal's `{}` hole (an inline format argument
-//!   such as `"{NAME}/..."`). Comments, doc-tests included, are not uses.
-//!   The rule matches by name, not by path, so two items that share a name
-//!   hide each other: a use of either counts for both. That error only ever
-//!   keeps the rule silent; it never flags an item that something uses.
+//!   that no non-test code uses, so public API that only tests call fails CI
+//!   instead of piling up. A use is an identifier token of a scanned `src/`
+//!   file, an example or `perfbench/src`, outside `use` declarations, the
+//!   name position of item definitions and test code, or an identifier in a
+//!   string literal's `{}` hole (an inline format argument such as
+//!   `"{NAME}/..."`). Test code is everything under `#[cfg(test)]` or
+//!   `#[test]` and every file of a `tests/` or `benches/` tree; a name it
+//!   uses makes the finding say "used only by tests/benches" rather than
+//!   "used nowhere". Comments, doc-tests included, are not uses. The rule
+//!   matches by name, not by path, so two items that share a name hide each
+//!   other: a use of either counts for both. That error only ever keeps the
+//!   rule silent; it never flags an item that non-test code uses.
 
 use std::collections::HashSet;
 
@@ -910,11 +913,14 @@ const FN_QUALIFIERS: &[&str] = &["const", "unsafe", "async"];
 /// Item kinds whose `pub` definitions U001 checks.
 const CHECKED_KINDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
 
-/// Flags each non-test `pub` item of `files` whose name no token of `files`
-/// or `references` uses (see the module doc for what counts as a use).
+/// Flags each non-test `pub` item of `files` whose name no non-test token of
+/// `files` or `references` uses (see the module doc for what counts as a
+/// use), telling an item that test code alone names from one used nowhere.
 fn u001(files: &[FileContext], references: &[FileContext], findings: &mut Vec<Finding>) {
     let mut used: HashSet<&str> = HashSet::new();
+    let mut used_by_tests: HashSet<&str> = HashSet::new();
     for ctx in files.iter().chain(references) {
+        let test_tree = is_test_tree(&ctx.rel_path);
         let mut skip = compute_use_mask(&ctx.tokens);
         for (name, _) in item_names(&ctx.tokens) {
             skip[name] = true;
@@ -923,12 +929,17 @@ fn u001(files: &[FileContext], references: &[FileContext], findings: &mut Vec<Fi
             if skip[i] {
                 continue;
             }
+            let set = if test_tree || ctx.test_mask[i] {
+                &mut used_by_tests
+            } else {
+                &mut used
+            };
             match token.kind {
                 TokenKind::Ident => {
-                    used.insert(&token.text);
+                    set.insert(&token.text);
                 }
                 TokenKind::Literal if token.text.contains('"') => {
-                    used.extend(format_idents(&token.text));
+                    set.extend(format_idents(&token.text));
                 }
                 _ => {}
             }
@@ -937,27 +948,39 @@ fn u001(files: &[FileContext], references: &[FileContext], findings: &mut Vec<Fi
     for ctx in files {
         for (name, kind) in item_names(&ctx.tokens) {
             let token = &ctx.tokens[name];
+            let item = token.text.as_str();
             if ctx.test_mask[name]
                 || !CHECKED_KINDS.contains(&kind)
                 || !is_pub_item(&ctx.tokens, name)
-                || used.contains(token.text.as_str())
+                || used.contains(item)
             {
                 continue;
             }
+            let where_used = if used_by_tests.contains(item) {
+                "used only by tests/benches"
+            } else {
+                "used nowhere"
+            };
             findings.push(Finding {
                 rule: "U001",
                 file: ctx.rel_path.clone(),
                 line: token.line,
                 message: format!(
-                    "public {kind} `{}` is used nowhere in the workspace (src, tests, \
-                     benches, examples, perfbench/src) — delete it, or waive with the \
-                     reason it must stay",
-                    token.text
+                    "public {kind} `{item}` is {where_used} (non-test uses: src, \
+                     examples, perfbench/src) — narrow it to `pub(crate)` or \
+                     `#[cfg(test)]`, delete it, or waive with the reason it must stay"
                 ),
                 waived: None,
             });
         }
     }
+}
+
+/// True if `rel_path` lies in a `tests/` or `benches/` tree, whose every
+/// token is test code.
+fn is_test_tree(rel_path: &str) -> bool {
+    let mut dirs = rel_path.split('/').rev().skip(1);
+    dirs.any(|dir| dir == "tests" || dir == "benches")
 }
 
 /// `(name token index, kind)` of every named item definition: a keyword of

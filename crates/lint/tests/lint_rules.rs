@@ -241,6 +241,10 @@ fn binary_exits_zero_on_a_clean_tree() {
     .with_file(
         "tests/it.rs",
         "#[test]\nfn doubles() { assert_eq!(seeded::double(2), 4); }\n",
+    )
+    .with_file(
+        "examples/demo.rs",
+        "fn main() {\n    println!(\"{}\", seeded::double(2));\n}\n",
     );
     let output = ws.run_lint();
     assert_eq!(output.status.code(), Some(0), "{output:?}");
@@ -273,18 +277,18 @@ fn binary_exits_two_on_a_waiver_for_an_unknown_rule() {
 }
 
 // ---------------------------------------------------------------------------
-// U001: unreferenced public items, over a whole seeded workspace
+// U001: public items no non-test code uses, over a whole seeded workspace
 // ---------------------------------------------------------------------------
 
 /// Only `dead` goes unused: its sole mention is a `pub use` re-export. Every
-/// other item is used from one place the rule must read.
+/// other item is used from one non-test place the rule must read.
 const U001_LIB: &str = "\
 mod inner {
     pub fn dead() {}
 }
 pub use inner::dead;
 
-pub fn from_tests() {}
+pub fn from_example() {}
 pub fn from_perfbench() {}
 pub const NAMESPACE: &str = \"ns\";
 pub struct Meter;
@@ -300,12 +304,11 @@ pub fn key(name: &str) -> String {
 }
 ";
 
-const U001_TEST: &str = "\
-use seeded::{from_tests, Meter};
+const U001_EXAMPLE: &str = "\
+use seeded::{from_example, Meter};
 
-#[test]
-fn uses() {
-    from_tests();
+fn main() {
+    from_example();
     let _ = seeded::key(\"x\");
     let meter = Meter;
     let _ = meter
@@ -315,7 +318,7 @@ fn uses() {
 
 fn u001_workspace(tag: &str, lint_toml: &str) -> TempWorkspace {
     TempWorkspace::new(tag, U001_LIB, lint_toml)
-        .with_file("tests/it.rs", U001_TEST)
+        .with_file("examples/tour.rs", U001_EXAMPLE)
         .with_file(
             "perfbench/src/main.rs",
             "fn main() {\n    seeded::from_perfbench();\n}\n",
@@ -333,6 +336,11 @@ fn u001_flags_only_the_item_nothing_uses() {
     );
     assert_eq!(finding.line, 2);
     assert!(finding.message.contains("`dead`"), "{}", finding.message);
+    assert!(
+        finding.message.contains("is used nowhere"),
+        "{}",
+        finding.message
+    );
     assert!(!report.is_clean());
 }
 
@@ -347,4 +355,52 @@ fn u001_waiver_silences_the_finding() {
         Some("public API kept for a named client")
     );
     assert!(report.is_clean());
+}
+
+/// Asserts that `ws` has one finding, for `helper`, which test code alone
+/// uses.
+fn assert_flagged_as_test_only(ws: &TempWorkspace) {
+    let report = ws.lint();
+    assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
+    let message = &report.findings[0].message;
+    assert!(message.contains("`helper`"), "{message}");
+    assert!(
+        message.contains("is used only by tests/benches"),
+        "{message}"
+    );
+    assert!(!report.is_clean());
+}
+
+#[test]
+fn u001_flags_an_item_only_a_tests_file_uses() {
+    let ws = TempWorkspace::new("u001-tests", "pub fn helper() {}\n", "").with_file(
+        "tests/it.rs",
+        "#[test]\nfn calls() {\n    seeded::helper();\n}\n",
+    );
+    assert_flagged_as_test_only(&ws);
+}
+
+#[test]
+fn u001_flags_an_item_only_a_benches_file_uses() {
+    let ws = TempWorkspace::new("u001-benches", "pub fn helper() {}\n", "").with_file(
+        "benches/bench.rs",
+        "fn main() {\n    seeded::helper();\n}\n",
+    );
+    assert_flagged_as_test_only(&ws);
+}
+
+#[test]
+fn u001_flags_an_item_only_cfg_test_code_uses() {
+    let lib = "\
+pub fn helper() {}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn calls() {
+        super::helper();
+    }
+}
+";
+    assert_flagged_as_test_only(&TempWorkspace::new("u001-unit", lib, ""));
 }

@@ -69,13 +69,6 @@ impl DramModel {
         self.config
     }
 
-    /// Latency+serialization cycles of an isolated transfer of `bytes`
-    /// (no contention).
-    #[must_use]
-    pub fn transfer_cycles(&self, bytes: u64) -> u64 {
-        self.config.access_latency_cycles + self.server.serialization_cycles(bytes)
-    }
-
     /// Schedules a transfer that becomes ready at `ready_cycle`; returns the
     /// cycle at which the data has fully arrived.
     pub fn schedule_transfer(&mut self, ready_cycle: u64, bytes: u64) -> u64 {
@@ -138,13 +131,6 @@ impl DramModel {
     pub fn reset(&mut self) {
         self.server.reset();
     }
-
-    /// Minimum cycles needed to stream `bytes` at full bandwidth, ignoring the
-    /// fixed access latency. Useful for roofline checks.
-    #[must_use]
-    pub fn streaming_cycles(&self, bytes: u64) -> u64 {
-        self.server.serialization_cycles(bytes)
-    }
 }
 
 #[cfg(test)]
@@ -161,10 +147,9 @@ mod tests {
 
     #[test]
     fn transfer_cycles_includes_latency_and_serialization() {
-        let dram = DramModel::tpu_like();
         // 6 KB at 600 B/cycle = 10 cycles + 100 latency.
-        assert_eq!(dram.transfer_cycles(6000), 110);
-        assert_eq!(dram.transfer_cycles(0), 100);
+        assert_eq!(DramModel::tpu_like().schedule_transfer(0, 6000), 110);
+        assert_eq!(DramModel::tpu_like().schedule_transfer(0, 0), 100);
     }
 
     #[test]
@@ -181,8 +166,7 @@ mod tests {
     fn a_5mb_tile_takes_on_the_order_of_10k_cycles() {
         // Sanity-check the magnitude the paper relies on: a 5 MB tile at
         // 600 B/cycle needs ~8.7K cycles of pure bandwidth.
-        let dram = DramModel::tpu_like();
-        let cycles = dram.streaming_cycles(5 * 1024 * 1024);
+        let cycles = DramModel::tpu_like().schedule_transfer(0, 5 * 1024 * 1024) - 100;
         assert!(cycles > 8_000 && cycles < 10_000, "got {cycles}");
     }
 

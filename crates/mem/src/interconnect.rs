@@ -31,6 +31,7 @@ pub struct Link {
 
 impl Link {
     /// Cycles for an isolated transfer of `bytes` over this link.
+    #[cfg(test)]
     #[must_use]
     pub fn transfer_cycles(&self, bytes: u64) -> u64 {
         if bytes == 0 {
@@ -200,18 +201,6 @@ impl CopyEngine {
         self.page_migrations
     }
 
-    /// Total bytes moved over PCIe.
-    #[must_use]
-    pub fn pcie_bytes(&self) -> u64 {
-        self.pcie_server.total_bytes()
-    }
-
-    /// Total bytes moved over the NPU↔NPU link.
-    #[must_use]
-    pub fn npu_link_bytes(&self) -> u64 {
-        self.npu_link_server.total_bytes()
-    }
-
     /// Resets occupancy and statistics.
     pub fn reset(&mut self) {
         self.pcie_server.reset();
@@ -295,8 +284,6 @@ mod tests {
         let b = engine.numa_access(0, 16_000, TransferKind::Pcie);
         assert!(b >= a + 1000 - 1);
         assert_eq!(engine.numa_accesses(), 2);
-        assert_eq!(engine.pcie_bytes(), 32_000);
-        assert_eq!(engine.npu_link_bytes(), 0);
     }
 
     #[test]
@@ -310,6 +297,5 @@ mod tests {
         assert_eq!(engine.page_migrations(), 1);
         engine.reset();
         assert_eq!(engine.staged_copies(), 0);
-        assert_eq!(engine.pcie_bytes(), 0);
     }
 }

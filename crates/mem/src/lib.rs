@@ -16,9 +16,9 @@
 //! use neummu_mem::dram::DramModel;
 //! use neummu_mem::interconnect::InterconnectConfig;
 //!
-//! let dram = DramModel::tpu_like();
-//! // Fetching a 4 KB page from local HBM: latency + serialization.
-//! let cycles = dram.transfer_cycles(4096);
+//! let mut dram = DramModel::tpu_like();
+//! // Fetching a 4 KB page from idle local HBM: latency + serialization.
+//! let cycles = dram.schedule_transfer(0, 4096);
 //! assert!(cycles > 100);
 //!
 //! let ic = InterconnectConfig::table1();

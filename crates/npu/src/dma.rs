@@ -126,12 +126,6 @@ impl PageRun {
         }
     }
 
-    /// Segment offset of the run's last transaction.
-    #[must_use]
-    pub fn last_offset(&self) -> u64 {
-        self.offset_of(self.txn_count - 1)
-    }
-
     /// Length in bytes of the `index`-th transaction of the run.
     #[must_use]
     pub fn txn_len(&self, index: u64) -> u64 {
@@ -504,7 +498,6 @@ mod tests {
             assert!(run.txn_count >= 1);
             assert_eq!(run.bytes, (0..run.txn_count).map(|i| run.txn_len(i)).sum());
             assert_eq!(run.first, run.txn(0));
-            assert_eq!(run.last_offset(), run.txn(run.txn_count - 1).offset);
             // Every transaction's starting VA lies on the run's page; maximal
             // runs never repeat the previous run's page.
             for i in 0..run.txn_count {

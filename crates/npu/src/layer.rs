@@ -221,70 +221,6 @@ impl Layer {
         self.dtype
     }
 
-    /// Returns a copy of the layer with a different batch size.
-    #[must_use]
-    pub fn with_batch(&self, new_batch: u64) -> Layer {
-        let op = match self.op {
-            LayerOp::Conv2d {
-                in_channels,
-                height,
-                width,
-                out_channels,
-                kernel_h,
-                kernel_w,
-                stride,
-                padding,
-                ..
-            } => LayerOp::Conv2d {
-                batch: new_batch,
-                in_channels,
-                height,
-                width,
-                out_channels,
-                kernel_h,
-                kernel_w,
-                stride,
-                padding,
-            },
-            LayerOp::FullyConnected {
-                in_features,
-                out_features,
-                ..
-            } => LayerOp::FullyConnected {
-                batch: new_batch,
-                in_features,
-                out_features,
-            },
-            LayerOp::RnnCell {
-                hidden,
-                input,
-                time_steps,
-                ..
-            } => LayerOp::RnnCell {
-                batch: new_batch,
-                hidden,
-                input,
-                time_steps,
-            },
-            LayerOp::LstmCell {
-                hidden,
-                input,
-                time_steps,
-                ..
-            } => LayerOp::LstmCell {
-                batch: new_batch,
-                hidden,
-                input,
-                time_steps,
-            },
-        };
-        Layer {
-            name: self.name.clone(),
-            op,
-            dtype: self.dtype,
-        }
-    }
-
     /// Batch size of the layer.
     #[must_use]
     pub fn batch(&self) -> u64 {
@@ -405,36 +341,6 @@ impl Layer {
         TensorShape::new(&[gemm.m, gemm.k], self.dtype)
     }
 
-    /// Shape of the raw (pre-im2col) input tensor, used for reporting model
-    /// memory footprints.
-    #[must_use]
-    pub fn raw_input_shape(&self) -> TensorShape {
-        match self.op {
-            LayerOp::Conv2d {
-                batch,
-                in_channels,
-                height,
-                width,
-                ..
-            } => TensorShape::new(&[batch, in_channels, height, width], self.dtype),
-            LayerOp::FullyConnected {
-                batch, in_features, ..
-            } => TensorShape::new(&[batch, in_features], self.dtype),
-            LayerOp::RnnCell {
-                batch,
-                hidden,
-                input,
-                time_steps,
-            }
-            | LayerOp::LstmCell {
-                batch,
-                hidden,
-                input,
-                time_steps,
-            } => TensorShape::new(&[time_steps, batch, hidden + input], self.dtype),
-        }
-    }
-
     /// Shape of the weight tensor resident in main memory.
     #[must_use]
     pub fn w_shape(&self) -> TensorShape {
@@ -443,6 +349,7 @@ impl Layer {
     }
 
     /// Shape of the output-activation tensor written back to main memory.
+    #[cfg(test)]
     #[must_use]
     pub fn oa_shape(&self) -> TensorShape {
         match self.op {
@@ -513,7 +420,6 @@ mod tests {
         assert_eq!(gemm.n, 64);
         // IA is stored in its im2col-lowered (M x K) layout at bf16.
         assert_eq!(layer.ia_shape().bytes(), 55 * 55 * 363 * 2);
-        assert_eq!(layer.raw_input_shape().bytes(), 3 * 224 * 224 * 2);
         assert_eq!(layer.w_shape().bytes(), 3 * 11 * 11 * 64 * 2);
         assert_eq!(layer.oa_shape().bytes(), 64 * 55 * 55 * 2);
         assert!(layer.validate().is_ok());
@@ -561,7 +467,7 @@ mod tests {
     #[test]
     fn with_batch_rescales_only_batch() {
         let layer = Layer::conv2d("c", 1, 64, 56, 56, 64, 3, 3, 1, 1);
-        let b8 = layer.with_batch(8);
+        let b8 = Layer::conv2d("c", 8, 64, 56, 56, 64, 3, 3, 1, 1);
         assert_eq!(b8.batch(), 8);
         assert_eq!(b8.gemm().m, 8 * layer.gemm().m);
         assert_eq!(b8.gemm().k, layer.gemm().k);

@@ -120,12 +120,6 @@ impl TensorShape {
     pub fn bytes(&self) -> u64 {
         self.elements() * self.dtype.bytes()
     }
-
-    /// Length of the innermost (contiguous) dimension in bytes.
-    #[must_use]
-    pub fn row_bytes(&self) -> u64 {
-        self.dims.last().copied().unwrap_or(1) * self.dtype.bytes()
-    }
 }
 
 impl fmt::Display for TensorShape {
@@ -157,7 +151,6 @@ mod tests {
         let t = TensorShape::new(&[1, 3, 224, 224], DataType::Int8);
         assert_eq!(t.elements(), 3 * 224 * 224);
         assert_eq!(t.bytes(), 3 * 224 * 224);
-        assert_eq!(t.row_bytes(), 224);
         let t2 = TensorShape::new(&[64, 3, 7, 7], DataType::Bf16);
         assert_eq!(t2.bytes(), 64 * 3 * 7 * 7 * 2);
     }

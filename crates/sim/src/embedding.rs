@@ -166,15 +166,6 @@ impl EmbeddingPhaseBreakdown {
     pub fn total_cycles(&self) -> u64 {
         self.gemm_cycles + self.reduction_cycles + self.other_cycles + self.embedding_gather_cycles
     }
-
-    /// Fraction of the step spent gathering embeddings.
-    #[must_use]
-    pub fn gather_fraction(&self) -> f64 {
-        if self.total_cycles() == 0 {
-            return 0.0;
-        }
-        self.embedding_gather_cycles as f64 / self.total_cycles() as f64
-    }
 }
 
 /// The embedding case-study simulator.
@@ -490,11 +481,8 @@ mod tests {
         let baseline = sim
             .simulate(&small_model(), 8, GatherStrategy::HostRelayedCopy)
             .unwrap();
-        assert!(
-            baseline.gather_fraction() > 0.3,
-            "fraction {}",
-            baseline.gather_fraction()
-        );
+        let fraction = baseline.embedding_gather_cycles as f64 / baseline.total_cycles() as f64;
+        assert!(fraction > 0.3, "fraction {fraction}");
     }
 
     #[test]

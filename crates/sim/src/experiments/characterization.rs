@@ -236,6 +236,7 @@ impl Fig14Result {
 
     /// True if, per operand, the windows advance monotonically (the streaming
     /// property the TPreg exploits).
+    #[cfg(test)]
     #[must_use]
     pub fn is_streaming(&self) -> bool {
         for kind in [TensorKind::InputActivation, TensorKind::Weight] {
@@ -297,7 +298,7 @@ mod tests {
     #[test]
     fn fig06_reports_kilo_page_tiles_for_rnns() {
         let result =
-            fig06_page_divergence_on(&ExperimentRunner::serial(), ExperimentScale::Smoke).unwrap();
+            fig06_page_divergence_on(&ExperimentRunner::new(1), ExperimentScale::Smoke).unwrap();
         assert_eq!(result.rows.len(), 2);
         let rnn = result
             .rows
@@ -314,7 +315,7 @@ mod tests {
     #[test]
     fn fig07_shows_full_rate_bursts() {
         let result =
-            fig07_translation_bursts_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
+            fig07_translation_bursts_on(&ExperimentRunner::new(1), WorkloadId::Cnn1, 1).unwrap();
         assert!(!result.counts.is_empty());
         // During a burst the DMA issues every cycle: the peak approaches the
         // window width.
@@ -325,8 +326,7 @@ mod tests {
 
     #[test]
     fn fig14_truncation_is_flagged_loudly_but_only_when_real() {
-        let mut result =
-            fig14_va_trace_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
+        let mut result = fig14_va_trace_on(&ExperimentRunner::new(1), WorkloadId::Cnn1, 1).unwrap();
         // The paper's traces stay under the cap: flag off, and the artifact
         // JSON is byte-identical to the historical three-field format.
         assert!(!result.windows_truncated);
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn fig14_trace_is_streaming() {
-        let result = fig14_va_trace_on(&ExperimentRunner::serial(), WorkloadId::Cnn1, 1).unwrap();
+        let result = fig14_va_trace_on(&ExperimentRunner::new(1), WorkloadId::Cnn1, 1).unwrap();
         assert!(!result.windows.is_empty());
         assert!(result.is_streaming());
         let table = result.to_table();

@@ -17,7 +17,6 @@
 use serde::Serialize;
 
 use neummu_mmu::MmuConfig;
-use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
 use crate::experiments::ExperimentScale;
@@ -109,13 +108,6 @@ impl MultiTenantSweepResult {
         self.rows
             .iter()
             .filter(move |row| row.tenant_count == tenant_count)
-    }
-
-    /// Mean per-tenant slowdown of one sweep point.
-    #[must_use]
-    pub fn mean_slowdown(&self, tenant_count: usize) -> f64 {
-        let slowdowns: Vec<f64> = self.rows_of(tenant_count).map(|r| r.slowdown()).collect();
-        crate::report::mean(&slowdowns)
     }
 
     /// Renders the sweep as a table: one row per tenant per sweep point,
@@ -263,18 +255,10 @@ pub fn tenant_sweep_on(
     })
 }
 
-/// The workload mix used when a caller wants "the" canonical N-tenant
-/// contended run outside the sweep (benches, examples): the full-scale mix.
-#[must_use]
-pub fn canonical_mix(tenant_count: usize) -> Vec<TenantSpec> {
-    (0..tenant_count)
-        .map(|i| TenantSpec::new(WorkloadId::ALL[i % WorkloadId::ALL.len()], 1))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neummu_workloads::WorkloadId;
 
     const SMOKE: ExperimentScale = ExperimentScale::Smoke;
 
@@ -289,12 +273,11 @@ mod tests {
         assert_eq!(mix.len(), 8);
         assert_eq!(mix[0].workload, WorkloadId::Cnn1);
         assert_eq!(mix[6].workload, WorkloadId::Cnn1, "mix cycles after 6");
-        assert_eq!(canonical_mix(7)[6].workload, WorkloadId::Cnn1);
     }
 
     #[test]
     fn smoke_sweep_measures_contention() {
-        let runner = ExperimentRunner::serial();
+        let runner = ExperimentRunner::new(1);
         let result = tenant_sweep_on(&runner, SMOKE).unwrap();
         assert_eq!(result.points.len(), 2);
         assert_eq!(result.rows.len(), 1 + 2);
@@ -315,7 +298,6 @@ mod tests {
                 row.slowdown()
             );
         }
-        assert!(result.mean_slowdown(2) > 1.0);
         // The mixes share their tenants (CNN-1 appears at every count): the
         // sweep asks for each distinct tenant's baseline once, in one batch,
         // and each simulates once.

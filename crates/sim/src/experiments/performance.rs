@@ -689,7 +689,7 @@ mod tests {
 
     #[test]
     fn fig08_baseline_iommu_loses_most_of_its_performance() {
-        let sweep = fig08_baseline_iommu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let sweep = fig08_baseline_iommu_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         let avg = sweep.averages()[0];
         assert!(avg < 0.6, "baseline IOMMU normalized perf {avg}");
         let table = sweep.to_table("Figure 8");
@@ -710,7 +710,7 @@ mod tests {
             ),
         ];
         let sweep = super::sweep(
-            &ExperimentRunner::serial(),
+            &ExperimentRunner::new(1),
             "PRMB slots",
             &configs,
             SMOKE,
@@ -732,7 +732,7 @@ mod tests {
         // of each (workload, batch, page size) key must simulate once, with
         // the second column's request served from the point cache, and each
         // column's candidate simulates once per cell.
-        let runner = ExperimentRunner::serial();
+        let runner = ExperimentRunner::new(1);
         let configs = vec![
             ("IOMMU".to_string(), MmuConfig::baseline_iommu()),
             ("NeuMMU".to_string(), MmuConfig::neummu()),
@@ -762,7 +762,7 @@ mod tests {
         // Figure 8's baseline IOMMU is Figure 12a's `PTW(8)` column (relabelled
         // `Custom` by `with_ptws`) and the summary's IOMMU: on one runner it
         // simulates once per grid cell, like the oracle each of them divides by.
-        let runner = ExperimentRunner::serial();
+        let runner = ExperimentRunner::new(1);
         let cells = SMOKE.grid().len() as u64;
         let counts = || (runner.cache().simulations(), runner.cache().hits());
 
@@ -781,7 +781,7 @@ mod tests {
 
     #[test]
     fn fig11_more_ptws_close_the_gap() {
-        let sweep = fig11_ptw_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let sweep = fig11_ptw_sweep_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         let avgs = sweep.averages();
         // 8 vs 128 walkers with PRMB(32).
         assert!(avgs[1] > avgs[0]);
@@ -794,7 +794,7 @@ mod tests {
 
     #[test]
     fn fig12_many_ptws_without_prmb_match_perf_but_waste_energy() {
-        let with_prmb = fig12b_energy_perf_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let with_prmb = fig12b_energy_perf_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         let nominal = &with_prmb.points[0];
         let no_prmb_like = &with_prmb.points[1]; // [1, 4096]
         assert!(no_prmb_like.normalized_perf > 0.9);
@@ -809,7 +809,7 @@ mod tests {
 
     #[test]
     fn fig13_tpreg_hit_rates_are_high_at_l4_l3() {
-        let result = fig13_tpreg_hit_rate_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = fig13_tpreg_hit_rate_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         for row in &result.rows {
             assert!(row.l4_rate > 0.9, "{:?} l4 {}", row.workload, row.l4_rate);
             assert!(row.l3_rate > 0.9);
@@ -819,7 +819,7 @@ mod tests {
 
     #[test]
     fn summary_shows_neummu_closing_the_gap() {
-        let summary = summary_neummu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let summary = summary_neummu_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         assert!(
             summary.iommu_avg_overhead > 0.4,
             "iommu overhead {}",
@@ -837,8 +837,8 @@ mod tests {
 
     #[test]
     fn largepages_reduce_dense_overheads() {
-        let large = largepage_dense_on(&ExperimentRunner::serial(), SMOKE).unwrap();
-        let small = fig08_baseline_iommu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let large = largepage_dense_on(&ExperimentRunner::new(1), SMOKE).unwrap();
+        let small = fig08_baseline_iommu_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         // IOMMU with 2 MB pages performs much better than with 4 KB pages.
         assert!(large.averages()[0] > small.averages()[0]);
         // NeuMMU stays near the oracle under large pages too.
@@ -847,7 +847,7 @@ mod tests {
 
     #[test]
     fn spatial_array_npu_benefits_similarly() {
-        let result = spatial_npu_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = spatial_npu_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         let avgs = result.averages();
         assert!(
             avgs[1] > avgs[0],

@@ -181,6 +181,7 @@ pub struct Fig16Result {
 
 impl Fig16Result {
     /// Average normalized performance of a `(page size, MMU)` combination.
+    #[cfg(test)]
     #[must_use]
     pub fn average(&self, page_size: PageSize, mmu: MmuKind) -> f64 {
         let values: Vec<f64> = self
@@ -286,7 +287,7 @@ mod tests {
 
     #[test]
     fn fig15_numa_reduces_latency() {
-        let result = fig15_numa_breakdown_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = fig15_numa_breakdown_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         assert!(!result.rows.is_empty());
         // The baseline rows are exactly 1.0 by construction.
         for row in result.rows.iter().filter(|r| r.strategy == "Baseline") {
@@ -304,7 +305,7 @@ mod tests {
 
     #[test]
     fn fig16_small_pages_beat_large_pages_for_sparse_access() {
-        let result = fig16_demand_paging_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = fig16_demand_paging_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         let neummu_4k = result.average(PageSize::Size4K, MmuKind::NeuMmu);
         let neummu_2m = result.average(PageSize::Size2M, MmuKind::NeuMmu);
         let iommu_4k = result.average(PageSize::Size4K, MmuKind::BaselineIommu);

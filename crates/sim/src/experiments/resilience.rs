@@ -595,7 +595,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_resilience_artifacts() {
-        let result = resilience_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = resilience_sweep_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         assert_eq!(result.points.len(), 3 * 2);
         for point in &result.points {
             // Conservation at drain: every offered request either completed

@@ -459,7 +459,7 @@ mod tests {
 
     #[test]
     fn smoke_sweep_produces_slo_artifacts() {
-        let result = serving_sweep_on(&ExperimentRunner::serial(), SMOKE).unwrap();
+        let result = serving_sweep_on(&ExperimentRunner::new(1), SMOKE).unwrap();
         assert_eq!(result.points.len(), 4 * 2);
         assert_eq!(result.rows.len(), 4 * 2 * 4);
         for point in &result.points {

@@ -159,6 +159,7 @@ impl MultiTenantResult {
 
     /// Each tenant's share of the total walker busy cycles (the
     /// walker-occupancy breakdown; empty if no tenant walked).
+    #[cfg(test)]
     #[must_use]
     pub fn walker_occupancy_shares(&self) -> Vec<f64> {
         let total: u64 = self.stats.iter().map(|s| s.walk_levels_read).sum();

@@ -87,12 +87,6 @@ impl ExperimentRunner {
         }
     }
 
-    /// A single-threaded runner (today's serial execution order).
-    #[must_use]
-    pub fn serial() -> Self {
-        Self::new(1)
-    }
-
     /// Attaches a persistent slot store (see [`PointCache::attach_store`]):
     /// memoized points are restored from and committed to it, so interrupted
     /// sweeps resume instead of recomputing. Builder-style, called before the
@@ -228,7 +222,7 @@ mod tests {
     fn zero_threads_resolves_to_available_parallelism() {
         let runner = ExperimentRunner::new(0);
         assert!(runner.threads() >= 1);
-        assert_eq!(ExperimentRunner::serial().threads(), 1);
+        assert_eq!(ExperimentRunner::new(1).threads(), 1);
         assert_eq!(ExperimentRunner::new(4).threads(), 4);
     }
 
@@ -263,7 +257,7 @@ mod tests {
 
     #[test]
     fn points_simulated_inside_a_job_are_nested_time() {
-        let runner = ExperimentRunner::serial();
+        let runner = ExperimentRunner::new(1);
         let npu = NpuConfig::tpu_like();
         runner
             .run_jobs("outer", 1, |_| {
@@ -286,7 +280,7 @@ mod tests {
 
     #[test]
     fn normalized_point_uses_the_cache() {
-        let runner = ExperimentRunner::serial();
+        let runner = ExperimentRunner::new(1);
         let npu = NpuConfig::tpu_like();
         let a = runner
             .normalized_point(WorkloadId::Cnn1, 1, MmuConfig::baseline_iommu(), npu)

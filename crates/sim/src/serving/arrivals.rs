@@ -84,17 +84,6 @@ pub struct ArrivalConfig {
 }
 
 impl ArrivalConfig {
-    /// Poisson arrivals at the given rate over the given horizon.
-    #[must_use]
-    pub fn poisson(rate_per_mcycle: f64, horizon_cycles: u64, seed: u64) -> Self {
-        ArrivalConfig {
-            shape: ArrivalShape::Poisson,
-            rate_per_mcycle,
-            horizon_cycles,
-            seed,
-        }
-    }
-
     /// Validates the configuration. Invalid rate parameters (NaN, zero,
     /// negative, infinite) are rejected here with a clear error — a NaN rate
     /// fed to the exponential sampler would otherwise produce NaN timestamps
@@ -253,10 +242,16 @@ mod tests {
 
     #[test]
     fn invalid_rates_are_rejected_not_hung() {
+        let poisson = |rate_per_mcycle, horizon_cycles| ArrivalConfig {
+            shape: ArrivalShape::Poisson,
+            rate_per_mcycle,
+            horizon_cycles,
+            seed: 1,
+        };
         for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            assert_rejected(ArrivalConfig::poisson(rate, 1000, 1));
+            assert_rejected(poisson(rate, 1000));
         }
-        assert_rejected(ArrivalConfig::poisson(10.0, 0, 1));
+        assert_rejected(poisson(10.0, 0));
     }
 
     #[test]
@@ -371,7 +366,14 @@ mod tests {
         // constant-rate processes; their counts should land near Poisson's.
         let horizon = 500_000;
         let rate = 2_000.0;
-        let poisson = ArrivalConfig::poisson(rate, horizon, 3).generate().unwrap();
+        let poisson = ArrivalConfig {
+            shape: ArrivalShape::Poisson,
+            rate_per_mcycle: rate,
+            horizon_cycles: horizon,
+            seed: 3,
+        }
+        .generate()
+        .unwrap();
         let flat_diurnal = ArrivalConfig {
             shape: ArrivalShape::Diurnal {
                 period_cycles: 10_000,

@@ -218,13 +218,6 @@ impl ServingConfig {
         self
     }
 
-    /// Overrides the overflow policy.
-    #[must_use]
-    pub fn with_overflow(mut self, overflow: OverflowPolicy) -> Self {
-        self.overflow = overflow;
-        self
-    }
-
     /// Overrides the queue-depth sampling interval.
     #[must_use]
     pub fn with_sample_interval(mut self, queue_sample_interval: u64) -> Self {
@@ -846,7 +839,12 @@ mod tests {
             workload,
             batch: 1,
             weight: 1,
-            arrivals: ArrivalConfig::poisson(20.0, horizon_cycles, seed),
+            arrivals: ArrivalConfig {
+                shape: ArrivalShape::Poisson,
+                rate_per_mcycle: 20.0,
+                horizon_cycles,
+                seed,
+            },
         }
     }
 

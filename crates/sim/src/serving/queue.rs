@@ -161,12 +161,6 @@ impl AdmissionQueue {
         self.queue.len() as u64
     }
 
-    /// True when nothing is waiting.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.queue.is_empty() && self.spillover.is_empty()
-    }
-
     /// Counter snapshot.
     #[must_use]
     pub fn stats(&self) -> QueueStats {
@@ -205,7 +199,6 @@ mod tests {
         assert_eq!(q.pop_for_service().unwrap().seq, 0);
         assert_eq!(q.pop_for_service().unwrap().seq, 1);
         assert!(q.pop_for_service().is_none());
-        assert!(q.is_drained());
     }
 
     #[test]

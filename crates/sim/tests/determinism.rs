@@ -210,11 +210,11 @@ fn legacy_serial_entry_points_agree_with_runner_entry_points() {
     // any width must produce the same bits.
     let runner = ExperimentRunner::new(3);
     assert_eq!(
-        performance::fig13_tpreg_hit_rate_on(&ExperimentRunner::serial(), SMOKE).unwrap(),
+        performance::fig13_tpreg_hit_rate_on(&ExperimentRunner::new(1), SMOKE).unwrap(),
         performance::fig13_tpreg_hit_rate_on(&runner, SMOKE).unwrap(),
     );
     assert_eq!(
-        performance::sensitivity_on(&ExperimentRunner::serial(), SMOKE).unwrap(),
+        performance::sensitivity_on(&ExperimentRunner::new(1), SMOKE).unwrap(),
         performance::sensitivity_on(&runner, SMOKE).unwrap(),
     );
 }

@@ -144,13 +144,15 @@ proptest! {
         // Split the load factor across 3 tenants.
         let rate = load_pct as f64 / 100.0 * 1e6 / (3.0 * txns_per_request as f64);
         for policy in POLICIES {
-            let config = ServingConfig::with_mmu(MmuConfig::neummu())
-                .with_policy(policy)
-                .with_burst(8)
-                .with_txns_per_request(txns_per_request)
-                .with_queue_depth(4)
-                .with_overflow(overflow)
-                .with_sample_interval(2048);
+            let config = ServingConfig {
+                overflow,
+                ..ServingConfig::with_mmu(MmuConfig::neummu())
+                    .with_policy(policy)
+                    .with_burst(8)
+                    .with_txns_per_request(txns_per_request)
+                    .with_queue_depth(4)
+                    .with_sample_interval(2048)
+            };
             let result = ServingSimulator::new(config)
                 .run(&population(rate, horizon, seed))
                 .unwrap();
@@ -179,16 +181,23 @@ proptest! {
                 workload: WorkloadId::Cnn1,
                 batch: 1,
                 weight,
-                arrivals: ArrivalConfig::poisson(rate, horizon, derive_seed(seed, i as u64)),
+                arrivals: ArrivalConfig {
+                    shape: ArrivalShape::Poisson,
+                    rate_per_mcycle: rate,
+                    horizon_cycles: horizon,
+                    seed: derive_seed(seed, i as u64),
+                },
             })
             .collect();
-        let config = ServingConfig::with_mmu(MmuConfig::neummu())
-            .with_policy(ServingPolicy::WeightedFair)
-            .with_burst(8)
-            .with_txns_per_request(txns_per_request)
-            .with_queue_depth(4)
-            .with_overflow(OverflowPolicy::Defer)
-            .with_sample_interval(4096);
+        let config = ServingConfig {
+            overflow: OverflowPolicy::Defer,
+            ..ServingConfig::with_mmu(MmuConfig::neummu())
+                .with_policy(ServingPolicy::WeightedFair)
+                .with_burst(8)
+                .with_txns_per_request(txns_per_request)
+                .with_queue_depth(4)
+                .with_sample_interval(4096)
+        };
         let result = ServingSimulator::new(config).run(&tenants).unwrap();
         assert_accounting(&result, OverflowPolicy::Defer, "wfq-saturation");
         // Defer mode eventually serves *everything*, so total transaction
@@ -271,16 +280,23 @@ fn wfq_grants_follow_weights_while_saturated() {
             workload: WorkloadId::Cnn1,
             batch: 1,
             weight,
-            arrivals: ArrivalConfig::poisson(rate, horizon, derive_seed(7, i as u64)),
+            arrivals: ArrivalConfig {
+                shape: ArrivalShape::Poisson,
+                rate_per_mcycle: rate,
+                horizon_cycles: horizon,
+                seed: derive_seed(7, i as u64),
+            },
         })
         .collect();
-    let config = ServingConfig::with_mmu(MmuConfig::neummu())
-        .with_policy(ServingPolicy::WeightedFair)
-        .with_burst(8)
-        .with_txns_per_request(txns_per_request)
-        .with_queue_depth(8)
-        .with_overflow(OverflowPolicy::Drop)
-        .with_sample_interval(8192);
+    let config = ServingConfig {
+        overflow: OverflowPolicy::Drop,
+        ..ServingConfig::with_mmu(MmuConfig::neummu())
+            .with_policy(ServingPolicy::WeightedFair)
+            .with_burst(8)
+            .with_txns_per_request(txns_per_request)
+            .with_queue_depth(8)
+            .with_sample_interval(8192)
+    };
     let result = ServingSimulator::new(config).run(&tenants).unwrap();
     assert_accounting(&result, OverflowPolicy::Drop, "wfq-drop-saturation");
     // Massive overload with a bounded dropping queue: both tenants are

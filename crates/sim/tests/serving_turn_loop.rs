@@ -154,14 +154,16 @@ fn same_cycle_arrivals_and_idle_gaps() {
     // Tenants 0 and 2 draw the same arrival sequence, so every one of their
     // arrivals lands on the same cycle; at 20 requests per million cycles
     // the front end drains between arrivals and the clock jumps the gaps.
-    let sparse = ArrivalConfig::poisson(20.0, 600_000, 11);
+    let poisson = |seed| ArrivalConfig {
+        shape: ArrivalShape::Poisson,
+        rate_per_mcycle: 20.0,
+        horizon_cycles: 600_000,
+        seed,
+    };
+    let sparse = poisson(11);
     let tenants = [
         tenant(WorkloadId::Cnn1, 1, sparse),
-        tenant(
-            WorkloadId::Rnn2,
-            1,
-            ArrivalConfig::poisson(20.0, 600_000, 12),
-        ),
+        tenant(WorkloadId::Rnn2, 1, poisson(12)),
         tenant(WorkloadId::Cnn1, 1, sparse),
     ];
     let expected: [([u64; 8], u64); 4] = [
@@ -231,7 +233,10 @@ fn deferred_overflow_drains_past_the_horizon() {
         ),
     ] {
         let result = run(
-            config(policy).with_overflow(OverflowPolicy::Defer),
+            ServingConfig {
+                overflow: OverflowPolicy::Defer,
+                ..config(policy)
+            },
             &tenants,
         );
         let deferred: u64 = result.stats.iter().map(|s| s.queue.deferred).sum();

@@ -52,16 +52,6 @@ impl PageSize {
         }
     }
 
-    /// Number of page-table levels that must be traversed to reach a leaf of
-    /// this size (4 for 4 KB pages, 3 for 2 MB pages).
-    #[must_use]
-    pub const fn walk_levels(self) -> u32 {
-        match self {
-            PageSize::Size4K => 4,
-            PageSize::Size2M => 3,
-        }
-    }
-
     /// Mask selecting the page-offset bits.
     #[must_use]
     pub const fn offset_mask(self) -> u64 {
@@ -169,6 +159,7 @@ impl VirtAddr {
     /// # Panics
     ///
     /// Panics if `earlier > self`.
+    #[cfg(test)]
     #[must_use]
     pub fn offset_from(self, earlier: VirtAddr) -> u64 {
         assert!(
@@ -212,12 +203,6 @@ impl PhysAddr {
     pub const fn pfn(self) -> PhysFrameNum {
         PhysFrameNum(self.0 >> PAGE_SHIFT_4K)
     }
-
-    /// Offset within a 4 KB frame.
-    #[must_use]
-    pub const fn frame_offset(self) -> u64 {
-        self.0 & PageSize::Size4K.offset_mask()
-    }
 }
 
 impl VirtPageNum {
@@ -240,6 +225,7 @@ impl VirtPageNum {
     }
 
     /// The page number of the containing 2 MB region.
+    #[cfg(test)]
     #[must_use]
     pub const fn huge_page_number(self) -> u64 {
         self.0 >> (PAGE_SHIFT_2M - PAGE_SHIFT_4K)
@@ -349,6 +335,7 @@ impl WalkIndexLevel {
     /// # Panics
     ///
     /// Panics if `n` is not in `1..=4`.
+    #[cfg(test)]
     #[must_use]
     pub fn from_number(n: u32) -> Self {
         match n {
@@ -402,8 +389,6 @@ mod tests {
     fn page_size_constants() {
         assert_eq!(PageSize::Size4K.bytes(), 4096);
         assert_eq!(PageSize::Size2M.bytes(), 2 * 1024 * 1024);
-        assert_eq!(PageSize::Size4K.walk_levels(), 4);
-        assert_eq!(PageSize::Size2M.walk_levels(), 3);
         assert_eq!(PageSize::Size4K.to_string(), "4KB");
         assert_eq!(PageSize::Size2M.to_string(), "2MB");
     }

@@ -11,11 +11,11 @@ use std::collections::HashMap;
 
 use serde::Serialize;
 
-use crate::addr::{PageSize, VirtAddr, VirtPageNum};
+use crate::addr::{PageSize, VirtAddr};
 use crate::error::VmemError;
 use crate::frame_alloc::PhysicalMemory;
 use crate::numa::MemNode;
-use crate::page_table::{PageTable, Translation, WalkPath};
+use crate::page_table::{PageTable, Translation};
 
 /// Base of the heap used for segment allocation.
 ///
@@ -340,12 +340,6 @@ impl AddressSpace {
         self.page_table.translate(va)
     }
 
-    /// Performs a full page-table walk for `va`.
-    #[must_use]
-    pub fn walk(&self, va: VirtAddr) -> WalkPath {
-        self.page_table.walk(va)
-    }
-
     /// True if the 4 KB page containing `va` is mapped.
     #[must_use]
     pub fn is_mapped(&self, va: VirtAddr) -> bool {
@@ -424,14 +418,15 @@ impl AddressSpace {
 
     /// Distinct 4 KB virtual pages covered by the byte range
     /// `[start, start + len)`.
+    #[cfg(test)]
     #[must_use]
-    pub fn pages_in_range(start: VirtAddr, len: u64) -> Vec<VirtPageNum> {
+    pub fn pages_in_range(start: VirtAddr, len: u64) -> Vec<crate::addr::VirtPageNum> {
         if len == 0 {
             return Vec::new();
         }
         let first = start.vpn().raw();
         let last = start.add(len - 1).vpn().raw();
-        (first..=last).map(VirtPageNum::new).collect()
+        (first..=last).map(crate::addr::VirtPageNum::new).collect()
     }
 
     /// The underlying page table.
@@ -661,7 +656,7 @@ mod tests {
         space.migrate_page(va, MemNode::Npu(0), &mut mem).unwrap();
         let after = space.translate(va).unwrap();
         assert_eq!(after.node, MemNode::Npu(0));
-        assert_eq!(after.pa.frame_offset(), before.pa.frame_offset());
+        assert_eq!(after.pa.raw() % 4096, before.pa.raw() % 4096);
         assert_eq!(mem.used_bytes(MemNode::Npu(0)).unwrap(), used_before + 4096);
         assert_eq!(space.stats().migrations, 1);
         // Migrating to the current node is a no-op.
@@ -734,6 +729,20 @@ mod tests {
             .ensure_mapped(VirtAddr::new(0x10), &mut mem)
             .unwrap_err();
         assert!(matches!(err, VmemError::NotMapped { .. }));
+    }
+
+    proptest::proptest! {
+        /// `pages_in_range` covers exactly the bytes in the range.
+        #[test]
+        fn pages_in_range_covers_range(start in 0u64..(1u64 << 40), len in 1u64..(1u64 << 20)) {
+            let pages = AddressSpace::pages_in_range(VirtAddr::new(start), len);
+            let expected = (start + len - 1) / 4096 - start / 4096 + 1;
+            proptest::prop_assert_eq!(pages.len() as u64, expected);
+            // Pages are consecutive and sorted.
+            for w in pages.windows(2) {
+                proptest::prop_assert_eq!(w[1].raw(), w[0].raw() + 1);
+            }
+        }
     }
 
     #[test]

@@ -231,16 +231,6 @@ impl PhysicalMemory {
         self.alloc_contiguous(node, frames)
     }
 
-    /// Returns a frame to its owning node's free list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmemError::UnknownNode`] if the frame does not belong to any
-    /// configured node.
-    pub fn free_frame(&mut self, frame: PhysFrameNum) -> Result<(), VmemError> {
-        self.free_run(frame.raw(), 1)
-    }
-
     /// Frees all frames of one page of the given size starting at `first`.
     ///
     /// # Errors
@@ -274,16 +264,6 @@ impl PhysicalMemory {
             frame = run_end;
         }
         Ok(())
-    }
-
-    /// Node that owns the given frame.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmemError::UnknownNode`] if the frame lies outside every
-    /// configured node window.
-    pub fn owner_of(&self, frame: PhysFrameNum) -> Result<MemNode, VmemError> {
-        Ok(self.node_order[self.window_of(frame.raw())?])
     }
 
     /// Number of bytes currently allocated on `node`.
@@ -341,8 +321,6 @@ mod tests {
         let host = mem.alloc_frame(MemNode::Host).unwrap();
         let npu = mem.alloc_frame(MemNode::Npu(0)).unwrap();
         assert_ne!(host, npu);
-        assert_eq!(mem.owner_of(host).unwrap(), MemNode::Host);
-        assert_eq!(mem.owner_of(npu).unwrap(), MemNode::Npu(0));
     }
 
     #[test]
@@ -361,7 +339,7 @@ mod tests {
         let a = mem.alloc_frame(MemNode::Npu(0)).unwrap();
         let _b = mem.alloc_frame(MemNode::Npu(0)).unwrap();
         assert!(mem.alloc_frame(MemNode::Npu(0)).is_err());
-        mem.free_frame(a).unwrap();
+        mem.free_page(a, PageSize::Size4K).unwrap();
         let c = mem.alloc_frame(MemNode::Npu(0)).unwrap();
         assert_eq!(a, c);
     }
@@ -383,7 +361,7 @@ mod tests {
         let f = mem.alloc_frame(MemNode::Host).unwrap();
         assert_eq!(mem.used_bytes(MemNode::Host).unwrap(), 4096);
         assert_eq!(mem.peak_bytes(MemNode::Host).unwrap(), 4096);
-        mem.free_frame(f).unwrap();
+        mem.free_page(f, PageSize::Size4K).unwrap();
         assert_eq!(mem.used_bytes(MemNode::Host).unwrap(), 0);
         assert_eq!(mem.peak_bytes(MemNode::Host).unwrap(), 4096);
         assert_eq!(mem.capacity_bytes(MemNode::Host).unwrap(), 1 << 20);

@@ -60,8 +60,8 @@ pub use error::VmemError;
 pub use frame_alloc::{NodeSpec, PhysicalMemory};
 pub use numa::{MemNode, PlacementPolicy};
 pub use page_table::{
-    pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkPath,
-    WalkProbe, WalkStep,
+    pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkProbe,
+    WalkStep,
 };
 
 /// Convenience re-exports for downstream crates.
@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::frame_alloc::{NodeSpec, PhysicalMemory};
     pub use crate::numa::{MemNode, PlacementPolicy};
     pub use crate::page_table::{
-        pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkPath,
-        WalkProbe, WalkStep,
+        pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkProbe,
+        WalkStep,
     };
 }

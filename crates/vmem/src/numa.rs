@@ -20,6 +20,7 @@ pub enum MemNode {
 
 impl MemNode {
     /// True if this node is NPU-local memory.
+    #[cfg(test)]
     #[must_use]
     pub const fn is_npu(self) -> bool {
         matches!(self, MemNode::Npu(_))
@@ -35,6 +36,7 @@ impl MemNode {
     }
 
     /// True if an access from `accessor` to memory on `self` is local.
+    #[cfg(test)]
     #[must_use]
     pub fn is_local_to(self, accessor: MemNode) -> bool {
         self == accessor
@@ -67,6 +69,7 @@ pub enum PlacementPolicy {
 
 impl PlacementPolicy {
     /// Node that owns shard `shard_index` under this policy.
+    #[cfg(test)]
     #[must_use]
     pub fn node_for_shard(self, shard_index: usize) -> MemNode {
         match self {

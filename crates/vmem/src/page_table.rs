@@ -1,8 +1,8 @@
 //! An x86-64 style 4-level radix page table.
 //!
 //! The table is a structural model: it stores real per-level nodes and reports,
-//! for every walk, exactly which entries were touched ([`WalkPath`]). The MMU
-//! crate uses the walk path to
+//! for every walk, exactly which entries were touched ([`WalkStep`]). The MMU
+//! crate uses the walk to
 //!
 //! * charge one memory access per visited level (Section IV-C of the paper),
 //! * decide how many levels a TPreg / translation-path cache hit can skip, and
@@ -20,16 +20,15 @@
 //! implementation; a run leaves exactly the table, frames and errors that
 //! mapping its pages one at a time would. A demand-paging fault has already
 //! probed the page: [`PageTable::map_at_miss`] maps it through the same
-//! descent, resumed at the step where the probe stopped, and
-//! [`PageTable::remap_at`] rewrites the leaf a hit probe found, which is all
-//! [`PageTable::remap`] does after its own probe.
+//! descent, resumed at the step where the probe stopped, and a migration's
+//! [`PageTable::remap_at`] rewrites the leaf a hit probe found.
 //!
-//! Two query paths exist. [`PageTable::walk`] records every entry access as a
-//! [`WalkPath`] — an allocating trace used by tests, inspection tooling and
-//! the MMU-cache studies. [`PageTable::probe`] performs the same traversal but
-//! returns a `Copy` [`WalkProbe`] without touching the heap; it is the hot
-//! path the translation engines use, since they only need the leaf, the level
-//! count and the final entry access.
+//! There is one read-only descent, [`PageTable::probe_with`]: it reads one
+//! entry per level and hands each to a visitor as a [`WalkStep`]. The
+//! translation engines call [`PageTable::probe`], its no-op-visitor case,
+//! which returns a `Copy` [`WalkProbe`] without touching the heap: they only
+//! need the leaf, the level count and the final entry access. The MMU-cache
+//! models of Section IV-C take every visited step.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -45,13 +44,15 @@ use crate::numa::MemNode;
 /// Identifies one page-table node (interior table) within a [`PageTable`].
 ///
 /// In real hardware this would be the physical address of the 4 KB table; the
-/// model uses a dense id and exposes a synthetic physical address so that
-/// physically tagged MMU caches (the UPTC of Section IV-C) can be modelled.
+/// model uses a dense id, which tags entries as uniquely as that address
+/// would (the physically tagged UPTC of Section IV-C keys on it), and a
+/// synthetic physical address in tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct TableId(u32);
 
 impl TableId {
     /// Synthetic physical address of this table node.
+    #[cfg(test)]
     #[must_use]
     pub fn phys_addr(self) -> PhysAddr {
         // Page-table nodes live in a reserved physical window far above any
@@ -157,12 +158,6 @@ impl TableNode {
             Err(slot) => self.entries.insert(slot, (index, entry)),
         }
     }
-
-    fn remove(&mut self, index: u16) {
-        if let Ok(slot) = self.slot_of(index) {
-            self.entries.remove(slot);
-        }
-    }
 }
 
 /// The result of a successful translation.
@@ -220,37 +215,25 @@ pub struct WalkStep {
     pub outcome: WalkLevel,
 }
 
-/// The full trace of one page-table walk.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
-pub struct WalkPath {
-    /// The virtual address that was walked.
-    pub va: VirtAddr,
-    /// Entry accesses in walk order (root first).
-    pub steps: Vec<WalkStep>,
-    /// The translation, if the walk succeeded.
-    pub translation: Option<Translation>,
-}
-
-impl WalkPath {
-    /// Number of page-table memory accesses this walk performed.
-    #[must_use]
-    pub fn memory_accesses(&self) -> u32 {
-        self.steps.len() as u32
-    }
-
-    /// True if the walk reached a leaf mapping.
-    #[must_use]
-    pub fn is_hit(&self) -> bool {
-        self.translation.is_some()
+impl Default for WalkStep {
+    /// The one step of a probe of an empty table at address 0: root entry 0,
+    /// not present. A placeholder for arrays that collect a walk's steps.
+    fn default() -> Self {
+        WalkStep {
+            level: WalkIndexLevel::L4,
+            table: PageTable::ROOT,
+            index: 0,
+            outcome: WalkLevel::NotPresent,
+        }
     }
 }
 
 /// The allocation-free result of a [`PageTable::probe`].
 ///
-/// A probe traverses exactly the entries a full [`PageTable::walk`] would,
-/// but records only what the translation engines need — the final entry
+/// A probe records only what the translation engines need — the final entry
 /// access, the number of levels touched and the translation — in a `Copy`
-/// value, so the hot path never touches the heap.
+/// value, so the hot path never touches the heap. A caller that needs every
+/// entry access takes them from [`PageTable::probe_with`]'s visitor.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct WalkProbe {
     /// The virtual address that was probed.
@@ -276,14 +259,6 @@ impl WalkProbe {
     pub fn memory_accesses(&self) -> u32 {
         5 - self.last_step.level.as_number()
     }
-
-    /// Number of accesses a PTW whose TPreg/path cache already holds the
-    /// L4/L3/L2 entries performs: only the L1 access remains (1 for 4 KB
-    /// leaves and 4 KB misses detected at L1, 0 otherwise).
-    #[must_use]
-    pub fn cached_path_accesses(&self) -> u32 {
-        u32::from(self.last_step.level == WalkIndexLevel::L1)
-    }
 }
 
 /// Aggregate statistics about the page table's structure.
@@ -299,6 +274,7 @@ pub struct PageTableStats {
 
 impl PageTableStats {
     /// Total bytes mapped by the table.
+    #[cfg(test)]
     #[must_use]
     pub fn mapped_bytes(&self) -> u64 {
         self.leaf_4k * PageSize::Size4K.bytes() + self.leaf_2m * PageSize::Size2M.bytes()
@@ -359,9 +335,8 @@ impl PageTable {
 
     /// Stamp of the table's *mapped-ness* state: re-drawn (from a process-wide
     /// unique source) on every [`PageTable::map_pages`] call that maps at
-    /// least one page and every successful [`PageTable::unmap`], and
-    /// untouched by [`PageTable::remap`] (migration changes the backing
-    /// frame/node but not whether an address is mapped).
+    /// least one page, and untouched by [`PageTable::remap_at`] (migration
+    /// changes the backing frame/node but not whether an address is mapped).
     /// A cheap, sound version stamp for mapped-ness memos: equal revisions
     /// guarantee identical `is_mapped` answers for every address — across
     /// tables too, since stamps are never reused (a clone shares its
@@ -581,44 +556,10 @@ impl PageTable {
         unreachable!("walk order always reaches the leaf level");
     }
 
-    /// Removes the mapping covering `va` and returns its previous leaf.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmemError::NotMapped`] if no mapping covers `va`.
-    pub fn unmap(&mut self, va: VirtAddr) -> Result<Translation, VmemError> {
-        let probe = self.probe(va);
-        let translation = probe.translation.ok_or(VmemError::NotMapped { va })?;
-        let leaf_step = probe.last_step;
-        self.nodes[leaf_step.table.0 as usize].remove(leaf_step.index);
-        match translation.page_size {
-            PageSize::Size4K => self.stats.leaf_4k -= 1,
-            PageSize::Size2M => self.stats.leaf_2m -= 1,
-        }
-        self.revision = fresh_revision();
-        Ok(translation)
-    }
-
-    /// Changes the backing frame/node of an existing mapping (page migration).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VmemError::NotMapped`] if no mapping covers `va`.
-    pub fn remap(
-        &mut self,
-        va: VirtAddr,
-        new_pfn: PhysFrameNum,
-        new_node: MemNode,
-    ) -> Result<Translation, VmemError> {
-        let probe = self.probe(va);
-        self.remap_at(&probe, new_pfn, new_node)
-    }
-
     /// Rewrites the leaf a probe of this table hit to back its page with
     /// `new_pfn` on `new_node`, and returns the translation it replaced: the
-    /// leaf rewrite of [`PageTable::remap`], for a caller that has just
-    /// probed the address (page migration). `hit` must be taken since the
-    /// table's last mapping change.
+    /// leaf rewrite of page migration, whose caller has just probed the
+    /// address. `hit` must be taken since the table's last mapping change.
     ///
     /// # Errors
     ///
@@ -644,42 +585,54 @@ impl PageTable {
 
     /// Probes the page table for `va` without allocating.
     ///
-    /// This is the translation hot path: it traverses exactly the entries
-    /// [`PageTable::walk`] would but returns a `Copy` [`WalkProbe`] instead of
-    /// materializing the step trace.
+    /// This is the translation hot path: [`PageTable::probe_with`] with a
+    /// visitor that does nothing.
     #[inline]
     #[must_use]
     pub fn probe(&self, va: VirtAddr) -> WalkProbe {
+        self.probe_with(va, |_| {})
+    }
+
+    /// Descends the table for `va` from the root, calling `visit` on every
+    /// entry it reads in walk order (the `NextTable` steps, then the leaf or
+    /// the missing entry), and returns the probe. This is the table's one
+    /// read-only descent: [`PageTable::probe`] is its no-op-visitor case, and
+    /// the MMU-cache models take the visited steps.
+    #[inline]
+    pub fn probe_with(&self, va: VirtAddr, mut visit: impl FnMut(&WalkStep)) -> WalkProbe {
         let mut current = Self::ROOT;
         for level in WalkIndexLevel::WALK_ORDER {
             let index = va.level_index(level);
+            let step = |outcome| WalkStep {
+                level,
+                table: current,
+                index,
+                outcome,
+            };
             match self.nodes[current.0 as usize].get(index) {
-                Some(Entry::Table(next)) => current = next,
+                Some(Entry::Table(next)) => {
+                    visit(&step(WalkLevel::NextTable { next }));
+                    current = next;
+                }
                 Some(Entry::Leaf {
                     pfn,
                     node,
                     page_size,
                 }) => {
+                    let last_step = step(WalkLevel::Leaf { page_size });
+                    visit(&last_step);
                     return WalkProbe {
                         va,
-                        last_step: WalkStep {
-                            level,
-                            table: current,
-                            index,
-                            outcome: WalkLevel::Leaf { page_size },
-                        },
+                        last_step,
                         translation: Some(Translation::of(va, pfn, page_size, node)),
                     };
                 }
                 None => {
+                    let last_step = step(WalkLevel::NotPresent);
+                    visit(&last_step);
                     return WalkProbe {
                         va,
-                        last_step: WalkStep {
-                            level,
-                            table: current,
-                            index,
-                            outcome: WalkLevel::NotPresent,
-                        },
+                        last_step,
                         translation: None,
                     };
                 }
@@ -688,90 +641,7 @@ impl PageTable {
         unreachable!("L1 entries are always leaves or absent");
     }
 
-    /// Walks the page table for `va`, reporting every entry access.
-    ///
-    /// The step trace allocates; simulation hot paths use the trace-free
-    /// [`PageTable::probe`] instead and `walk` serves tests, inspection and
-    /// the MMU-cache studies that need per-entry access records.
-    #[must_use]
-    pub fn walk(&self, va: VirtAddr) -> WalkPath {
-        let mut steps = Vec::with_capacity(4);
-        let mut current = Self::ROOT;
-        for level in WalkIndexLevel::WALK_ORDER {
-            let index = va.level_index(level);
-            match self.nodes[current.0 as usize].get(index) {
-                Some(Entry::Table(next)) => {
-                    steps.push(WalkStep {
-                        level,
-                        table: current,
-                        index,
-                        outcome: WalkLevel::NextTable { next },
-                    });
-                    current = next;
-                }
-                Some(Entry::Leaf {
-                    pfn,
-                    node,
-                    page_size,
-                }) => {
-                    steps.push(WalkStep {
-                        level,
-                        table: current,
-                        index,
-                        outcome: WalkLevel::Leaf { page_size },
-                    });
-                    return WalkPath {
-                        va,
-                        steps,
-                        translation: Some(Translation::of(va, pfn, page_size, node)),
-                    };
-                }
-                None => {
-                    steps.push(WalkStep {
-                        level,
-                        table: current,
-                        index,
-                        outcome: WalkLevel::NotPresent,
-                    });
-                    return WalkPath {
-                        va,
-                        steps,
-                        translation: None,
-                    };
-                }
-            }
-        }
-        WalkPath {
-            va,
-            steps,
-            translation: None,
-        }
-    }
-
-    /// Walks the page table starting below the L2 level, as a PTW whose
-    /// TPreg/translation-path cache already holds the L4/L3/L2 entries would.
-    ///
-    /// Returns the walk steps actually performed (at most the L1 access for a
-    /// 4 KB mapping; an empty step list for a 2 MB mapping whose leaf lives at
-    /// L2 and is therefore covered by the cached path). Implemented on the
-    /// probe path: only the final entry access can sit at L1, so the step
-    /// trace is reconstructed from it without a second traversal.
-    #[must_use]
-    pub fn walk_from_cached_path(&self, va: VirtAddr) -> WalkPath {
-        let probe = self.probe(va);
-        let steps = if probe.last_step.level == WalkIndexLevel::L1 {
-            vec![probe.last_step]
-        } else {
-            Vec::new()
-        };
-        WalkPath {
-            va,
-            steps,
-            translation: probe.translation,
-        }
-    }
-
-    /// Translates `va` without recording walk steps.
+    /// Translates `va`.
     ///
     /// # Errors
     ///
@@ -822,6 +692,13 @@ mod tests {
         .unwrap();
     }
 
+    /// The entries `probe_with` visits for `va`, and the probe it returns.
+    fn steps_of(pt: &PageTable, va: u64) -> (Vec<WalkStep>, WalkProbe) {
+        let mut steps = Vec::new();
+        let probe = pt.probe_with(VirtAddr::new(va), |step| steps.push(*step));
+        (steps, probe)
+    }
+
     #[test]
     fn map_and_translate_4k() {
         let mut pt = PageTable::new();
@@ -836,13 +713,14 @@ mod tests {
     fn walk_of_4k_mapping_takes_four_accesses() {
         let mut pt = PageTable::new();
         map_4k(&mut pt, 0x40_0000, 0x99);
-        let path = pt.walk(VirtAddr::new(0x40_0000));
-        assert!(path.is_hit());
-        assert_eq!(path.memory_accesses(), 4);
-        assert_eq!(path.steps[0].level, WalkIndexLevel::L4);
-        assert_eq!(path.steps[3].level, WalkIndexLevel::L1);
+        let (steps, probe) = steps_of(&pt, 0x40_0000);
+        assert!(probe.is_hit());
+        assert_eq!(steps.len(), 4);
+        assert_eq!(probe.memory_accesses(), 4);
+        assert_eq!(steps[0].level, WalkIndexLevel::L4);
+        assert_eq!(steps[3].level, WalkIndexLevel::L1);
         assert!(matches!(
-            path.steps[3].outcome,
+            steps[3].outcome,
             WalkLevel::Leaf {
                 page_size: PageSize::Size4K
             }
@@ -859,10 +737,12 @@ mod tests {
             MemNode::Host,
         )
         .unwrap();
-        let path = pt.walk(VirtAddr::new(0x20_0000 + 0x1234));
-        assert!(path.is_hit());
-        assert_eq!(path.memory_accesses(), 3);
-        let t = path.translation.unwrap();
+        let (steps, probe) = steps_of(&pt, 0x20_0000 + 0x1234);
+        assert!(probe.is_hit());
+        assert_eq!(steps.len(), 3);
+        assert_eq!(probe.memory_accesses(), 3);
+        assert_eq!(steps[2].level, WalkIndexLevel::L2);
+        let t = probe.translation.unwrap();
         assert_eq!(t.pa.raw(), (0x1000u64 << 12) + 0x1234);
         assert_eq!(t.page_size, PageSize::Size2M);
     }
@@ -870,10 +750,11 @@ mod tests {
     #[test]
     fn walk_miss_reports_partial_path() {
         let pt = PageTable::new();
-        let path = pt.walk(VirtAddr::new(0x1234_5678));
-        assert!(!path.is_hit());
-        assert_eq!(path.memory_accesses(), 1);
-        assert!(matches!(path.steps[0].outcome, WalkLevel::NotPresent));
+        let (steps, probe) = steps_of(&pt, 0x1234_5678);
+        assert!(!probe.is_hit());
+        assert_eq!(steps, [probe.last_step]);
+        assert_eq!(probe.memory_accesses(), 1);
+        assert!(matches!(steps[0].outcome, WalkLevel::NotPresent));
     }
 
     #[test]
@@ -923,30 +804,12 @@ mod tests {
     }
 
     #[test]
-    fn unmap_removes_mapping_and_updates_stats() {
-        let mut pt = PageTable::new();
-        map_4k(&mut pt, 0x5000, 42);
-        assert_eq!(pt.stats().leaf_4k, 1);
-        let old = pt.unmap(VirtAddr::new(0x5000)).unwrap();
-        assert_eq!(old.pfn.raw(), 42);
-        assert_eq!(pt.stats().leaf_4k, 0);
-        assert!(!pt.is_mapped(VirtAddr::new(0x5000)));
-        assert!(matches!(
-            pt.unmap(VirtAddr::new(0x5000)),
-            Err(VmemError::NotMapped { .. })
-        ));
-    }
-
-    #[test]
     fn remap_changes_frame_and_node() {
         let mut pt = PageTable::new();
         map_4k(&mut pt, 0x5000, 42);
+        let hit = pt.probe(VirtAddr::new(0x5000));
         let old = pt
-            .remap(
-                VirtAddr::new(0x5000),
-                PhysFrameNum::new(100),
-                MemNode::Npu(3),
-            )
+            .remap_at(&hit, PhysFrameNum::new(100), MemNode::Npu(3))
             .unwrap();
         assert_eq!(old.pfn.raw(), 42);
         let t = pt.translate(VirtAddr::new(0x5abc)).unwrap();
@@ -963,30 +826,11 @@ mod tests {
         map_4k(&mut pt, 0x10_1000, 2);
         // The second page is in the same L1 table: no new interior nodes.
         assert_eq!(pt.stats().tables, tables_after_first);
-        let a = pt.walk(VirtAddr::new(0x10_0000));
-        let b = pt.walk(VirtAddr::new(0x10_1000));
-        for i in 0..3 {
-            assert_eq!(a.steps[i].table, b.steps[i].table);
+        let (a, _) = steps_of(&pt, 0x10_0000);
+        let (b, _) = steps_of(&pt, 0x10_1000);
+        for i in 0..4 {
+            assert_eq!(a[i].table, b[i].table);
         }
-    }
-
-    #[test]
-    fn walk_from_cached_path_skips_upper_levels() {
-        let mut pt = PageTable::new();
-        map_4k(&mut pt, 0x40_0000, 7);
-        let partial = pt.walk_from_cached_path(VirtAddr::new(0x40_0000));
-        assert!(partial.is_hit());
-        assert_eq!(partial.memory_accesses(), 1);
-        pt.map(
-            VirtAddr::new(0x8000_0000),
-            PageSize::Size2M,
-            PhysFrameNum::new(0x2000),
-            MemNode::Host,
-        )
-        .unwrap();
-        let partial2m = pt.walk_from_cached_path(VirtAddr::new(0x8000_0000));
-        assert!(partial2m.is_hit());
-        assert_eq!(partial2m.memory_accesses(), 0);
     }
 
     #[test]
@@ -1022,55 +866,35 @@ mod tests {
             MemNode::Host,
         )
         .unwrap();
-        for raw in [
-            0x40_0000u64,     // 4 KB hit
-            0x40_0123,        // 4 KB hit, interior offset
-            0x8000_0000,      // 2 MB hit
-            0x8012_3456,      // 2 MB hit, interior offset
-            0x40_1000,        // miss at L1 (sibling page)
-            0x1234_5678,      // miss at an upper level
-            0x0007_ffff_f000, // miss far away
+        for (raw, hit, accesses) in [
+            (0x40_0000u64, true, 4),      // 4 KB hit
+            (0x40_0123, true, 4),         // 4 KB hit, interior offset
+            (0x8000_0000, true, 3),       // 2 MB hit
+            (0x8012_3456, true, 3),       // 2 MB hit, interior offset
+            (0x40_1000, false, 4),        // miss at L1 (sibling page)
+            (0x1234_5678, false, 3),      // miss at L2
+            (0x0007_ffff_f000, false, 2), // miss at L3
         ] {
-            let va = VirtAddr::new(raw);
-            let probe = pt.probe(va);
-            let walk = pt.walk(va);
-            assert_eq!(probe.is_hit(), walk.is_hit(), "hit mismatch at {va}");
-            assert_eq!(
-                probe.memory_accesses(),
-                walk.memory_accesses(),
-                "access-count mismatch at {va}"
-            );
-            assert_eq!(probe.translation, walk.translation, "leaf mismatch at {va}");
-            assert_eq!(
-                Some(&probe.last_step),
-                walk.steps.last(),
-                "final step mismatch at {va}"
-            );
+            let (steps, probe) = steps_of(&pt, raw);
+            assert_eq!(probe.is_hit(), hit, "{raw:#x}");
+            assert_eq!(steps.len(), accesses, "{raw:#x}");
+            assert_eq!(probe.memory_accesses() as usize, accesses, "{raw:#x}");
+            assert_eq!(steps.last(), Some(&probe.last_step), "{raw:#x}");
+            // Root first, one entry per level, each read in the table the
+            // entry above it named.
+            let mut table = PageTable::ROOT;
+            for (step, level) in steps.iter().zip(WalkIndexLevel::WALK_ORDER) {
+                assert_eq!((step.level, step.table), (level, table), "{raw:#x}");
+                assert_eq!(step.index, VirtAddr::new(raw).level_index(level));
+                if let WalkLevel::NextTable { next } = step.outcome {
+                    table = next;
+                }
+            }
         }
     }
 
     #[test]
-    fn probe_cached_path_accesses_match_walk_from_cached_path() {
-        let mut pt = PageTable::new();
-        map_4k(&mut pt, 0x40_0000, 7);
-        pt.map(
-            VirtAddr::new(0x8000_0000),
-            PageSize::Size2M,
-            PhysFrameNum::new(0x2000),
-            MemNode::Host,
-        )
-        .unwrap();
-        for raw in [0x40_0000u64, 0x8000_0000, 0x40_1000, 0x1234_5678] {
-            let va = VirtAddr::new(raw);
-            let probe = pt.probe(va);
-            let partial = pt.walk_from_cached_path(va);
-            assert_eq!(probe.cached_path_accesses(), partial.memory_accesses());
-            assert_eq!(probe.translation, partial.translation);
-        }
-    }
-
-    #[test]
-    fn revision_changes_on_map_and_unmap_but_not_remap() {
+    fn revision_changes_on_map_but_not_remap() {
         let mut pt = PageTable::new();
         let fresh = pt.revision();
         map_4k(&mut pt, 0x1000, 1);
@@ -1087,14 +911,10 @@ mod tests {
             .is_err());
         assert_eq!(pt.revision(), after_map);
         // Migration does not change mapped-ness.
-        pt.remap(VirtAddr::new(0x1000), PhysFrameNum::new(9), MemNode::Npu(1))
+        let hit = pt.probe(VirtAddr::new(0x1000));
+        pt.remap_at(&hit, PhysFrameNum::new(9), MemNode::Npu(1))
             .unwrap();
         assert_eq!(pt.revision(), after_map);
-        pt.unmap(VirtAddr::new(0x1000)).unwrap();
-        let after_unmap = pt.revision();
-        assert_ne!(after_unmap, after_map);
-        assert!(pt.unmap(VirtAddr::new(0x1000)).is_err());
-        assert_eq!(pt.revision(), after_unmap);
     }
 
     #[test]
@@ -1257,15 +1077,15 @@ mod tests {
                 .map_at_miss(&miss, page_size, node, || Ok(PhysFrameNum::new(512)))
                 .unwrap();
             assert_eq!(Ok(translation), want.translate(va), "{va}");
-            assert_eq!(got.walk(va), want.walk(va), "{va}");
+            assert_eq!(steps_of(&got, va.raw()), steps_of(&want, va.raw()), "{va}");
             assert_eq!(got.stats(), want.stats(), "{va}");
             assert_ne!(got.revision(), base.revision(), "{va}");
             // The next allocated node gets the same id on both tables.
             map_4k(&mut got, 0x7f_0000_0000, 9);
             map_4k(&mut want, 0x7f_0000_0000, 9);
             assert_eq!(
-                got.walk(VirtAddr::new(0x7f_0000_0000)),
-                want.walk(VirtAddr::new(0x7f_0000_0000))
+                steps_of(&got, 0x7f_0000_0000),
+                steps_of(&want, 0x7f_0000_0000)
             );
         }
     }

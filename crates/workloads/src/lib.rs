@@ -23,7 +23,7 @@ pub mod suite;
 pub use embedding::{
     EmbeddingModel, EmbeddingTableSpec, IndexDistribution, LookupStream, LookupTrace,
 };
-pub use suite::{dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES};
+pub use suite::{sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -32,7 +32,5 @@ pub mod prelude {
         EmbeddingModel, EmbeddingTableSpec, IndexDistribution, LookupStream, LookupTrace,
     };
     pub use crate::rnn;
-    pub use crate::suite::{
-        dense_suite, sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES,
-    };
+    pub use crate::suite::{sparse_suite, DenseWorkload, WorkloadId, DENSE_BATCH_SIZES};
 }

@@ -60,6 +60,7 @@ impl WorkloadId {
     }
 
     /// True for the recurrent workloads.
+    #[cfg(test)]
     #[must_use]
     pub fn is_rnn(self) -> bool {
         matches!(self, WorkloadId::Rnn1 | WorkloadId::Rnn2 | WorkloadId::Rnn3)
@@ -129,16 +130,6 @@ impl DenseWorkload {
     }
 }
 
-/// The full dense suite (CNN-1..3, RNN-1..3).
-#[must_use]
-pub fn dense_suite() -> Vec<DenseWorkload> {
-    WorkloadId::ALL
-        .iter()
-        .copied()
-        .map(DenseWorkload::new)
-        .collect()
-}
-
 /// The sparse (embedding) suite: NCF and DLRM.
 #[must_use]
 pub fn sparse_suite() -> Vec<EmbeddingModel> {
@@ -151,7 +142,7 @@ mod tests {
 
     #[test]
     fn suite_covers_six_dense_workloads() {
-        let suite = dense_suite();
+        let suite = WorkloadId::ALL.map(DenseWorkload::new);
         assert_eq!(suite.len(), 6);
         let labels: Vec<_> = suite.iter().map(|w| w.id.label()).collect();
         assert_eq!(
@@ -162,7 +153,7 @@ mod tests {
 
     #[test]
     fn every_workload_produces_valid_layers_at_every_batch() {
-        for workload in dense_suite() {
+        for workload in WorkloadId::ALL.map(DenseWorkload::new) {
             for &batch in &DENSE_BATCH_SIZES {
                 let layers = workload.layers(batch);
                 assert!(!layers.is_empty());
@@ -180,7 +171,7 @@ mod tests {
 
     #[test]
     fn common_layers_are_valid_at_large_batches() {
-        for workload in dense_suite() {
+        for workload in WorkloadId::ALL.map(DenseWorkload::new) {
             for batch in [32, 64, 128] {
                 assert!(workload.common_layer(batch).validate().is_ok());
             }

@@ -36,14 +36,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 1. Anatomy of a page-table walk.
     let va = weights.addr_at(0x1234);
-    let walk = space.walk(va);
     println!("walking {va}:");
-    for step in &walk.steps {
+    let walk = space.page_table().probe_with(va, |step| {
         println!(
             "  {:?} index {} -> {:?}",
             step.level, step.index, step.outcome
         );
-    }
+    });
     let translation = walk.translation.expect("weights are eagerly mapped");
     println!(
         "  => {} on {} ({} memory accesses)\n",

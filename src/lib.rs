@@ -82,7 +82,7 @@ mod workspace_sanity {
 
     #[test]
     fn dense_and_sparse_suites_are_reachable() {
-        let dense = crate::workloads::dense_suite();
+        let dense = crate::workloads::WorkloadId::ALL.map(crate::workloads::DenseWorkload::new);
         assert!(!dense.is_empty(), "dense suite lost its workloads");
         let sparse = crate::workloads::sparse_suite();
         assert!(!sparse.is_empty(), "sparse suite lost its models");
