@@ -19,7 +19,8 @@
 //!   that no non-test code uses, so public API that only tests call fails CI
 //!   instead of piling up. A use is an identifier token of a scanned `src/`
 //!   file, an example or `perfbench/src`, outside `use` declarations, the
-//!   name position of item definitions and test code, or an identifier in a
+//!   name position of item definitions, the self type of an inherent
+//!   `impl Name {` header and test code, or an identifier in a
 //!   string literal's `{}` hole (an inline format argument such as
 //!   `"{NAME}/..."`). Test code is everything under `#[cfg(test)]` or
 //!   `#[test]` and every file of a `tests/` or `benches/` tree; a name it
@@ -922,7 +923,11 @@ fn u001(files: &[FileContext], references: &[FileContext], findings: &mut Vec<Fi
     for ctx in files.iter().chain(references) {
         let test_tree = is_test_tree(&ctx.rel_path);
         let mut skip = compute_use_mask(&ctx.tokens);
-        for (name, _) in item_names(&ctx.tokens) {
+        for name in item_names(&ctx.tokens)
+            .into_iter()
+            .map(|(name, _)| name)
+            .chain(inherent_impl_types(&ctx.tokens))
+        {
             skip[name] = true;
         }
         for (i, token) in ctx.tokens.iter().enumerate() {
@@ -1009,6 +1014,47 @@ fn item_names(tokens: &[Token]) -> Vec<(usize, &str)> {
         }
     }
     names
+}
+
+/// Token index of the self type's last path segment of every inherent
+/// `impl [<..>] Name [<..>] [where ..] {` item: defining methods on a type
+/// does not use it. Trait impls (`impl Trait for Name`) and `impl Trait` in
+/// type position (after `->`, `(`, `:`, ...) are not inherent impl items.
+fn inherent_impl_types(tokens: &[Token]) -> Vec<usize> {
+    let mut types = Vec::new();
+    for (start, token) in tokens.iter().enumerate() {
+        let at_item = start == 0 || {
+            let prev = &tokens[start - 1];
+            prev.is_ident("unsafe") || ['}', ';', ']', '{'].iter().any(|&c| prev.is_punct(c))
+        };
+        if !token.is_ident("impl") || !at_item {
+            continue;
+        }
+        let mut i = start + 1;
+        if tokens.get(i).is_some_and(|t| t.is_punct('<')) {
+            i = skip_angles(tokens, i);
+        }
+        let mut last_ident = None;
+        while let Some(t) = tokens.get(i) {
+            if t.is_ident("for") {
+                last_ident = None;
+                break;
+            }
+            if t.is_punct('{') || t.is_ident("where") {
+                break;
+            }
+            if t.is_punct('<') {
+                i = skip_angles(tokens, i);
+                continue;
+            }
+            if t.kind == TokenKind::Ident {
+                last_ident = Some(i);
+            }
+            i += 1;
+        }
+        types.extend(last_ident);
+    }
+    types
 }
 
 /// True if the item whose name sits at token `name` is declared plain `pub`

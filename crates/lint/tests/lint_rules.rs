@@ -357,13 +357,13 @@ fn u001_waiver_silences_the_finding() {
     assert!(report.is_clean());
 }
 
-/// Asserts that `ws` has one finding, for `helper`, which test code alone
+/// Asserts that `ws` has one finding, for `item`, which test code alone
 /// uses.
-fn assert_flagged_as_test_only(ws: &TempWorkspace) {
+fn assert_flagged_as_test_only(ws: &TempWorkspace, item: &str) {
     let report = ws.lint();
     assert_eq!(report.findings.len(), 1, "{:?}", report.findings);
     let message = &report.findings[0].message;
-    assert!(message.contains("`helper`"), "{message}");
+    assert!(message.contains(&format!("`{item}`")), "{message}");
     assert!(
         message.contains("is used only by tests/benches"),
         "{message}"
@@ -377,7 +377,7 @@ fn u001_flags_an_item_only_a_tests_file_uses() {
         "tests/it.rs",
         "#[test]\nfn calls() {\n    seeded::helper();\n}\n",
     );
-    assert_flagged_as_test_only(&ws);
+    assert_flagged_as_test_only(&ws, "helper");
 }
 
 #[test]
@@ -386,7 +386,7 @@ fn u001_flags_an_item_only_a_benches_file_uses() {
         "benches/bench.rs",
         "fn main() {\n    seeded::helper();\n}\n",
     );
-    assert_flagged_as_test_only(&ws);
+    assert_flagged_as_test_only(&ws, "helper");
 }
 
 #[test]
@@ -402,5 +402,32 @@ mod tests {
     }
 }
 ";
-    assert_flagged_as_test_only(&TempWorkspace::new("u001-unit", lib, ""));
+    assert_flagged_as_test_only(&TempWorkspace::new("u001-unit", lib, ""), "helper");
+}
+
+#[test]
+fn u001_flags_a_type_whose_impl_block_only_tests_use() {
+    // The non-test `impl Policy {` header defines methods on the type; it
+    // does not use it.
+    let lib = "\
+pub enum Policy {
+    HostOnly,
+}
+
+impl Policy {
+    #[cfg(test)]
+    pub fn node(self) -> u16 {
+        0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn node() {
+        assert_eq!(super::Policy::HostOnly.node(), 0);
+    }
+}
+";
+    assert_flagged_as_test_only(&TempWorkspace::new("u001-impl", lib, ""), "Policy");
 }

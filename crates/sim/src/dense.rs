@@ -19,10 +19,11 @@ use serde::Serialize;
 
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mmu::MmuConfig;
-use neummu_npu::{DmaEngine, Layer, NpuConfig, TensorKind, TileFetch, TilingPlan};
-use neummu_vmem::{AddressSpace, MemNode, PhysicalMemory, SegmentOptions, VirtAddr};
+use neummu_npu::{DmaEngine, Layer, NpuConfig, TensorKind};
+use neummu_vmem::{AddressSpace, Asid, MemNode, PhysicalMemory, SegmentOptions};
 
 use crate::error::SimError;
+use crate::memory_phase::{map_layer, run_step};
 
 /// Configuration of a dense-workload simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -157,8 +158,6 @@ pub struct WorkloadResult {
     pub translation: neummu_mmu::TranslationStats,
     /// Total translation energy in nanojoules (one step per layer).
     pub translation_energy_nj: f64,
-    /// Page-walk DRAM accesses (one step per layer).
-    pub walk_memory_accesses: u64,
     /// Optional traces (Figures 7 and 14).
     pub trace: Option<TranslationTrace>,
 }
@@ -254,22 +253,19 @@ impl DenseSimulator {
         // Same-page runs are grouped at the translator's page size, so every
         // address of a run shares one TLB tag.
         let page_bytes = self.config.mmu.page_size.bytes();
+        let seg_opts = SegmentOptions::new(self.config.node, self.config.mmu.page_size);
 
         for (layer_index, layer) in layers.iter().enumerate() {
-            let plan = TilingPlan::for_layer(layer, &self.config.npu)?;
-            let seg_opts = SegmentOptions::new(self.config.node, self.config.mmu.page_size);
-            let ia_seg = space.alloc_segment(
-                format!("l{layer_index}_{}_ia", layer.name()),
-                plan.ia_segment_bytes().max(1),
-                seg_opts,
+            let mapped = map_layer(
+                &mut space,
                 &mut memory,
-            )?;
-            let w_seg = space.alloc_segment(
-                format!("l{layer_index}_{}_w", layer.name()),
-                plan.w_segment_bytes().max(1),
+                &self.config.npu,
                 seg_opts,
-                &mut memory,
+                layer_index,
+                layer,
             )?;
+            let plan = &mapped.plan;
+            let requests_before = translator.stats().requests;
 
             let layer_start = now;
             let mut prev_mem_end = layer_start;
@@ -277,7 +273,6 @@ impl DenseSimulator {
             let mut compute_end_prev2 = layer_start;
             let mut compute_sum = 0u64;
             let mut memory_sum = 0u64;
-            let mut requests = 0u64;
             let mut max_pages = 0u64;
             let mut pages_sum = 0u64;
 
@@ -290,14 +285,10 @@ impl DenseSimulator {
                 let mut mem_end = mem_start;
                 let mut tile_pages = 0u64;
 
-                let fetches: [Option<(&TileFetch, VirtAddr)>; 2] = [
-                    tile.ia_fetch.as_ref().map(|f| (f, ia_seg.start())),
-                    tile.w_fetch.as_ref().map(|f| (f, w_seg.start())),
-                ];
-                for (fetch, seg_base) in fetches.into_iter().flatten() {
+                for (seg_base, fetch) in mapped.fetches(tile) {
                     tile_pages += dma.translation_demand(fetch).distinct_pages_4k;
                     if let Some(trace) = trace.as_mut() {
-                        let start = seg_base.raw() + fetch.offset;
+                        let start = seg_base + fetch.offset;
                         trace.record_window(
                             global_tile_index,
                             fetch.kind,
@@ -306,42 +297,31 @@ impl DenseSimulator {
                         );
                     }
                     // The run-coalesced memory phase: the DMA stream is
-                    // consumed one same-page run at a time. Each
-                    // `translate_run` resolves the run's first request
-                    // through the full translation path and replays the rest
-                    // arithmetically (identical outcomes, one TLB touch);
-                    // the matching data transfers batch into one DRAM
-                    // occupancy computation. A run the translator could not
-                    // fully replay (PRMB exhaustion, an eviction) continues
-                    // from its suffix, so the per-transaction sequence is
-                    // reproduced exactly.
-                    for full_run in dma.page_runs(fetch, seg_base.raw(), page_bytes) {
-                        let mut run = full_run;
+                    // consumed one same-page run at a time. Each run step
+                    // resolves the run's first request through the full
+                    // translation path and replays the rest arithmetically
+                    // (identical outcomes, one TLB touch); the matching data
+                    // transfers batch into one DRAM occupancy computation. A
+                    // run the translator could not fully replay (PRMB
+                    // exhaustion, an eviction) continues from its suffix, so
+                    // the per-transaction sequence is reproduced exactly.
+                    for mut run in dma.page_runs(fetch, seg_base, page_bytes) {
                         loop {
-                            let va = seg_base.add(run.first.offset);
-                            let out = translator.translate_run(
+                            let (out, data_ready) = run_step(
+                                translator.as_mut(),
+                                &mut dram,
                                 space.page_table(),
-                                va,
-                                run.txn_count,
-                                issue_cycle,
+                                Asid::GLOBAL,
+                                seg_base,
+                                run,
+                                &mut issue_cycle,
                             );
                             debug_assert!(!out.first.fault, "dense operands are eagerly mapped");
-                            requests += out.consumed;
                             if let Some(trace) = trace.as_mut() {
                                 for j in 0..out.consumed {
                                     trace.record_issue(out.accept(j));
                                 }
                             }
-                            issue_cycle = out.last_accept() + 1;
-                            let scheduled = run.prefix(out.consumed);
-                            let data_ready = dram.schedule_run(
-                                out.first.complete_cycle,
-                                out.complete_stride,
-                                scheduled.txn_count,
-                                scheduled.first.bytes,
-                                scheduled.interior_txn_bytes(),
-                                scheduled.txn_len(scheduled.txn_count - 1),
-                            );
                             mem_end = mem_end.max(data_ready);
                             if out.consumed == run.txn_count {
                                 break;
@@ -371,6 +351,7 @@ impl DenseSimulator {
                 global_tile_index += 1;
             }
 
+            let requests = translator.stats().requests - requests_before;
             let step_cycles = compute_end_prev.saturating_sub(layer_start).max(1);
             let repeats = plan.repeats();
             let total_cycles = step_cycles * repeats;
@@ -409,7 +390,6 @@ impl DenseSimulator {
             layers: layer_results,
             translation: *translator.stats(),
             translation_energy_nj: translator.energy().total_nj(),
-            walk_memory_accesses: translator.stats().walk_memory_accesses,
             trace,
         })
     }
@@ -530,10 +510,10 @@ mod tests {
         let iommu = run(&layer, MmuConfig::baseline_iommu());
         let neummu = run(&layer, MmuConfig::neummu());
         assert!(
-            iommu.walk_memory_accesses > 4 * neummu.walk_memory_accesses,
+            iommu.translation.walk_memory_accesses > 4 * neummu.translation.walk_memory_accesses,
             "iommu {} vs neummu {}",
-            iommu.walk_memory_accesses,
-            neummu.walk_memory_accesses
+            iommu.translation.walk_memory_accesses,
+            neummu.translation.walk_memory_accesses
         );
         assert!(iommu.translation_energy_nj > neummu.translation_energy_nj);
     }

@@ -459,8 +459,8 @@ pub fn summary_neummu_on(
             neummu_perf: neummu.normalized_to(&oracle),
             iommu_energy: iommu.translation_energy_nj,
             neummu_energy: neummu.translation_energy_nj,
-            iommu_walk_accesses: iommu.walk_memory_accesses,
-            neummu_walk_accesses: neummu.walk_memory_accesses,
+            iommu_walk_accesses: iommu.translation.walk_memory_accesses,
+            neummu_walk_accesses: neummu.translation.walk_memory_accesses,
         })
     })?;
     let mut iommu_perfs = Vec::new();

@@ -31,6 +31,7 @@ pub mod dense;
 pub mod embedding;
 pub mod error;
 pub mod experiments;
+mod memory_phase;
 pub mod multi_tenant;
 pub mod persist;
 pub mod report;

@@ -14,7 +14,9 @@
 //! * per-tenant [`TenantStats`] event counters (in the spirit of
 //!   CounterPoint's cheap measured counters) expose exactly where the
 //!   cross-tenant interference lands: TLB hit-rate collapse, lost merges,
-//!   extra walker occupancy, stall cycles.
+//!   extra walker occupancy, stall cycles. The shared engine is the only
+//!   place they are counted: a tenant takes the difference of the engine's
+//!   counters across each of its turns.
 //!
 //! One driver multiplexes the streams onto **one shared cycle-accounted
 //! translation engine and one shared HBM**: the turn loop of
@@ -41,11 +43,13 @@
 
 use serde::Serialize;
 
-use neummu_npu::{DmaEngine, NpuConfig, PageRun, PageRunIter, TileFetch, TilingPlan};
+use neummu_mmu::TranslationStats;
+use neummu_npu::{DmaEngine, NpuConfig, PageRun, PageRunIter, TileFetch};
 use neummu_vmem::{Asid, MemNode, NodeSpec, PhysicalMemory, SegmentOptions};
 use neummu_workloads::{DenseWorkload, WorkloadId};
 
 use crate::error::SimError;
+use crate::memory_phase::map_layer;
 
 /// One tenant time-sharing the NPU: a dense workload at a batch size.
 ///
@@ -128,6 +132,18 @@ impl TenantStats {
         }
     }
 
+    /// Adds the engine's counts between the snapshots `before` and `after`
+    /// taken around one of this tenant's turns on the shared engine.
+    pub(crate) fn add_turn(&mut self, before: &TranslationStats, after: &TranslationStats) {
+        self.requests += after.requests - before.requests;
+        self.tlb_hits += after.tlb_hits - before.tlb_hits;
+        self.merged += after.merged - before.merged;
+        self.walks += after.walks - before.walks;
+        self.walk_levels_read += after.walk_memory_accesses - before.walk_memory_accesses;
+        self.faults += after.faults - before.faults;
+        self.stall_cycles += after.stall_cycles - before.stall_cycles;
+    }
+
     /// IOTLB hit rate of the tenant's own request stream.
     #[must_use]
     pub fn tlb_hit_rate(&self) -> f64 {
@@ -148,29 +164,6 @@ pub struct MultiTenantResult {
     pub stats: Vec<TenantStats>,
     /// Cycle at which the last tenant finished.
     pub makespan_cycles: u64,
-}
-
-impl MultiTenantResult {
-    /// The stats of the tenant registered under `asid`.
-    #[must_use]
-    pub fn tenant(&self, asid: Asid) -> Option<&TenantStats> {
-        self.stats.get(asid.index())
-    }
-
-    /// Each tenant's share of the total walker busy cycles (the
-    /// walker-occupancy breakdown; empty if no tenant walked).
-    #[cfg(test)]
-    #[must_use]
-    pub fn walker_occupancy_shares(&self) -> Vec<f64> {
-        let total: u64 = self.stats.iter().map(|s| s.walk_levels_read).sum();
-        if total == 0 {
-            return vec![0.0; self.stats.len()];
-        }
-        self.stats
-            .iter()
-            .map(|s| s.walk_levels_read as f64 / total as f64)
-            .collect()
-    }
 }
 
 /// One tenant's DMA translation stream: the page-run decomposition of its
@@ -280,26 +273,9 @@ pub(crate) fn map_tenant_fetches(
     let seg_opts = SegmentOptions::new(node, page_size);
     let mut fetches = Vec::new();
     for (layer_index, layer) in layers.iter().enumerate() {
-        let plan = TilingPlan::for_layer(layer, npu)?;
-        let ia_seg = space.alloc_segment(
-            format!("l{layer_index}_{}_ia", layer.name()),
-            plan.ia_segment_bytes().max(1),
-            seg_opts,
-            &mut memory,
-        )?;
-        let w_seg = space.alloc_segment(
-            format!("l{layer_index}_{}_w", layer.name()),
-            plan.w_segment_bytes().max(1),
-            seg_opts,
-            &mut memory,
-        )?;
-        for tile in plan.tiles() {
-            if let Some(fetch) = tile.ia_fetch {
-                fetches.push((ia_seg.start().raw(), fetch));
-            }
-            if let Some(fetch) = tile.w_fetch {
-                fetches.push((w_seg.start().raw(), fetch));
-            }
+        let mapped = map_layer(space, &mut memory, npu, seg_opts, layer_index, layer)?;
+        for tile in mapped.plan.tiles() {
+            fetches.extend(mapped.fetches(tile).map(|(base, &fetch)| (base, fetch)));
         }
     }
     Ok(fetches)
@@ -431,19 +407,5 @@ mod tests {
             }
             assert!(pages > 0, "{page_size:?}: the fetches touch pages");
         }
-    }
-
-    #[test]
-    fn walker_occupancy_shares_sum_to_one() {
-        let result = run(
-            ServingConfig::with_mmu(MmuConfig::neummu()),
-            &smoke_tenants(2),
-        );
-        let shares = result.walker_occupancy_shares();
-        assert_eq!(shares.len(), 2);
-        let sum: f64 = shares.iter().sum();
-        assert!((sum - 1.0).abs() < 1e-12, "shares sum to {sum}");
-        assert!(result.tenant(Asid::new(0)).is_some());
-        assert!(result.tenant(Asid::new(7)).is_none());
     }
 }

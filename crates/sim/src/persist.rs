@@ -26,7 +26,7 @@ use crate::multi_tenant::TenantStats;
 /// Key namespace of the memoized points ([`crate::runner::PointCache`]):
 /// dense [`WorkloadResult`]s and isolated [`TenantStats`] baselines. Bump the
 /// `v` on any codec change.
-pub const POINT_NAMESPACE: &str = "point/v1";
+pub const POINT_NAMESPACE: &str = "point/v2";
 
 fn put_tensor_kind(writer: &mut ByteWriter, kind: TensorKind) {
     writer.u8(match kind {
@@ -180,7 +180,6 @@ pub fn encode_workload_result(result: &WorkloadResult) -> Vec<u8> {
     }
     put_translation_stats(&mut writer, &result.translation);
     writer.f64(result.translation_energy_nj);
-    writer.u64(result.walk_memory_accesses);
     writer.bool(result.trace.is_some());
     if let Some(trace) = &result.trace {
         put_trace(&mut writer, trace);
@@ -204,7 +203,6 @@ pub fn decode_workload_result(payload: &[u8]) -> Result<WorkloadResult, CodecErr
     }
     let translation = take_translation_stats(&mut reader)?;
     let translation_energy_nj = reader.f64()?;
-    let walk_memory_accesses = reader.u64()?;
     let trace = if reader.bool()? {
         Some(take_trace(&mut reader)?)
     } else {
@@ -216,7 +214,6 @@ pub fn decode_workload_result(payload: &[u8]) -> Result<WorkloadResult, CodecErr
         layers,
         translation,
         translation_energy_nj,
-        walk_memory_accesses,
         trace,
     })
 }

@@ -49,13 +49,13 @@ use serde::Serialize;
 use neummu_mem::dram::{DramConfig, DramModel};
 use neummu_mmu::{
     DeviceFaultConfig, FaultCounters, MmuConfig, MmuKind, ResilienceConfig, TranslationEngine,
-    TranslationSource,
 };
 use neummu_npu::{DmaEngine, NpuConfig};
-use neummu_vmem::{AddressSpace, Asid, MemNode, PageTable, VirtAddr};
+use neummu_vmem::{AddressSpace, Asid, MemNode, PageTable};
 use neummu_workloads::WorkloadId;
 
 use crate::error::SimError;
+use crate::memory_phase::run_step;
 use crate::multi_tenant::{
     map_tenant_fetches, MultiTenantResult, TenantSpec, TenantStats, TenantStream,
 };
@@ -675,6 +675,7 @@ impl ServingSimulator {
                 lane.in_service = Some((request, txns_per_request, 0, 0));
             }
             let turn_start = now;
+            let before = *engine.stats();
             let (_, txns_left, _, _) = lane.in_service.expect("set above");
             let mut quota = config.burst_transactions.min(txns_left);
             let granted = quota;
@@ -684,57 +685,31 @@ impl ServingSimulator {
                     lane.in_service.as_mut().expect("in service").1 = 0;
                     break;
                 };
-                let issue = now;
-                let va = VirtAddr::new(base + run.first.offset);
-                let out =
-                    engine.translate_run_tagged(lane.page_table, asid, va, run.txn_count, issue);
-                let translation = &mut tenant_stats.translation;
-                translation.requests += out.consumed;
-                translation.stall_cycles += out.first.accept_cycle - issue;
-                for (source, requests) in
-                    [(out.first.source, 1), (out.replay_source, out.replayed())]
-                {
-                    if requests == 0 {
-                        continue;
-                    }
-                    match source {
-                        TranslationSource::TlbHit => translation.tlb_hits += requests,
-                        TranslationSource::Merged => translation.merged += requests,
-                        TranslationSource::PageWalk { levels_read } => {
-                            translation.walks += requests;
-                            translation.walk_levels_read += requests * u64::from(levels_read);
-                        }
-                        TranslationSource::Oracle => unreachable!("oracle configs are rejected"),
-                    }
-                }
-                if out.first.fault {
-                    translation.faults += 1;
-                }
-                if out.replay_fault {
-                    translation.faults += out.replayed();
-                }
-                now = out.last_accept() + 1;
-                let scheduled = run.prefix(out.consumed);
-                let data_ready = dram.schedule_run(
-                    out.first.complete_cycle,
-                    out.complete_stride,
-                    scheduled.txn_count,
-                    scheduled.first.bytes,
-                    scheduled.interior_txn_bytes(),
-                    scheduled.txn_len(scheduled.txn_count - 1),
+                let (out, data_ready) = run_step(
+                    &mut engine,
+                    &mut dram,
+                    lane.page_table,
+                    asid,
+                    base,
+                    run,
+                    &mut now,
                 );
-                translation.completion_cycle = translation.completion_cycle.max(data_ready);
-                let (_, txns_left, ready_max, stall) =
-                    lane.in_service.as_mut().expect("in service");
+                let (_, txns_left, ready_max, _) = lane.in_service.as_mut().expect("in service");
                 *txns_left -= out.consumed;
                 *ready_max = (*ready_max).max(data_ready);
-                *stall += out.first.accept_cycle - issue;
                 quota -= out.consumed;
                 if out.consumed < run.txn_count {
                     lane.stream.push_back(base, run.suffix(out.consumed));
                 }
             }
+            // The engine counted the turn's events: the tenant takes their
+            // difference, and its head request the turn's stall cycles.
+            lane.in_service.as_mut().expect("in service").3 +=
+                engine.stats().stall_cycles - before.stall_cycles;
             let (request, txns_left, ready_max, stall) = lane.in_service.expect("in service");
+            let translation = &mut tenant_stats.translation;
+            translation.add_turn(&before, engine.stats());
+            translation.completion_cycle = translation.completion_cycle.max(ready_max);
             if txns_left == 0 {
                 lane.in_service = None;
                 lane.queue.complete();
@@ -776,37 +751,12 @@ impl ServingSimulator {
             }
         }
 
-        // The tenants' tallies count the very events the engine counted.
+        // The tenants' counts are the engine's, differenced around each turn:
+        // they sum to its totals when every request lies in some turn.
         debug_assert_eq!(
-            stats
-                .iter()
-                .map(|s| &s.translation)
-                .fold([0u64; 7], |sum, t| {
-                    let row = [
-                        t.requests,
-                        t.tlb_hits,
-                        t.merged,
-                        t.walks,
-                        t.walk_levels_read,
-                        t.faults,
-                        t.stall_cycles,
-                    ];
-                    std::array::from_fn(|i| sum[i] + row[i])
-                }),
-            {
-                let e = engine.stats();
-                [
-                    e.requests,
-                    e.tlb_hits,
-                    e.merged,
-                    e.walks,
-                    e.walk_memory_accesses,
-                    e.faults,
-                    e.stall_cycles,
-                ]
-            },
-            "tenant tallies (requests, hits, merged, walks, levels, faults, stall) \
-             disagree with the engine's counters"
+            stats.iter().map(|s| s.translation.requests).sum::<u64>(),
+            engine.stats().requests,
+            "a translation request fell outside every tenant's turn"
         );
 
         // Final bookkeeping: queue counters.

@@ -9,12 +9,13 @@
 //!
 //! The cases cover the turn loop's corners: arrivals that land on the same
 //! cycle for several tenants, idle gaps the clock jumps across, circuit
-//! breakers that shed arrivals, deferred overflow, and every policy over a
-//! mix that repeats networks (tenants that share one mapped network).
+//! breakers that shed arrivals, deferred overflow, an armed device-fault
+//! plan, and every policy over a mix that repeats networks (tenants that
+//! share one mapped network).
 
 use std::fmt::Debug;
 
-use neummu_mmu::MmuConfig;
+use neummu_mmu::{DeviceFaultConfig, FaultKind, FaultRate, MmuConfig, ResilienceConfig};
 use neummu_sim::serving::{
     derive_seed, ArrivalConfig, ArrivalShape, CircuitBreakerConfig, OverflowPolicy, ServingConfig,
     ServingPolicy, ServingResult, ServingSimulator, ServingTenantSpec,
@@ -243,6 +244,37 @@ fn deferred_overflow_drains_past_the_horizon() {
         assert!(deferred > 0, "{}: the queues overflow", policy.label());
         assert_pinned(policy.label(), &result, expected);
     }
+}
+
+#[test]
+fn faulted_run_with_retried_and_hung_walks() {
+    // Every fault kind at 5% (walker-stuck in bursts of two) with only retry
+    // armed: timed-out and transient walks are retried, dropped responses
+    // and stuck walkers hang to the livelock bound and report translation
+    // faults. The fingerprint covers the engine's fault counters as well as
+    // every tenant's counters.
+    let device = DeviceFaultConfig::uniform(13, 0.05)
+        .with_kind(FaultKind::WalkerStuck, FaultRate::bursty(0.05, 2));
+    let result = run(
+        config(ServingPolicy::RoundRobin)
+            .with_faults(device, ResilienceConfig::all_off().with_retry(true)),
+        &repeated_network_mix(60_000, 9),
+    );
+    let counters = result.fault_counters.as_ref().expect("faults configured");
+    assert!(counters.total_recovered() > 0, "retries recover walks");
+    assert!(counters.total_hung() > 0, "unrecovered walks hang");
+    assert!(
+        result.stats.iter().all(|s| s.translation.faults > 0),
+        "every tenant sees translation faults"
+    );
+    assert_pinned(
+        "faulted",
+        &result,
+        (
+            [201_717, 1799, 220, 1579, 0, 0, 0, 2],
+            0x0d44_cc6f_c176_a85b,
+        ),
+    );
 }
 
 #[test]

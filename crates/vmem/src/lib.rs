@@ -58,7 +58,7 @@ pub use address_space::{
 pub use asid::Asid;
 pub use error::VmemError;
 pub use frame_alloc::{NodeSpec, PhysicalMemory};
-pub use numa::{MemNode, PlacementPolicy};
+pub use numa::MemNode;
 pub use page_table::{
     pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkProbe,
     WalkStep,
@@ -75,7 +75,7 @@ pub mod prelude {
     pub use crate::asid::Asid;
     pub use crate::error::VmemError;
     pub use crate::frame_alloc::{NodeSpec, PhysicalMemory};
-    pub use crate::numa::{MemNode, PlacementPolicy};
+    pub use crate::numa::MemNode;
     pub use crate::page_table::{
         pages_2m, pages_4k, PageTable, PageTableStats, TableId, Translation, WalkLevel, WalkProbe,
         WalkStep,

@@ -1,4 +1,4 @@
-//! NUMA node identifiers and placement helpers.
+//! NUMA node identifiers.
 //!
 //! The NeuMMU case study (Section V) models a system with one capacity-optimized
 //! host (CPU) memory and several bandwidth-optimized NPU-local memories. Pages
@@ -52,39 +52,6 @@ impl fmt::Display for MemNode {
     }
 }
 
-/// How a multi-device system places the shards of a partitioned data structure
-/// (the embedding tables of Section V) across nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum PlacementPolicy {
-    /// Everything stays in host memory (the "host-centric" approach of
-    /// Section III-A).
-    HostOnly,
-    /// Shard `i` is placed on `Npu(i % num_npus)` (the "accelerator-centric"
-    /// model parallelism of Figure 5).
-    RoundRobinNpus {
-        /// Number of NPUs participating in the round-robin placement.
-        num_npus: u16,
-    },
-}
-
-impl PlacementPolicy {
-    /// Node that owns shard `shard_index` under this policy.
-    #[cfg(test)]
-    #[must_use]
-    pub fn node_for_shard(self, shard_index: usize) -> MemNode {
-        match self {
-            PlacementPolicy::HostOnly => MemNode::Host,
-            PlacementPolicy::RoundRobinNpus { num_npus } => {
-                assert!(
-                    num_npus > 0,
-                    "round-robin placement requires at least one NPU"
-                );
-                MemNode::Npu((shard_index % num_npus as usize) as u16)
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,29 +71,5 @@ mod tests {
         assert!(MemNode::Npu(1).is_local_to(MemNode::Npu(1)));
         assert!(!MemNode::Npu(1).is_local_to(MemNode::Npu(2)));
         assert!(!MemNode::Host.is_local_to(MemNode::Npu(0)));
-    }
-
-    #[test]
-    fn round_robin_placement_cycles_over_npus() {
-        let policy = PlacementPolicy::RoundRobinNpus { num_npus: 4 };
-        assert_eq!(policy.node_for_shard(0), MemNode::Npu(0));
-        assert_eq!(policy.node_for_shard(3), MemNode::Npu(3));
-        assert_eq!(policy.node_for_shard(4), MemNode::Npu(0));
-        assert_eq!(policy.node_for_shard(9), MemNode::Npu(1));
-    }
-
-    #[test]
-    fn host_only_placement() {
-        let policy = PlacementPolicy::HostOnly;
-        for shard in 0..8 {
-            assert_eq!(policy.node_for_shard(shard), MemNode::Host);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one NPU")]
-    fn round_robin_with_zero_npus_panics() {
-        let policy = PlacementPolicy::RoundRobinNpus { num_npus: 0 };
-        let _ = policy.node_for_shard(0);
     }
 }

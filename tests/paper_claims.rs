@@ -144,10 +144,10 @@ fn claim_many_ptws_without_prmb_waste_energy() {
     assert!(brute_force.normalized_to(&oracle) > 0.9);
     assert!(neummu.normalized_to(&oracle) > 0.9);
     assert!(
-        brute_force.walk_memory_accesses > 4 * neummu.walk_memory_accesses,
+        brute_force.translation.walk_memory_accesses > 4 * neummu.translation.walk_memory_accesses,
         "redundant walks should cost several times more memory accesses: {} vs {}",
-        brute_force.walk_memory_accesses,
-        neummu.walk_memory_accesses
+        brute_force.translation.walk_memory_accesses,
+        neummu.translation.walk_memory_accesses
     );
     assert!(brute_force.translation_energy_nj > 4.0 * neummu.translation_energy_nj);
 }
